@@ -349,7 +349,7 @@ def cmd_simulate(args) -> int:
         raise CliError(str(exc)) from None
     result = run_simulation(cfg, workers=args.workers)
 
-    outputs = OutputSet(Path(args.out))
+    outputs = OutputSet(Path(args.out or "."))
     try:
         outputs.write_text("result.csv", "\n".join(result.csv_rows()) + "\n")
         outputs.write_text(
@@ -408,7 +408,7 @@ def cmd_sweep(args) -> int:
         )
     csv_text = "\n".join(lines) + "\n"
 
-    outputs = OutputSet(Path(args.out))
+    outputs = OutputSet(Path(args.out or "."))
     try:
         outputs.write_text("sweep.csv", csv_text)
         outputs.write_text(
@@ -440,7 +440,11 @@ def _fraction_list(text: str) -> list[float]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument(
+        "--out",
+        default=None,
+        help="output directory (simulate and sweep default to the current one)",
+    )
     common.add_argument(
         "--format", choices=["csv", "json"], default=None, help="stdout format"
     )
@@ -491,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="run one simulation")
     p.add_argument("config", nargs="?", help="JSON config mirroring SimConfig")
     p.add_argument("--preset", choices=sorted(SIMULATE_PRESETS), default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_simulate, out=".")
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
         "sweep", parents=[common], help="fraction-by-strategy decision sweep"
@@ -501,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
     p.add_argument("--fractions", type=_fraction_list, default=None)
     p.add_argument("--horizon", type=int, default=1095)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_sweep, out=".")
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -3,15 +3,18 @@
 Each agent carries a fading value (delta E) that grows linearly at an
 agent-specific rate k drawn from a normal distribution. Weekly repainting
 events reset selected agents to zero under one of four strategies.
-Replicates consume independent random streams derived deterministically
-from (master_seed, replicate index), so results do not depend on the
-order or parallelism of execution.
+All replicates advance together, day by day, as one (replicates, agents)
+population. Each replicate consumes its own random stream derived
+deterministically from (master_seed, replicate index), so results do not
+depend on how replicates are grouped or ordered.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -22,7 +25,6 @@ __all__ = [
     "SimConfig",
     "ConfigError",
     "Population",
-    "AgentState",
     "SimResult",
     "SweepRow",
     "derive_stream_seed",
@@ -45,6 +47,20 @@ _ENVELOPE_HI_STREAM = (1 << 32) + 1
 # how many wall hearts each agent stands for, at the default 1000 agents
 WALL_HEART_COUNT = 240_000
 
+# replicates are simulated in blocks of at most this many agent cells
+# (replicates x agents), which bounds memory for large populations; the
+# presets fit in one block
+_BLOCK_CELLS = 1 << 20
+
+_INT_FIELDS = ("n_agents", "horizon_days", "replicates", "master_seed")
+_FLOAT_FIELDS = (
+    "k_mean",
+    "k_sd",
+    "initial_spread_max",
+    "perception_threshold",
+    "repaint_fraction_weekly",
+)
+
 
 class ConfigError(ValueError):
     """Invalid simulation configuration; message names the field."""
@@ -57,31 +73,14 @@ class Strategy(str, Enum):
     THRESHOLD_C = "threshold_c"  # uniform choice among visibly faded
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Scalar view of one agent (array-backed Population is the working
-    representation)."""
-
-    delta_e: float
-    k: float
-    repaint_count: int = 0
-
-
 @dataclass
 class Population:
-    """Vectorised agent population."""
+    """Vectorised agent state: (agents,) arrays for one population, or
+    (replicates, agents) arrays for several advanced together."""
 
     delta_e: np.ndarray
     k: np.ndarray
     repaint_count: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.delta_e)
-
-    def agent(self, i: int) -> AgentState:
-        return AgentState(
-            float(self.delta_e[i]), float(self.k[i]), int(self.repaint_count[i])
-        )
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,18 @@ class SimConfig:
     uncertainty_mode: str = "montecarlo"  # or "envelope"
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.n_agents < 1:
             raise ConfigError(f"n_agents must be >= 1, got {self.n_agents}")
         if self.horizon_days < 1:
@@ -264,35 +275,63 @@ def repaint_event(
     strategy: Strategy,
     capacity: int,
     threshold: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> int:
-    """Apply one weekly repainting event; returns the number repainted.
+    """Apply one weekly repainting event; returns the number repainted,
+    summed over all rows.
 
-    Selected agents are reset to delta_e 0 and their repaint_count
-    incremented.
+    `pop` holds (agents,) arrays with one Generator in `rng`, or
+    (replicates, agents) arrays with one Generator per row, in row order.
+    Each row repaints up to `capacity` agents: RANDOM_A uniformly at
+    random, GREEDY_B the most faded (ties to the lowest index, as a stable
+    sort would order them), THRESHOLD_C uniformly among the agents above
+    `threshold`, skipping rows that have none. Random rows draw one
+    `Generator.choice` each, from their own stream. Selected agents are
+    reset to delta_e 0 and their repaint_count incremented.
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
-    n = len(pop)
     if strategy is Strategy.BASELINE or capacity == 0:
         return 0
-    if strategy is Strategy.RANDOM_A:
-        chosen = rng.choice(n, size=min(capacity, n), replace=False)
-    elif strategy is Strategy.GREEDY_B:
-        # stable sort on -delta_e gives lowest index first among ties
-        order = np.argsort(-pop.delta_e, kind="stable")
-        chosen = order[: min(capacity, n)]
+    delta_e = np.atleast_2d(pop.delta_e)
+    n = delta_e.shape[1]
+    take = min(capacity, n)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    if strategy is Strategy.GREEDY_B:
+        chosen = _most_faded(delta_e, take)
+    elif strategy is Strategy.RANDOM_A:
+        chosen = np.zeros(delta_e.shape, dtype=bool)
+        for row, r in zip(chosen, rngs, strict=True):
+            row[r.choice(n, size=take, replace=False)] = True
     elif strategy is Strategy.THRESHOLD_C:
-        eligible = np.flatnonzero(pop.delta_e > threshold)
-        if eligible.size == 0:
-            return 0
-        take = min(capacity, eligible.size)
-        chosen = rng.choice(eligible, size=take, replace=False)
+        chosen = np.zeros(delta_e.shape, dtype=bool)
+        for row, above, r in zip(chosen, delta_e > threshold, rngs, strict=True):
+            eligible = np.flatnonzero(above)
+            if eligible.size:
+                size = min(take, eligible.size)
+                row[r.choice(eligible, size=size, replace=False)] = True
     else:  # pragma: no cover
         raise ValueError(f"unknown strategy {strategy!r}")
+    chosen = chosen.reshape(pop.delta_e.shape)
     pop.delta_e[chosen] = 0.0
-    pop.repaint_count[chosen] += 1
-    return int(len(chosen))
+    pop.repaint_count += chosen
+    return int(np.count_nonzero(chosen))
+
+
+def _most_faded(delta_e: np.ndarray, take: int) -> np.ndarray:
+    """Mask of the `take` largest values in each row, ties to the lowest
+    index: the same set as the first `take` of a stable argsort of
+    -delta_e. `take` must be in [1, agents]."""
+    n = delta_e.shape[1]
+    kth = np.partition(delta_e, n - take, axis=1)[:, n - take, None]
+    chosen = delta_e >= kth
+    # where more agents share the k-th value than slots are left for
+    # them, the highest-index ones among them are dropped
+    excess = np.count_nonzero(chosen, axis=1) - take
+    for i in np.flatnonzero(excess):
+        tied = np.flatnonzero(delta_e[i] == kth[i])
+        chosen[i, tied[-excess[i] :]] = False
+    return chosen
 
 
 def _recorded_days(horizon_days: int) -> np.ndarray:
@@ -302,49 +341,71 @@ def _recorded_days(horizon_days: int) -> np.ndarray:
     return np.array(days, dtype=np.int64)
 
 
-def _run_replicate(
-    cfg: SimConfig, stream_index: int, k_override: float | None = None
+def _simulate_block(
+    cfg: SimConfig, stream_indices: Sequence[int], k_override: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One replicate trajectory: (fractions above threshold, cumulative
-    repaints) at each recorded day. k_override pins every agent's rate
-    (envelope bounding runs)."""
-    rng = _stream(cfg.master_seed, stream_index)
-    pop = init_population(cfg, rng)
+    """Trajectories of the given streams advanced together as one
+    (rows, agents) population: fractions above threshold and cumulative
+    repaints, each (rows, recorded days). k_override pins every agent's
+    rate (envelope bounding runs)."""
+    rows, n = len(stream_indices), cfg.n_agents
+    rngs = [_stream(cfg.master_seed, i) for i in stream_indices]
+    pop = Population(
+        np.empty((rows, n)), np.empty((rows, n)), np.zeros((rows, n), dtype=np.int64)
+    )
+    for i, rng in enumerate(rngs):
+        drawn = init_population(cfg, rng)
+        pop.delta_e[i] = drawn.delta_e
+        pop.k[i] = drawn.k
     if k_override is not None:
         pop.k[:] = max(k_override, cfg.k_mean / 100.0)
     capacity = weekly_capacity(cfg)
     threshold = cfg.perception_threshold
 
-    fracs = [float(np.mean(pop.delta_e > threshold))]
-    cums = [0]
-    total = 0
-    for day in range(1, cfg.horizon_days + 1):
-        advance_day(pop)
-        if day % 7 == 0:
-            total += repaint_event(pop, cfg.strategy, capacity, threshold, rng)
-        if day % 7 == 0 or day == cfg.horizon_days:
-            fracs.append(float(np.mean(pop.delta_e > threshold)))
-            cums.append(total)
-    return np.array(fracs), np.array(cums, dtype=np.float64)
+    days = _recorded_days(cfg.horizon_days)
+    fracs = np.empty((rows, len(days)))
+    cums = np.empty((rows, len(days)))
+    day = 0
+    for col, record_day in enumerate(days.tolist()):
+        while day < record_day:
+            advance_day(pop)
+            day += 1
+        if day > 0 and day % 7 == 0:
+            repaint_event(pop, cfg.strategy, capacity, threshold, rngs)
+        # count / n is bit-equal to the mean of the boolean array
+        fracs[:, col] = np.count_nonzero(pop.delta_e > threshold, axis=1) / n
+        cums[:, col] = pop.repaint_count.sum(axis=1)
+    return fracs, cums
+
+
+def _run_replicate(
+    cfg: SimConfig, stream_index: int, k_override: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One replicate trajectory: (fractions above threshold, cumulative
+    repaints) at each recorded day."""
+    fracs, cums = _simulate_block(cfg, [stream_index], k_override)
+    return fracs[0], cums[0]
 
 
 def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
     """Run all replicates and aggregate trajectories with uncertainty bands.
 
-    Monte Carlo mode takes the 2.5th/97.5th percentile across replicates;
-    envelope mode takes two deterministic bounding runs with every k fixed
-    at k_mean -/+ 2 k_sd. Output is independent of `workers`.
+    Replicates advance together, day by day, as one (replicates, agents)
+    population, each drawing from its own stream; they are taken in blocks
+    of at most _BLOCK_CELLS agent cells to bound memory. Monte Carlo mode
+    takes the 2.5th/97.5th percentile across replicates; envelope mode
+    takes two deterministic bounding runs with every k fixed at
+    k_mean -/+ 2 k_sd. `workers` has no effect and is accepted only so
+    that existing callers keep working.
     """
     cfg.validate()
-    indices = range(cfg.replicates)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: _run_replicate(cfg, i), indices))
-    else:
-        results = [_run_replicate(cfg, i) for i in indices]
-
-    frac_by_rep = np.stack([r[0] for r in results])
-    cum_by_rep = np.stack([r[1] for r in results])
+    per_block = max(1, _BLOCK_CELLS // cfg.n_agents)
+    blocks = [
+        _simulate_block(cfg, range(start, min(start + per_block, cfg.replicates)))
+        for start in range(0, cfg.replicates, per_block)
+    ]
+    frac_by_rep = np.concatenate([fracs for fracs, _ in blocks])
+    cum_by_rep = np.concatenate([cums for _, cums in blocks])
     mean_frac = frac_by_rep.mean(axis=0)
     mean_cum = cum_by_rep.mean(axis=0)
 
@@ -380,7 +441,8 @@ def sweep_fractions(
     workers: int = 1,
 ) -> list[SweepRow]:
     """Decision sweep: each repaint fraction crossed with the three active
-    strategies, summarised at the horizon (default 3 years)."""
+    strategies, summarised at the horizon (default 3 years). `workers`
+    has no effect, as in run_simulation."""
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ConfigError(f"sweep fraction {f} outside [0, 1]")

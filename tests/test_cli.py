@@ -220,6 +220,27 @@ class TestSimulateCommand:
         assert rc == 2
         assert "k_mean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("k_sd", float("nan")),
+            ("perception_threshold", float("nan")),
+            ("k_mean", float("inf")),
+            ("horizon_days", 10.5),
+            ("n_agents", "10"),
+            ("replicates", True),
+        ],
+    )
+    def test_invalid_value_exit_2(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**self.CONFIG, field: value}))
+        out = tmp_path / "out"
+        rc = main(["simulate", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+        assert not out.exists()
+
     def test_preset_unknown(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "paint9"])
@@ -258,6 +279,47 @@ class TestSweepCommand:
         rc = main(["sweep", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "fractions" in capsys.readouterr().err
+
+
+def test_only_simulate_and_sweep_default_to_cwd(tmp_path, monkeypatch, capsys):
+    img = tmp_path / "wall.ppm"
+    write_test_image(img)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TestSimulateCommand.CONFIG))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+
+    no_out = [
+        [
+            "calibrate",
+            str(img),
+            "--board-region",
+            "0,0,4,4",
+            "--reference-lab",
+            "16,0,0",
+            "--heart-region",
+            "h1:4,0,4,4",
+        ],
+        [
+            "rate",
+            str(data_path("synthetic_observations.csv")),
+            str(data_path("synthetic_windows.json")),
+            "--baseline-lab",
+            BASELINE,
+        ],
+        ["acceptability", str(data_path("acceptability_anchors.csv"))],
+    ]
+    for argv in no_out:
+        assert main(argv) == 0
+        assert list(cwd.iterdir()) == [], argv[0]
+
+    assert main(["simulate", str(cfg)]) == 0
+    names = sorted(p.name for p in cwd.iterdir())
+    assert names == ["manifest.json", "result.csv", "summary.json"]
+    assert main(["sweep", str(cfg), "--fractions", "0.1", "--horizon", "30"]) == 0
+    assert (cwd / "sweep.csv").is_file()
+    capsys.readouterr()
 
 
 def test_fnv1a64_known_vectors():

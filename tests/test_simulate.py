@@ -54,6 +54,12 @@ class TestConfig:
             ("repaint_fraction_weekly", 1.5),
             ("replicates", 0),
             ("uncertainty_mode", "bootstrap"),
+            ("k_sd", float("nan")),
+            ("perception_threshold", float("nan")),
+            ("k_mean", float("inf")),
+            ("horizon_days", 10.5),
+            ("n_agents", "10"),
+            ("replicates", True),
         ],
     )
     def test_validation(self, field, value):

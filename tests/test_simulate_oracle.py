@@ -1,0 +1,228 @@
+"""The batched engine against a reference oracle.
+
+The oracle is the per-day, per-replicate loop the engine replaced: one
+replicate at a time, one Python iteration per day, GREEDY_B by a stable
+argsort. The engine must reproduce it bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+import heartfade.simulate as simulate
+from heartfade.simulate import (
+    Population,
+    SimConfig,
+    Strategy,
+    _stream,
+    init_population,
+    repaint_event,
+    run_simulation,
+    weekly_capacity,
+)
+
+
+def oracle_repaint(pop, strategy, capacity, threshold, rng):
+    """One repainting event on a single (agents,) population."""
+    n = len(pop.delta_e)
+    if strategy is Strategy.BASELINE or capacity == 0:
+        return 0
+    if strategy is Strategy.RANDOM_A:
+        chosen = rng.choice(n, size=min(capacity, n), replace=False)
+    elif strategy is Strategy.GREEDY_B:
+        order = np.argsort(-pop.delta_e, kind="stable")
+        chosen = order[: min(capacity, n)]
+    else:
+        eligible = np.flatnonzero(pop.delta_e > threshold)
+        if eligible.size == 0:
+            return 0
+        chosen = rng.choice(eligible, size=min(capacity, eligible.size), replace=False)
+    pop.delta_e[chosen] = 0.0
+    pop.repaint_count[chosen] += 1
+    return len(chosen)
+
+
+def oracle_replicate(cfg, stream_index, k_override=None):
+    rng = _stream(cfg.master_seed, stream_index)
+    pop = init_population(cfg, rng)
+    if k_override is not None:
+        pop.k[:] = max(k_override, cfg.k_mean / 100.0)
+    capacity = weekly_capacity(cfg)
+    threshold = cfg.perception_threshold
+    fracs = [float(np.mean(pop.delta_e > threshold))]
+    cums = [0]
+    total = 0
+    for day in range(1, cfg.horizon_days + 1):
+        pop.delta_e += pop.k
+        if day % 7 == 0:
+            total += oracle_repaint(pop, cfg.strategy, capacity, threshold, rng)
+        if day % 7 == 0 or day == cfg.horizon_days:
+            fracs.append(float(np.mean(pop.delta_e > threshold)))
+            cums.append(total)
+    return np.array(fracs), np.array(cums, dtype=np.float64)
+
+
+def oracle_run(cfg):
+    runs = [oracle_replicate(cfg, i) for i in range(cfg.replicates)]
+    frac_by_rep = np.stack([r[0] for r in runs])
+    cum_by_rep = np.stack([r[1] for r in runs])
+    if cfg.uncertainty_mode == "montecarlo":
+        lo = np.percentile(frac_by_rep, 2.5, axis=0)
+        hi = np.percentile(frac_by_rep, 97.5, axis=0)
+    else:
+        lo_run, _ = oracle_replicate(cfg, 1 << 32, cfg.k_mean - 2 * cfg.k_sd)
+        hi_run, _ = oracle_replicate(cfg, (1 << 32) + 1, cfg.k_mean + 2 * cfg.k_sd)
+        lo, hi = np.minimum(lo_run, hi_run), np.maximum(lo_run, hi_run)
+    return {
+        "frac_by_rep": frac_by_rep,
+        "cum_repaints_by_rep": cum_by_rep,
+        "mean_frac": frac_by_rep.mean(axis=0),
+        "lo_frac": lo,
+        "hi_frac": hi,
+        "mean_cum_repaints": cum_by_rep.mean(axis=0),
+    }
+
+
+def assert_bit_equal(result, expected):
+    for name, want in expected.items():
+        got = getattr(result, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+FAST = dict(k_mean=0.15, k_sd=0.03, perception_threshold=10.0)
+
+# named cases for the coverage the engine must keep: every strategy, both
+# uncertainty modes, horizons off the weekly grid, capacity equal to the
+# population and heavy ties for the greedy selection
+NAMED = {
+    f"{strategy.value}-{mode}": SimConfig(
+        **FAST,
+        n_agents=40,
+        horizon_days=103,
+        strategy=strategy,
+        repaint_fraction_weekly=0.1,
+        replicates=5,
+        uncertainty_mode=mode,
+    )
+    for strategy in Strategy
+    for mode in ("montecarlo", "envelope")
+}
+NAMED.update(
+    {
+        f"{strategy.value}-full-capacity": SimConfig(
+            **FAST,
+            n_agents=9,
+            horizon_days=50,
+            strategy=strategy,
+            repaint_fraction_weekly=1.0,
+            replicates=3,
+        )
+        for strategy in (Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C)
+    }
+)
+NAMED.update(
+    {
+        f"greedy_b-ties-{fraction}": SimConfig(
+            k_mean=0.5,
+            k_sd=0.0,
+            initial_spread_max=0.0,
+            n_agents=30,
+            horizon_days=60,
+            strategy=Strategy.GREEDY_B,
+            repaint_fraction_weekly=fraction,
+            replicates=4,
+        )
+        for fraction in (0.1, 0.35, 1.0)
+    }
+)
+NAMED["one-day"] = SimConfig(**FAST, n_agents=5, horizon_days=1, replicates=2)
+
+
+def random_configs(count, seed=2025):
+    rng = np.random.default_rng(seed)
+    configs = []
+    for i in range(count):
+        k_mean = float(rng.uniform(0.05, 0.4))
+        configs.append(
+            SimConfig(
+                k_mean=k_mean,
+                k_sd=float(rng.choice([0.0, 0.2 * k_mean])),
+                n_agents=int(rng.integers(1, 60)),
+                horizon_days=int(rng.integers(1, 120)),
+                initial_spread_max=float(rng.choice([0.0, 5.0])),
+                perception_threshold=float(rng.choice([2.0, 10.0])),
+                strategy=list(Strategy)[i % 4],
+                repaint_fraction_weekly=float(rng.choice([0.0, 0.03, 0.1, 0.5, 1.0])),
+                replicates=int(rng.integers(1, 7)),
+                master_seed=int(rng.integers(0, 2**63)),
+                uncertainty_mode=str(rng.choice(["montecarlo", "envelope"])),
+            )
+        )
+    return configs
+
+
+def test_named_cases_cover_the_grid():
+    cfgs = list(NAMED.values())
+    assert {c.strategy for c in cfgs} == set(Strategy)
+    assert any(c.uncertainty_mode == "envelope" for c in cfgs)
+    assert any(c.horizon_days % 7 for c in cfgs)
+    assert any(weekly_capacity(c) >= c.n_agents for c in cfgs)
+    assert any(
+        c.strategy is Strategy.GREEDY_B and c.k_sd == 0 and c.initial_spread_max == 0
+        for c in cfgs
+    )
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_engine_matches_oracle_named(name):
+    cfg = NAMED[name]
+    assert_bit_equal(run_simulation(cfg), oracle_run(cfg))
+
+
+@pytest.mark.parametrize("cfg", random_configs(32))
+def test_engine_matches_oracle_seeded_grid(cfg):
+    assert_bit_equal(run_simulation(cfg), oracle_run(cfg))
+
+
+@pytest.mark.parametrize(
+    "strategy", [Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C]
+)
+@pytest.mark.parametrize("capacity", [1, 3, 8, 12, 50])
+def test_batched_repaint_equals_row_by_row(strategy, capacity):
+    rng = np.random.default_rng(7)
+    # rounded values force many ties at the capacity boundary
+    delta_e = np.round(rng.uniform(0.0, 12.0, size=(6, 12)))
+    delta_e[2] = 0.0  # a row with nothing above the threshold
+    batched = Population(
+        delta_e.copy(), np.zeros_like(delta_e), np.zeros(delta_e.shape, np.int64)
+    )
+    count = repaint_event(
+        batched, strategy, capacity, 9.5, [_stream(3, i) for i in range(len(delta_e))]
+    )
+    assert type(count) is int
+
+    expected = 0
+    for i, row in enumerate(delta_e):
+        pop = Population(row.copy(), np.zeros_like(row), np.zeros(len(row), np.int64))
+        expected += oracle_repaint(pop, strategy, capacity, 9.5, _stream(3, i))
+        assert np.array_equal(batched.delta_e[i], pop.delta_e)
+        assert np.array_equal(batched.repaint_count[i], pop.repaint_count)
+    assert count == expected
+
+
+@pytest.mark.parametrize("budget", [1, 2 * 23, 3 * 23 + 5])
+def test_block_budget_does_not_change_results(monkeypatch, budget):
+    cfg = SimConfig(
+        **FAST,
+        n_agents=23,
+        horizon_days=90,
+        strategy=Strategy.THRESHOLD_C,
+        repaint_fraction_weekly=0.2,
+        replicates=7,
+    )
+    whole = run_simulation(cfg)
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", budget)
+    blocked = run_simulation(cfg)
+    for name in ("frac_by_rep", "cum_repaints_by_rep", "lo_frac", "hi_frac"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+
