@@ -2,8 +2,8 @@
 
 Subcommands: calibrate, rate, acceptability, simulate, sweep. Every run is
 deterministic given its inputs and --seed; runs that write files also emit
-a manifest recording input digests, the resolved configuration and the
-seed. On failure, partially written outputs are removed.
+a manifest recording the sha256 digest of every input, the resolved
+configuration and the seed. On failure, partially written outputs are removed.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ from .simulate import (
 EXIT_INPUT_ERROR = 2
 
 SIMULATE_PRESETS = {
-    "paint1-baseline": lambda: paint1_config(),
-    "paint2-1pct": lambda: replace(
-        paint2_config(), strategy=Strategy.THRESHOLD_C, repaint_fraction_weekly=0.01
-    ),
+    "paint1-baseline": {"config": lambda: paint1_config()},
+    "paint2-1pct": {
+        "config": lambda: replace(
+            paint2_config(), strategy=Strategy.THRESHOLD_C, repaint_fraction_weekly=0.01
+        )
+    },
 }
 
 SWEEP_PRESETS = {
@@ -72,11 +74,23 @@ class CliError(Exception):
 
 
 def fnv1a64(data: bytes) -> str:
-    """64-bit FNV-1a digest, hex-encoded."""
+    """64-bit FNV-1a digest, hex-encoded.
+
+    Manifests use sha256_hex; bench/tracing.py still wraps this function.
+    """
     h = 0xCBF29CE484222325
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return f"{h:016x}"
+
+
+def sha256_hex(data: bytes) -> str:
+    """sha256 digest, hex-encoded: the manifest's digest of each input."""
+    # imported here, not at the top: hashlib loads OpenSSL (+3.4 MiB RSS,
+    # ~5 ms), which commands with no input file, such as the presets, skip
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 class OutputSet:
@@ -135,7 +149,8 @@ def _manifest(
     doc = {
         "command": command,
         "config": config,
-        "inputs": {name: fnv1a64(data) for name, data in inputs.items()},
+        "digest": "sha256",
+        "inputs": {name: sha256_hex(data) for name, data in inputs.items()},
         "master_seed": seed,
         "tool_version": __version__,
     }
@@ -285,7 +300,10 @@ def cmd_acceptability(args) -> int:
         raise CliError(f"{args.survey}: {exc}") from None
 
     fracs = args.threshold if args.threshold else [0.2, 0.5]
-    thresholds = {str(frac): threshold_for_agreement(curve, frac) for frac in fracs}
+    try:
+        thresholds = {str(frac): threshold_for_agreement(curve, frac) for frac in fracs}
+    except ValueError as exc:
+        raise CliError(f"--threshold: {exc}") from None
     doc = {
         "midpoint_m": curve.m,
         "scale_s": curve.s,
@@ -321,27 +339,30 @@ def cmd_acceptability(args) -> int:
     return 0
 
 
-def _load_sim_config(args) -> tuple[SimConfig, dict[str, bytes]]:
+def _load_sim_config(args, presets: dict) -> tuple[SimConfig, dict[str, bytes], dict]:
+    """The base config from --preset or a JSON config file, the inputs to
+    digest, and the preset's entry ({} for a config file)."""
     if args.preset:
         if args.config:
             raise CliError("give either a config file or --preset, not both")
-        if args.preset not in SIMULATE_PRESETS:
+        if args.preset not in presets:
             raise CliError(
                 f"unknown preset {args.preset!r}; "
-                f"available: {', '.join(sorted(SIMULATE_PRESETS))}"
+                f"available: {', '.join(sorted(presets))}"
             )
-        return SIMULATE_PRESETS[args.preset](), {}
+        preset = presets[args.preset]
+        return preset["config"](), {}, preset
     if not args.config:
         raise CliError("a config file or --preset is required")
     raw = _read_bytes(args.config)
     try:
-        return SimConfig.from_json(raw), {args.config: raw}
+        return SimConfig.from_json(raw), {args.config: raw}, {}
     except ConfigError as exc:
         raise CliError(f"{args.config}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
-    cfg, inputs = _load_sim_config(args)
+    cfg, inputs, _ = _load_sim_config(args, SIMULATE_PRESETS)
     cfg = replace(cfg, master_seed=args.seed)
     try:
         cfg.validate()
@@ -366,30 +387,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.preset:
-        if args.config:
-            raise CliError("give either a config file or --preset, not both")
-        if args.preset not in SWEEP_PRESETS:
-            raise CliError(
-                f"unknown preset {args.preset!r}; "
-                f"available: {', '.join(sorted(SWEEP_PRESETS))}"
-            )
-        preset = SWEEP_PRESETS[args.preset]
-        cfg = preset["config"]()
-        fractions = preset["fractions"]
-        horizon = preset["horizon"]
-        inputs: dict[str, bytes] = {}
-    else:
-        if not args.config:
-            raise CliError("a config file or --preset is required")
-        raw = _read_bytes(args.config)
-        try:
-            cfg = SimConfig.from_json(raw)
-        except ConfigError as exc:
-            raise CliError(f"{args.config}: {exc}") from None
-        fractions = args.fractions
-        horizon = args.horizon
-        inputs = {args.config: raw}
+    cfg, inputs, preset = _load_sim_config(args, SWEEP_PRESETS)
+    fractions = preset.get("fractions", args.fractions)
+    horizon = preset.get("horizon", args.horizon)
     if not fractions:
         raise CliError("no sweep fractions given (use --fractions)")
     cfg = replace(cfg, master_seed=args.seed)

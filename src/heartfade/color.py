@@ -57,7 +57,7 @@ class SrgbColor:
                 raise ValueError(f"channel {name}={v!r} outside 0..255")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabColor:
     """CIELAB colour: L* lightness, a* green-red, b* blue-yellow."""
 
@@ -66,7 +66,9 @@ class LabColor:
     b: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.L, self.a, self.b)):
+        if not (
+            math.isfinite(self.L) and math.isfinite(self.a) and math.isfinite(self.b)
+        ):
             raise ValueError(f"non-finite LAB components: {self}")
 
 

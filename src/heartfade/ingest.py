@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -92,7 +93,7 @@ class Region:
     h: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One dated, already-calibrated colour reading of one heart."""
 
@@ -180,21 +181,45 @@ def parse_ppm(data: bytes) -> PixelGrid:
                 f"truncated pixel data: expected {n} bytes, got {len(raw)}",
                 start + len(raw),
             )
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3)
+        pixels = np.frombuffer(raw, dtype=np.uint8).copy()
     else:
-        values = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            try:
-                v, at = toks.next_int("sample")
-            except PpmError as exc:
-                raise PpmError(
-                    f"truncated pixel data: expected {n} samples, got {i}", exc.offset
-                ) from None
-            if not 0 <= v <= 255:
-                raise PpmError(f"sample {v} outside 0..255", at)
-            values[i] = v
-        pixels = values.reshape(height, width, 3)
-    return PixelGrid(width, height, pixels.copy())
+        pixels = _p3_samples(toks, n)
+    return PixelGrid(width, height, pixels.reshape(height, width, 3))
+
+
+def _p3_samples(toks: _Tokens, n: int) -> np.ndarray:
+    """The n ASCII samples after the header, split in one pass.
+
+    Any raster this cannot decode (too few tokens, a token int() rejects,
+    such as a comment, or a value outside 0..255) goes through _walk_samples,
+    which decodes comments and reports the first bad token with its offset.
+    """
+    try:
+        pieces = toks.data[toks.pos :].split(maxsplit=n)[:n]
+        if len(pieces) == n:
+            values = np.fromiter(map(int, pieces), dtype=np.int64, count=n)
+            if values.min() >= 0 and values.max() <= 255:
+                return values.astype(np.uint8)
+    except (ValueError, OverflowError):
+        pass
+    return _walk_samples(toks, n)
+
+
+def _walk_samples(toks: _Tokens, n: int) -> np.ndarray:
+    # values grow with the tokens found, so a header claiming more samples
+    # than the file holds allocates nothing up front
+    values = []
+    for i in range(n):
+        try:
+            v, at = toks.next_int("sample")
+        except PpmError as exc:
+            raise PpmError(
+                f"truncated pixel data: expected {n} samples, got {i}", exc.offset
+            ) from None
+        if not 0 <= v <= 255:
+            raise PpmError(f"sample {v} outside 0..255", at)
+        values.append(v)
+    return np.array(values, dtype=np.uint8)
 
 
 def encode_p3(grid: PixelGrid) -> bytes:
@@ -247,16 +272,28 @@ def load_observations(csv_bytes: bytes | str) -> list[Observation]:
     rejected rather than guessed at.
     """
     text = csv_bytes.decode("utf-8") if isinstance(csv_bytes, bytes) else csv_bytes
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+    # the last of duplicate header names wins, as with csv.DictReader
+    column = {name: j for j, name in enumerate(header)}
     required = ["heart_id", "date", "L", "a", "b", "source"]
-    header = reader.fieldnames or []
-    missing = [c for c in required if c not in header]
+    missing = [c for c in required if c not in column]
     if missing:
         raise ObservationError(f"missing column(s): {', '.join(missing)}")
+    cols = [column[c] for c in required]
+    pick = operator.itemgetter(*cols)
+    width = max(cols) + 1
 
     observations = []
-    for i, row in enumerate(reader, start=2):
-        raw_date = (row["date"] or "").strip()
+    i = 1
+    for row in reader:
+        if not row:
+            continue  # blank lines are neither rows nor counted
+        i += 1
+        if len(row) < width:
+            row = row + [None] * (width - len(row))
+        heart_id, raw_date, L, a, b, source = pick(row)
+        raw_date = (raw_date or "").strip()
         if not _ISO_DATE.match(raw_date):
             raise ObservationError(
                 f"row {i}: date {raw_date!r} is not a full YYYY-MM-DD date"
@@ -266,15 +303,12 @@ def load_observations(csv_bytes: bytes | str) -> list[Observation]:
         except ValueError:
             raise ObservationError(f"row {i}: invalid date {raw_date!r}") from None
         try:
-            lab = LabColor(float(row["L"]), float(row["a"]), float(row["b"]))
+            lab = LabColor(float(L), float(a), float(b))
         except (TypeError, ValueError):
             raise ObservationError(
-                f"row {i}: non-numeric LAB values "
-                f"({row['L']!r}, {row['a']!r}, {row['b']!r})"
+                f"row {i}: non-numeric LAB values ({L!r}, {a!r}, {b!r})"
             ) from None
-        observations.append(
-            Observation(row["heart_id"], date, lab, row["source"] or "")
-        )
+        observations.append(Observation(heart_id, date, lab, source or ""))
     return observations
 
 

@@ -1,10 +1,16 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heartfade.cli import fnv1a64, main
+import heartfade.cli
+from heartfade.cli import fnv1a64, main, sha256_hex
 from heartfade.color import LabColor, srgb_to_lab, SrgbColor
 from heartfade.ingest import PixelGrid, encode_p6
 
@@ -102,6 +108,30 @@ class TestCalibrate:
         assert rc == 2
         assert "nope.ppm" in capsys.readouterr().err
 
+    def test_p3_header_claiming_more_samples_than_held(self, tmp_path, capsys):
+        img = tmp_path / "huge.ppm"
+        img.write_bytes(b"P3 100000 100000 255 1 2 3")
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "calibrate",
+                str(img),
+                "--board-region",
+                "0,0,1,1",
+                "--reference-lab",
+                "16,0,0",
+                "--heart-region",
+                "h1:0,0,1,1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "truncated pixel data: expected 30000000000 samples, got 3" in err
+        assert not out.exists()
+
     def test_out_of_bounds_region_fails(self, tmp_path, capsys):
         img = tmp_path / "wall.ppm"
         write_test_image(img)
@@ -174,6 +204,28 @@ class TestAcceptabilityCommand:
         assert doc["agreement_at_delta_e_30"] == pytest.approx(0.20, abs=0.01)
         assert doc["thresholds"]["0.2"] == pytest.approx(30.0, abs=1.0)
 
+    @pytest.mark.parametrize("frac", ["1.5", "1", "0", "-0.2", "nan"])
+    def test_threshold_outside_unit_interval_exit_2(self, tmp_path, capsys, frac):
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "acceptability",
+                str(data_path("acceptability_anchors.csv")),
+                "--threshold",
+                "0.5",
+                "--threshold",
+                frac,
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--threshold" in captured.err and "(0, 1)" in captured.err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     CONFIG = {
@@ -197,7 +249,8 @@ class TestSimulateCommand:
         assert 0.0 <= summary["mean_frac_above_threshold"] <= 1.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 7
-        assert manifest["inputs"][str(cfg)] == fnv1a64(cfg.read_bytes())
+        assert manifest["digest"] == "sha256"
+        assert manifest["inputs"][str(cfg)] == hashlib.sha256(cfg.read_bytes()).hexdigest()
         header = (out / "result.csv").read_text().splitlines()[0]
         assert header == "day,mean_frac_above,lo_frac_above,hi_frac_above,cum_repaints"
 
@@ -320,6 +373,33 @@ def test_only_simulate_and_sweep_default_to_cwd(tmp_path, monkeypatch, capsys):
     assert main(["sweep", str(cfg), "--fractions", "0.1", "--horizon", "30"]) == 0
     assert (cwd / "sweep.csv").is_file()
     capsys.readouterr()
+
+
+def test_sha256_hex_known_vectors():
+    # FIPS 180-2 examples
+    assert sha256_hex(b"") == (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    )
+    assert sha256_hex(b"abc") == (
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    )
+    assert sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq") == (
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    )
+
+
+def test_cli_import_does_not_load_hashlib():
+    # hashlib (OpenSSL) is loaded on the first digest, not at start-up
+    code = (
+        "import sys, heartfade.cli; heartfade.cli.build_parser(); "
+        "print('hashlib' in sys.modules)"
+    )
+    src = str(Path(heartfade.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_fnv1a64_known_vectors():

@@ -59,6 +59,25 @@ class TestParsePpm:
         with pytest.raises(PpmError, match="truncated"):
             parse_ppm(b"P3 2 1 255 1 2 3")
 
+    def test_header_claiming_more_samples_than_held(self):
+        data = b"P3 100000 100000 255 1 2 3"
+        with pytest.raises(PpmError) as exc:
+            parse_ppm(data)
+        assert str(exc.value) == (
+            f"truncated pixel data: expected 30000000000 samples, got 3 "
+            f"(byte offset {len(data)})"
+        )
+
+    def test_comments_in_raster(self):
+        data = b"P3 1 1 255\n10 # 99 99\n20\n#\n30 # end"
+        assert parse_ppm(data).pixel(0, 0) == SrgbColor(10, 20, 30)
+
+    def test_bad_sample_reports_its_offset(self):
+        data = b"P3 1 1 255 1 +2 256 7"
+        with pytest.raises(PpmError, match="sample 256 outside") as exc:
+            parse_ppm(data)
+        assert exc.value.offset == data.index(b"256")
+
     def test_roundtrip_random_grids(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
