@@ -28,6 +28,7 @@ __all__ = [
 
 _M_RANGE = (0.0, 100.0)
 _S_RANGE = (1e-6, 50.0)
+_MAX_RESPONDENTS = 2**53  # the largest count a float64 weight holds exactly
 
 
 class FitError(ValueError):
@@ -41,12 +42,15 @@ class SurveyPoint:
     n_respondents: int = 1
 
     def __post_init__(self):
-        if self.delta_e < 0:
-            raise ValueError(f"delta_e must be >= 0, got {self.delta_e}")
+        if not 0 <= self.delta_e < math.inf:
+            raise ValueError(f"delta_e must be finite and >= 0, got {self.delta_e}")
         if not 0.0 <= self.frac_agree <= 1.0:
             raise ValueError(f"frac_agree must be in [0, 1], got {self.frac_agree}")
-        if self.n_respondents < 1:
-            raise ValueError(f"n_respondents must be >= 1, got {self.n_respondents}")
+        # the fit weights points by n_respondents as a float64
+        if not 1 <= self.n_respondents <= _MAX_RESPONDENTS:
+            raise ValueError(
+                f"n_respondents must be in [1, 2**53], got {self.n_respondents}"
+            )
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,10 @@ class AcceptabilityCurve:
 
 def predict_agreement(curve: AcceptabilityCurve, delta_e: float) -> float:
     """Fraction of observers agreeing repainting is needed at this delta E."""
-    return 1.0 / (1.0 + math.exp(-(delta_e - curve.m) / curve.s))
+    try:
+        return 1.0 / (1.0 + math.exp(-(delta_e - curve.m) / curve.s))
+    except OverflowError:  # far below the midpoint of a steep curve
+        return 0.0
 
 
 def threshold_for_agreement(curve: AcceptabilityCurve, frac: float) -> float:
@@ -139,15 +146,26 @@ def fit_acceptability(points: list[SurveyPoint]) -> AcceptabilityCurve:
 
 def load_survey(csv_bytes: bytes | str) -> list[SurveyPoint]:
     """Parse the survey table (header: delta_e,frac_agree,n_respondents)."""
-    text = csv_bytes.decode("utf-8") if isinstance(csv_bytes, bytes) else csv_bytes
+    text = csv_bytes
+    if isinstance(csv_bytes, bytes):
+        try:
+            text = csv_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FitError(
+                f"not UTF-8: byte 0x{csv_bytes[exc.start]:02x} at offset {exc.start}"
+            ) from None
     reader = csv.DictReader(io.StringIO(text))
+    try:
+        header = reader.fieldnames or []
+        rows = list(reader)
+    except csv.Error as exc:
+        raise FitError(str(exc)) from None
     required = ["delta_e", "frac_agree", "n_respondents"]
-    header = reader.fieldnames or []
     missing = [c for c in required if c not in header]
     if missing:
         raise FitError(f"missing column(s): {', '.join(missing)}")
     out = []
-    for i, row in enumerate(reader, start=2):
+    for i, row in enumerate(rows, start=2):
         try:
             out.append(
                 SurveyPoint(

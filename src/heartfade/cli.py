@@ -9,6 +9,7 @@ configuration and the seed. On failure, partially written outputs are removed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -220,18 +221,25 @@ def cmd_rate(args) -> int:
     baseline = _parse_lab(args.baseline_lab)
     try:
         observations = load_observations(obs_bytes)
-    except ObservationError as exc:
+    except (ObservationError, csv.Error) as exc:
         raise CliError(f"{args.observations}: {exc}") from None
     try:
         windows_doc = json.loads(windows_bytes)
+        if not isinstance(windows_doc, dict):
+            raise TypeError("expected an object of heart_id: window")
         windows = {
             heart: Window(int(w["start_day"]), int(w["end_day"]))
             for heart, w in windows_doc.items()
         }
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError;
+        # OverflowError is int() of an infinite day such as 1e400
         raise CliError(f"{args.windows}: invalid windows document: {exc}") from None
 
-    series = build_series(observations, baseline)
+    try:
+        series = build_series(observations, baseline)
+    except ObservationError as exc:
+        raise CliError(f"{args.observations}: {exc}") from None
     fits = {}
     excluded = []
     for s in series:

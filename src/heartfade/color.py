@@ -146,8 +146,12 @@ def lab_to_srgb(c: LabColor) -> tuple[SrgbColor, bool]:
 
 
 def delta_e(x: LabColor, y: LabColor) -> float:
-    """CIE76 colour difference: Euclidean distance in LAB."""
-    return math.sqrt((x.L - y.L) ** 2 + (x.a - y.a) ** 2 + (x.b - y.b) ** 2)
+    """CIE76 colour difference: Euclidean distance in LAB; inf where a
+    square overflows a float."""
+    try:
+        return math.sqrt((x.L - y.L) ** 2 + (x.a - y.a) ** 2 + (x.b - y.b) ** 2)
+    except OverflowError:
+        return math.inf
 
 
 def derive_calibration(observed_board: LabColor, reference_board: LabColor) -> LabOffset:

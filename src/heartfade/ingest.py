@@ -269,9 +269,18 @@ def load_observations(csv_bytes: bytes | str) -> list[Observation]:
 
     Expected header: heart_id,date,L,a,b,source with ISO dates
     (YYYY-MM-DD). Imprecisely dated rows (e.g. a month without a day) are
-    rejected rather than guessed at.
+    rejected rather than guessed at. Raises ObservationError, or csv.Error
+    where the csv module cannot split the text (a bare carriage return in
+    an unquoted field, a field over its size limit).
     """
-    text = csv_bytes.decode("utf-8") if isinstance(csv_bytes, bytes) else csv_bytes
+    text = csv_bytes
+    if isinstance(csv_bytes, bytes):
+        try:
+            text = csv_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ObservationError(
+                f"not UTF-8: byte 0x{csv_bytes[exc.start]:02x} at offset {exc.start}"
+            ) from None
     reader = csv.reader(io.StringIO(text))
     header = next(reader, [])
     # the last of duplicate header names wins, as with csv.DictReader
@@ -333,11 +342,16 @@ def build_series(
         points = []
         for date in sorted(by_date):
             labs = by_date[date]
-            mean = LabColor(
-                sum(c.L for c in labs) / len(labs),
-                sum(c.a for c in labs) / len(labs),
-                sum(c.b for c in labs) / len(labs),
-            )
+            try:
+                mean = LabColor(
+                    sum(c.L for c in labs) / len(labs),
+                    sum(c.a for c in labs) / len(labs),
+                    sum(c.b for c in labs) / len(labs),
+                )
+            except ValueError:  # a sum overflowed to infinity
+                raise ObservationError(
+                    f"heart {heart_id}: mean LAB on {date} is not finite"
+                ) from None
             points.append(((date - first).days, delta_e(mean, baseline)))
         series.append(HeartSeries(heart_id, baseline, tuple(points)))
     return series

@@ -76,6 +76,8 @@ def fit_line(points: list[tuple[float, float]]) -> LineFit:
         r2 = 1.0
     else:
         r2 = 1.0 - ss_res / ss_tot
+    if not np.isfinite([slope, intercept, r2]).all():
+        raise InsufficientDataError("fit is not finite: values too large")
     return LineFit(float(slope), float(intercept), r2, len(points))
 
 

@@ -6,7 +6,10 @@ events reset selected agents to zero under one of four strategies.
 All replicates advance together, day by day, as one (replicates, agents)
 population. Each replicate consumes its own random stream derived
 deterministically from (master_seed, replicate index), so results do not
-depend on how replicates are grouped or ordered.
+depend on how replicates are grouped or ordered. A run that cannot repaint
+stops stepping once every agent is above the threshold (rates are
+positive, so none can fall back below it); the outputs are the same as
+stepping on to the horizon.
 """
 
 from __future__ import annotations
@@ -62,6 +65,13 @@ _FLOAT_FIELDS = (
 )
 
 
+def _is_finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 class ConfigError(ValueError):
     """Invalid simulation configuration; message names the field."""
 
@@ -107,7 +117,7 @@ class SimConfig:
             if (
                 isinstance(value, bool)
                 or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
+                or not _is_finite(value)
             ):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.n_agents < 1:
@@ -153,7 +163,8 @@ class SimConfig:
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+            names = ", ".join(map(repr, sorted(unknown)))
+            raise ConfigError(f"unknown config field(s): {names}")
         try:
             cfg = cls(**d)
         except TypeError as exc:
@@ -165,7 +176,16 @@ class SimConfig:
     def from_json(cls, text: str | bytes) -> "SimConfig":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            # json.loads drops a UTF-8 BOM before decoding; count it back in
+            offset = exc.start + len(text) - len(exc.object)
+            raise ConfigError(
+                f"config is not {exc.encoding} text: "
+                f"byte 0x{text[offset]:02x} at offset {offset}"
+            ) from None
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an integer over Python's digit limit, or
+            # nesting deeper than the recursion limit
             raise ConfigError(f"invalid JSON config: {exc}") from None
         if not isinstance(d, dict):
             raise ConfigError("config JSON must be an object")
@@ -286,36 +306,46 @@ def repaint_event(
     random, GREEDY_B the most faded (ties to the lowest index, as a stable
     sort would order them), THRESHOLD_C uniformly among the agents above
     `threshold`, skipping rows that have none. Random rows draw one
-    `Generator.choice` each, from their own stream. Selected agents are
-    reset to delta_e 0 and their repaint_count incremented.
+    `Generator.choice` each, from their own stream; THRESHOLD_C draws
+    positions in the row's ascending list of eligible agents, which takes
+    the same draws and gives the same agents as choosing from that list.
+    Selected agents are reset to delta_e 0 and their repaint_count
+    incremented, in place, whatever the arrays' strides.
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
     if strategy is Strategy.BASELINE or capacity == 0:
         return 0
     delta_e = np.atleast_2d(pop.delta_e)
-    n = delta_e.shape[1]
+    rows, n = delta_e.shape
     take = min(capacity, n)
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    if len(rngs) != rows:
+        raise ValueError(f"{rows} rows need {rows} generators, got {len(rngs)}")
+    # picked agents as row-major positions in the (rows, agents) view
     if strategy is Strategy.GREEDY_B:
-        chosen = _most_faded(delta_e, take)
+        picked = np.flatnonzero(_most_faded(delta_e, take))
     elif strategy is Strategy.RANDOM_A:
-        chosen = np.zeros(delta_e.shape, dtype=bool)
-        for row, r in zip(chosen, rngs, strict=True):
-            row[r.choice(n, size=take, replace=False)] = True
+        draws = [r.choice(n, size=take, replace=False) for r in rngs]
+        picked = (np.stack(draws) + np.arange(0, rows * n, n)[:, None]).ravel()
     elif strategy is Strategy.THRESHOLD_C:
-        chosen = np.zeros(delta_e.shape, dtype=bool)
-        for row, above, r in zip(chosen, delta_e > threshold, rngs, strict=True):
-            eligible = np.flatnonzero(above)
-            if eligible.size:
-                size = min(take, eligible.size)
-                row[r.choice(eligible, size=size, replace=False)] = True
+        eligible = np.flatnonzero(delta_e > threshold)
+        if not eligible.size:
+            return 0
+        # row i's eligible agents are eligible[bounds[i]:bounds[i + 1]]
+        bounds = np.searchsorted(eligible, np.arange(0, rows * n + 1, n)).tolist()
+        draws = [
+            start + r.choice(end - start, size=min(take, end - start), replace=False)
+            for r, start, end in zip(rngs, bounds, bounds[1:])
+            if end > start
+        ]
+        picked = eligible[np.concatenate(draws)]
     else:  # pragma: no cover
         raise ValueError(f"unknown strategy {strategy!r}")
-    chosen = chosen.reshape(pop.delta_e.shape)
-    pop.delta_e[chosen] = 0.0
-    pop.repaint_count += chosen
-    return int(np.count_nonzero(chosen))
+    at = np.divmod(picked, n)
+    delta_e[at] = 0.0
+    np.atleast_2d(pop.repaint_count)[at] += 1
+    return int(picked.size)
 
 
 def _most_faded(delta_e: np.ndarray, take: int) -> np.ndarray:
@@ -362,19 +392,29 @@ def _simulate_block(
     capacity = weekly_capacity(cfg)
     threshold = cfg.perception_threshold
 
+    # a run that cannot repaint is settled once every agent is above the
+    # threshold: rates are positive, so delta_e never falls again
+    settles = cfg.strategy is Strategy.BASELINE or capacity == 0
     days = _recorded_days(cfg.horizon_days)
-    fracs = np.empty((rows, len(days)))
-    cums = np.empty((rows, len(days)))
+    fracs = np.ones((rows, len(days)))
+    cums = np.zeros((rows, len(days)))
+    cum = 0
     day = 0
     for col, record_day in enumerate(days.tolist()):
         while day < record_day:
             advance_day(pop)
             day += 1
         if day > 0 and day % 7 == 0:
-            repaint_event(pop, cfg.strategy, capacity, threshold, rngs)
+            if repaint_event(pop, cfg.strategy, capacity, threshold, rngs):
+                cum = pop.repaint_count.sum(axis=1)
+        above = np.add.reduce(
+            (pop.delta_e > threshold).view(np.int8), axis=1, dtype=np.int32
+        )
         # count / n is bit-equal to the mean of the boolean array
-        fracs[:, col] = np.count_nonzero(pop.delta_e > threshold, axis=1) / n
-        cums[:, col] = pop.repaint_count.sum(axis=1)
+        fracs[:, col] = above / n
+        cums[:, col] = cum
+        if settles and above.min() == n:
+            break  # the later columns keep fraction 1.0 and no repaints
     return fracs, cums
 
 
@@ -395,8 +435,11 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
     of at most _BLOCK_CELLS agent cells to bound memory. Monte Carlo mode
     takes the 2.5th/97.5th percentile across replicates; envelope mode
     takes two deterministic bounding runs with every k fixed at
-    k_mean -/+ 2 k_sd. `workers` has no effect and is accepted only so
-    that existing callers keep working.
+    k_mean -/+ 2 k_sd. A block of a run that cannot repaint (BASELINE, or
+    weekly capacity 0) stops stepping once every agent in it is above the
+    threshold and records fraction 1.0 and no repaints for the remaining
+    days, exactly what stepping on would give. `workers` has no effect and
+    is accepted only so that existing callers keep working.
     """
     cfg.validate()
     per_block = max(1, _BLOCK_CELLS // cfg.n_agents)

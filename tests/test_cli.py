@@ -407,3 +407,72 @@ def test_fnv1a64_known_vectors():
     assert fnv1a64(b"") == "cbf29ce484222325"
     assert fnv1a64(b"a") == "af63dc4c8601ec8c"
     assert fnv1a64(b"foobar") == "85944171f73967e8"
+
+
+GOOD_OBS = "heart_id,date,L,a,b,source\nh1,2021-05-01,49.3,46.3,20.5,x\n"
+GOOD_WINDOWS = '{"h1": {"start_day": 0, "end_day": 10}}'
+
+
+@pytest.mark.parametrize(
+    "command,files,message",
+    [
+        (
+            "rate",
+            {"obs.csv": b"heart_id,date,L,a,b,source\nh\xff1,2021-05-01,1,2,3,x\n",
+             "win.json": GOOD_WINDOWS.encode()},
+            "obs.csv: not UTF-8: byte 0xff at offset 28",
+        ),
+        (
+            "acceptability",
+            {"survey.csv": b"delta_e,frac_agree,n_respondents\n1\xff,0.2,3\n"},
+            "survey.csv: not UTF-8: byte 0xff at offset 34",
+        ),
+        (
+            "simulate",
+            {"config.json": b'{"k_mean": \xff}'},
+            "config.json: config is not utf-8 text: byte 0xff at offset 11",
+        ),
+        (
+            "simulate",
+            {"config.json": b'\xef\xbb\xbf{"k_mean": \xff}'},
+            "config.json: config is not utf-8 text: byte 0xff at offset 14",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(), "win.json": b"[]"},
+            "win.json: invalid windows document: expected an object",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(),
+             "win.json": b'{"h1": {"start_day": 1e400, "end_day": 2}}'},
+            "win.json: invalid windows document: cannot convert float infinity",
+        ),
+        (
+            "rate",
+            {"obs.csv": b"heart_id,date,L,a,b,source\rh1,2021-05-01,1,2,3,x\r",
+             "win.json": GOOD_WINDOWS.encode()},
+            "obs.csv: new-line character seen in unquoted field",
+        ),
+        (
+            "acceptability",
+            {"survey.csv": b"delta_e,frac_agree,n_respondents\r1,0.2,3\r"},
+            "survey.csv: new-line character seen in unquoted field",
+        ),
+    ],
+    ids=["rate-utf8", "acceptability-utf8", "simulate-utf8", "simulate-utf8-bom",
+         "rate-windows-list", "rate-windows-overflow", "rate-bare-cr",
+         "acceptability-bare-cr"],
+)
+def test_malformed_input_one_line_exit_2(tmp_path, capsys, command, files, message):
+    paths = []
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+        paths.append(str(tmp_path / name))
+    extra = ["--baseline-lab", BASELINE] if command == "rate" else []
+    out = tmp_path / "out"
+    rc = main([command, *paths, *extra, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+    assert not out.exists()

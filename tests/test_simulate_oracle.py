@@ -5,6 +5,8 @@ replicate at a time, one Python iteration per day, GREEDY_B by a stable
 argsort. The engine must reproduce it bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,173 @@ def test_block_budget_does_not_change_results(monkeypatch, budget):
     for name in ("frac_by_rep", "cum_repaints_by_rep", "lo_frac", "hi_frac"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
 
+
+
+# runs that cannot repaint stop stepping once every agent of every row is
+# above the threshold; these cases reach that point at different times
+SETTLING = {
+    "baseline-far-past-saturation": SimConfig(
+        **FAST, n_agents=30, horizon_days=700, replicates=4
+    ),
+    "random_a-zero-capacity": SimConfig(
+        **FAST,
+        n_agents=30,
+        horizon_days=300,
+        strategy=Strategy.RANDOM_A,
+        repaint_fraction_weekly=0.0,
+        replicates=3,
+    ),
+    "threshold_c-zero-capacity": SimConfig(
+        **FAST,
+        n_agents=30,
+        horizon_days=300,
+        strategy=Strategy.THRESHOLD_C,
+        repaint_fraction_weekly=0.0,
+        replicates=3,
+    ),
+    "negative-threshold": SimConfig(
+        k_mean=0.15,
+        perception_threshold=-1.0,
+        n_agents=10,
+        horizon_days=60,
+        replicates=2,
+    ),
+    "rows-settle-apart": SimConfig(
+        k_mean=0.15, k_sd=0.06, n_agents=4, horizon_days=400, replicates=6
+    ),
+    "baseline-envelope": SimConfig(
+        k_mean=0.15,
+        k_sd=0.03,
+        n_agents=20,
+        horizon_days=400,
+        replicates=3,
+        uncertainty_mode="envelope",
+    ),
+    # every agent is always above a negative threshold, but a run that
+    # repaints is never settled
+    "repainting-negative-threshold": SimConfig(
+        k_mean=0.15,
+        perception_threshold=-1.0,
+        n_agents=20,
+        horizon_days=63,
+        strategy=Strategy.RANDOM_A,
+        repaint_fraction_weekly=0.1,
+        replicates=2,
+    ),
+    "capacity-rounds-to-zero": SimConfig(
+        **FAST,
+        n_agents=30,
+        horizon_days=200,
+        strategy=Strategy.GREEDY_B,
+        repaint_fraction_weekly=0.01,
+        replicates=2,
+    ),
+}
+
+
+def settle_columns(frac_by_rep):
+    """Per row, the first recorded column from which every agent is above
+    the threshold for good."""
+    return [
+        int(np.flatnonzero(row < 1.0)[-1]) + 1 if (row < 1.0).any() else 0
+        for row in frac_by_rep
+    ]
+
+
+def test_settling_cases_settle_as_named():
+    repainting = oracle_run(SETTLING["repainting-negative-threshold"])
+    assert (repainting["frac_by_rep"] == 1.0).all()
+    assert (np.diff(repainting["cum_repaints_by_rep"][:, 1:]) > 0).all()
+    for name, cfg in SETTLING.items():
+        if name == "repainting-negative-threshold":
+            continue
+        assert weekly_capacity(cfg) == 0 or cfg.strategy is Strategy.BASELINE, name
+        expected = oracle_run(cfg)
+        cols = settle_columns(expected["frac_by_rep"])
+        assert max(cols) < len(expected["mean_frac"]) - 1, name  # settles early
+    negative = oracle_run(SETTLING["negative-threshold"])
+    assert settle_columns(negative["frac_by_rep"]) == [0, 0]
+    apart = oracle_run(SETTLING["rows-settle-apart"])
+    assert len(set(settle_columns(apart["frac_by_rep"]))) > 1
+
+
+@pytest.mark.parametrize("name", sorted(SETTLING))
+def test_engine_matches_oracle_settling(name):
+    cfg = SETTLING[name]
+    assert_bit_equal(run_simulation(cfg), oracle_run(cfg))
+
+
+def count_days(monkeypatch):
+    steps = []
+    advance = simulate.advance_day
+
+    def counting(pop):
+        steps.append(1)
+        return advance(pop)
+
+    monkeypatch.setattr(simulate, "advance_day", counting)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "baseline-far-past-saturation",
+        "random_a-zero-capacity",
+        "threshold_c-zero-capacity",
+        "capacity-rounds-to-zero",
+    ],
+)
+def test_settled_run_stops_stepping(monkeypatch, name):
+    steps = count_days(monkeypatch)
+    cfg = SETTLING[name]
+    result = run_simulation(cfg)
+    assert 0 < len(steps) < cfg.horizon_days
+    assert result.mean_frac[-1] == 1.0
+
+
+def test_repainting_run_steps_every_day(monkeypatch):
+    steps = count_days(monkeypatch)
+    cfg = replace(
+        SETTLING["baseline-far-past-saturation"],
+        strategy=Strategy.RANDOM_A,
+        repaint_fraction_weekly=0.1,
+    )
+    run_simulation(cfg)
+    assert len(steps) == cfg.horizon_days
+
+
+@pytest.mark.parametrize(
+    "strategy", [Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C]
+)
+@pytest.mark.parametrize("rows", [None, 5])
+def test_repaint_event_writes_into_strided_views(strategy, rows):
+    """Picks land in place in a population of strided views, the same
+    agents as in a contiguous copy, and nothing else changes."""
+    rng = np.random.default_rng(11)
+    shape = (8, 30) if rows else (30,)
+    cols = slice(3, 27, 2)  # 12 agents; rows of the view are not evenly spaced
+    at = (slice(None, rows), cols) if rows else cols
+    delta_e = np.round(rng.uniform(0.0, 12.0, size=shape))
+    counts = np.zeros(shape, dtype=np.int64)
+    view = Population(delta_e[at], np.zeros(delta_e[at].shape), counts[at])
+    if rows:
+        # no flat view of these rows exists: reshape(-1) would copy
+        assert not np.shares_memory(view.delta_e.reshape(-1), delta_e)
+        streams = [_stream(5, i) for i in range(rows)]
+        copy_streams = [_stream(5, i) for i in range(rows)]
+    else:
+        streams, copy_streams = _stream(5, 0), _stream(5, 0)
+    before = delta_e.copy()
+    copy = Population(view.delta_e.copy(), view.k.copy(), view.repaint_count.copy())
+
+    got = repaint_event(view, strategy, 3, 9.5, streams)
+    want = repaint_event(copy, strategy, 3, 9.5, copy_streams)
+
+    assert got == want > 0
+    assert np.array_equal(view.delta_e, copy.delta_e)
+    assert np.array_equal(view.repaint_count, copy.repaint_count)
+    assert np.count_nonzero(counts) == got
+    untouched = np.ones(shape, dtype=bool)
+    untouched[at] = False
+    assert np.array_equal(delta_e[untouched], before[untouched])
