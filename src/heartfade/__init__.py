@@ -1,7 +1,7 @@
 """heartfade: fading-rate estimation and repainting-strategy simulation
 for painted memorial hearts."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .acceptability import (
     AcceptabilityCurve,

@@ -88,7 +88,8 @@ def fit_objective(
     de = np.array([p.delta_e for p in points])
     frac = np.array([p.frac_agree for p in points])
     w = np.array([p.n_respondents for p in points], dtype=np.float64)
-    pred = 1.0 / (1.0 + np.exp(-(de - curve.m) / curve.s))
+    with np.errstate(over="ignore"):  # far below the midpoint: 1/(1+inf) = 0
+        pred = 1.0 / (1.0 + np.exp(-(de - curve.m) / curve.s))
     return float(np.sum(w * (pred - frac) ** 2))
 
 
@@ -96,9 +97,8 @@ def _grid_objective(
     m: np.ndarray, s: np.ndarray, de: np.ndarray, frac: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
     # m, s broadcast to a parameter grid; points on the last axis
-    pred = 1.0 / (
-        1.0 + np.exp(-(de - m[..., None]) / s[..., None])
-    )
+    with np.errstate(over="ignore"):  # far below the midpoint: 1/(1+inf) = 0
+        pred = 1.0 / (1.0 + np.exp(-(de - m[..., None]) / s[..., None]))
     return np.sum(w * (pred - frac) ** 2, axis=-1)
 
 

@@ -3,15 +3,18 @@
 Subcommands: calibrate, rate, acceptability, simulate, sweep. Every run is
 deterministic given its inputs and --seed; runs that write files also emit
 a manifest recording the sha256 digest of every input, the resolved
-configuration and the seed. On failure, partially written outputs are removed.
+configuration and the seed. A command's files are written as one set: a
+command that fails leaves the files already under --out as they were.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,26 +98,35 @@ def sha256_hex(data: bytes) -> str:
 
 
 class OutputSet:
-    """Tracks files written by one command so failures leave nothing behind."""
+    """Writes one command's files into a directory."""
 
-    def __init__(self, out_dir: Path | None):
+    def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.paths: list[Path] = []
 
     def write_text(self, name: str, text: str) -> Path:
-        assert self.out_dir is not None
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         path.write_text(text)
-        self.paths.append(path)
         return path
 
-    def discard(self):
-        for path in self.paths:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+
+def _emit(out_dir: Path, files: dict[str, str]) -> None:
+    """Write `files` (name -> text) into `out_dir` as one set.
+
+    Every file is first written into a temporary directory inside
+    `out_dir` (the same file system, so each move is a rename), then all
+    are moved in with os.replace. A failure while writing leaves the files
+    already in `out_dir` as they were; the temporary directory is removed
+    either way.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged = OutputSet(Path(tempfile.mkdtemp(prefix=".heartfade-", dir=out_dir)))
+    try:
+        for name, text in files.items():
+            staged.write_text(name, text)
+        for name in files:
+            os.replace(staged.out_dir / name, out_dir / name)
+    finally:
+        shutil.rmtree(staged.out_dir, ignore_errors=True)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -192,26 +204,21 @@ def cmd_calibrate(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.out:
-        outputs = OutputSet(Path(args.out))
-        try:
-            outputs.write_text("calibrated.csv", csv_text)
-            outputs.write_text(
-                "manifest.json",
-                _manifest(
-                    "calibrate",
-                    {
-                        "board_region": args.board_region,
-                        "reference_lab": args.reference_lab,
-                        "heart_regions": args.heart_region,
-                        "offset": [offset.dL, offset.da, offset.db],
-                    },
-                    {args.image: image_bytes},
-                    args.seed,
+        config = {
+            "board_region": args.board_region,
+            "reference_lab": args.reference_lab,
+            "heart_regions": args.heart_region,
+            "offset": [offset.dL, offset.da, offset.db],
+        }
+        _emit(
+            Path(args.out),
+            {
+                "calibrated.csv": csv_text,
+                "manifest.json": _manifest(
+                    "calibrate", config, {args.image: image_bytes}, args.seed
                 ),
-            )
-        except Exception:
-            outputs.discard()
-            raise
+            },
+        )
     return 0
 
 
@@ -221,7 +228,7 @@ def cmd_rate(args) -> int:
     baseline = _parse_lab(args.baseline_lab)
     try:
         observations = load_observations(obs_bytes)
-    except (ObservationError, csv.Error) as exc:
+    except ObservationError as exc:
         raise CliError(f"{args.observations}: {exc}") from None
     try:
         windows_doc = json.loads(windows_bytes)
@@ -281,21 +288,16 @@ def cmd_rate(args) -> int:
     else:
         sys.stdout.write(text)
     if args.out:
-        outputs = OutputSet(Path(args.out))
-        try:
-            outputs.write_text("rates.json", text)
-            outputs.write_text(
-                "manifest.json",
-                _manifest(
-                    "rate",
-                    {"baseline_lab": args.baseline_lab},
-                    {args.observations: obs_bytes, args.windows: windows_bytes},
-                    args.seed,
+        inputs = {args.observations: obs_bytes, args.windows: windows_bytes}
+        _emit(
+            Path(args.out),
+            {
+                "rates.json": text,
+                "manifest.json": _manifest(
+                    "rate", {"baseline_lab": args.baseline_lab}, inputs, args.seed
                 ),
-            )
-        except Exception:
-            outputs.discard()
-            raise
+            },
+        )
     return 0
 
 
@@ -329,21 +331,18 @@ def cmd_acceptability(args) -> int:
     else:
         sys.stdout.write(text)
     if args.out:
-        outputs = OutputSet(Path(args.out))
-        try:
-            outputs.write_text("acceptability.json", text)
-            outputs.write_text(
-                "manifest.json",
-                _manifest(
+        _emit(
+            Path(args.out),
+            {
+                "acceptability.json": text,
+                "manifest.json": _manifest(
                     "acceptability",
                     {"thresholds": fracs},
                     {args.survey: survey_bytes},
                     args.seed,
                 ),
-            )
-        except Exception:
-            outputs.discard()
-            raise
+            },
+        )
     return 0
 
 
@@ -378,19 +377,15 @@ def cmd_simulate(args) -> int:
         raise CliError(str(exc)) from None
     result = run_simulation(cfg, workers=args.workers)
 
-    outputs = OutputSet(Path(args.out or "."))
-    try:
-        outputs.write_text("result.csv", "\n".join(result.csv_rows()) + "\n")
-        outputs.write_text(
-            "summary.json",
-            json.dumps(result.summary(), indent=2, sort_keys=True) + "\n",
-        )
-        outputs.write_text(
-            "manifest.json", _manifest("simulate", cfg.to_dict(), inputs, args.seed)
-        )
-    except Exception:
-        outputs.discard()
-        raise
+    _emit(
+        Path(args.out or "."),
+        {
+            "result.csv": "\n".join(result.csv_rows()) + "\n",
+            "summary.json": json.dumps(result.summary(), indent=2, sort_keys=True)
+            + "\n",
+            "manifest.json": _manifest("simulate", cfg.to_dict(), inputs, args.seed),
+        },
+    )
     return 0
 
 
@@ -416,25 +411,14 @@ def cmd_sweep(args) -> int:
         )
     csv_text = "\n".join(lines) + "\n"
 
-    outputs = OutputSet(Path(args.out or "."))
-    try:
-        outputs.write_text("sweep.csv", csv_text)
-        outputs.write_text(
-            "manifest.json",
-            _manifest(
-                "sweep",
-                {
-                    **cfg.to_dict(),
-                    "fractions": list(fractions),
-                    "horizon_days": horizon,
-                },
-                inputs,
-                args.seed,
-            ),
-        )
-    except Exception:
-        outputs.discard()
-        raise
+    config = {**cfg.to_dict(), "fractions": list(fractions), "horizon_days": horizon}
+    _emit(
+        Path(args.out or "."),
+        {
+            "sweep.csv": csv_text,
+            "manifest.json": _manifest("sweep", config, inputs, args.seed),
+        },
+    )
     return 0
 
 

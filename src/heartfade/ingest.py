@@ -264,14 +264,23 @@ def mean_lab_of_region(grid: PixelGrid, region: Region, offset: LabOffset) -> La
     return LabColor(float(mean[0]), float(mean[1]), float(mean[2]))
 
 
+def _csv_rows(text: str):
+    """The rows of csv.reader over `text`, its csv.Error raised as
+    ObservationError."""
+    try:
+        yield from csv.reader(io.StringIO(text))
+    except csv.Error as exc:
+        raise ObservationError(str(exc)) from None
+
+
 def load_observations(csv_bytes: bytes | str) -> list[Observation]:
     """Parse the observation table.
 
     Expected header: heart_id,date,L,a,b,source with ISO dates
     (YYYY-MM-DD). Imprecisely dated rows (e.g. a month without a day) are
-    rejected rather than guessed at. Raises ObservationError, or csv.Error
-    where the csv module cannot split the text (a bare carriage return in
-    an unquoted field, a field over its size limit).
+    rejected rather than guessed at. Raises ObservationError, also where
+    the csv module cannot split the text (a bare carriage return in an
+    unquoted field, a field over its size limit), with csv's message.
     """
     text = csv_bytes
     if isinstance(csv_bytes, bytes):
@@ -281,7 +290,7 @@ def load_observations(csv_bytes: bytes | str) -> list[Observation]:
             raise ObservationError(
                 f"not UTF-8: byte 0x{csv_bytes[exc.start]:02x} at offset {exc.start}"
             ) from None
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     header = next(reader, [])
     # the last of duplicate header names wins, as with csv.DictReader
     column = {name: j for j, name in enumerate(header)}

@@ -69,9 +69,11 @@ def fit_line(points: list[tuple[float, float]]) -> LineFit:
         raise InsufficientDataError("all t values identical")
 
     slope, intercept = np.polyfit(t, y, 1)
-    residuals = y - (slope * t + intercept)
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    # values too large give inf or NaN here; the finiteness check rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = y - (slope * t + intercept)
+        ss_res = float(residuals @ residuals)
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         r2 = 1.0
     else:

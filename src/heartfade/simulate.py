@@ -3,13 +3,17 @@
 Each agent carries a fading value (delta E) that grows linearly at an
 agent-specific rate k drawn from a normal distribution. Weekly repainting
 events reset selected agents to zero under one of four strategies.
-All replicates advance together, day by day, as one (replicates, agents)
-population. Each replicate consumes its own random stream derived
-deterministically from (master_seed, replicate index), so results do not
-depend on how replicates are grouped or ordered. A run that cannot repaint
-stops stepping once every agent is above the threshold (rates are
-positive, so none can fall back below it); the outputs are the same as
-stepping on to the horizon.
+All replicates advance together as one (replicates, agents) population,
+a week at a time: delta E is read only on the weekly grid and on the
+horizon day, so each recorded interval adds k·days once. Each replicate
+consumes its own random stream derived deterministically from
+(master_seed, replicate index), so results do not depend on how
+replicates are grouped or ordered. A row draws from its stream only when
+it has more candidates than capacity; a forced pick (every candidate fits)
+takes all of them and draws nothing. A run that cannot repaint stops
+stepping once every agent is above the threshold (rates are positive, so
+none can fall back below it); the outputs are the same as stepping on to
+the horizon.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ WALL_HEART_COUNT = 240_000
 # (replicates x agents), which bounds memory for large populations; the
 # presets fit in one block
 _BLOCK_CELLS = 1 << 20
+# one replicate's row must fit in a block
+_MAX_AGENTS = _BLOCK_CELLS
+# replicates x recorded days: each (replicates, days) output array of
+# float64 stays within 128 MiB
+_MAX_OUTPUT_CELLS = 1 << 24
 
 _INT_FIELDS = ("n_agents", "horizon_days", "replicates", "master_seed")
 _FLOAT_FIELDS = (
@@ -120,8 +129,10 @@ class SimConfig:
                 or not _is_finite(value)
             ):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.n_agents < 1:
-            raise ConfigError(f"n_agents must be >= 1, got {self.n_agents}")
+        if not 1 <= self.n_agents <= _MAX_AGENTS:
+            raise ConfigError(
+                f"n_agents must be in [1, {_MAX_AGENTS}], got {self.n_agents}"
+            )
         if self.horizon_days < 1:
             raise ConfigError(f"horizon_days must be >= 1, got {self.horizon_days}")
         if not self.k_mean > 0:
@@ -139,6 +150,12 @@ class SimConfig:
             )
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        days = _recorded_day_count(self.horizon_days)
+        if self.replicates * days > _MAX_OUTPUT_CELLS:
+            raise ConfigError(
+                f"replicates x recorded days must be <= {_MAX_OUTPUT_CELLS}, "
+                f"got {self.replicates} x {days}"
+            )
         if self.uncertainty_mode not in ("montecarlo", "envelope"):
             raise ConfigError(
                 "uncertainty_mode must be 'montecarlo' or 'envelope', "
@@ -280,9 +297,16 @@ def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
     return Population(delta_e, k, np.zeros(n, dtype=np.int64))
 
 
-def advance_day(pop: Population) -> Population:
-    """One day of linear fading: delta_e grows by k."""
-    pop.delta_e += pop.k
+def advance_day(
+    pop: Population, days: int = 1, step: np.ndarray | None = None
+) -> Population:
+    """`days` days of linear fading: delta_e grows by k·days, added once.
+
+    One add of k·days can differ from `days` adds of k by a few ulps.
+    `step`, if given, must already hold k·days; the engine passes the same
+    k·7 buffer every week instead of multiplying again.
+    """
+    pop.delta_e += pop.k * days if step is None else step
     return pop
 
 
@@ -305,12 +329,14 @@ def repaint_event(
     Each row repaints up to `capacity` agents: RANDOM_A uniformly at
     random, GREEDY_B the most faded (ties to the lowest index, as a stable
     sort would order them), THRESHOLD_C uniformly among the agents above
-    `threshold`, skipping rows that have none. Random rows draw one
-    `Generator.choice` each, from their own stream; THRESHOLD_C draws
-    positions in the row's ascending list of eligible agents, which takes
-    the same draws and gives the same agents as choosing from that list.
-    Selected agents are reset to delta_e 0 and their repaint_count
-    incremented, in place, whatever the arrays' strides.
+    `threshold`. A row's candidates are all its agents for RANDOM_A and its
+    agents above `threshold` for THRESHOLD_C. A forced row, with m <=
+    `capacity` candidates, repaints all m and draws nothing. A row with
+    m > `capacity` draws one `Generator.choice(m, capacity, replace=False)`
+    from its own stream and repaints the candidates at those positions in
+    its ascending candidate list. Selected agents are reset to delta_e 0
+    and their repaint_count incremented, in place, whatever the arrays'
+    strides.
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
@@ -318,28 +344,34 @@ def repaint_event(
         return 0
     delta_e = np.atleast_2d(pop.delta_e)
     rows, n = delta_e.shape
-    take = min(capacity, n)
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     if len(rngs) != rows:
         raise ValueError(f"{rows} rows need {rows} generators, got {len(rngs)}")
     # picked agents as row-major positions in the (rows, agents) view
     if strategy is Strategy.GREEDY_B:
-        picked = np.flatnonzero(_most_faded(delta_e, take))
+        picked = np.flatnonzero(_most_faded(delta_e, min(capacity, n)))
     elif strategy is Strategy.RANDOM_A:
-        draws = [r.choice(n, size=take, replace=False) for r in rngs]
-        picked = (np.stack(draws) + np.arange(0, rows * n, n)[:, None]).ravel()
+        if n <= capacity:
+            picked = np.arange(rows * n)
+        else:
+            draws = [r.choice(n, size=capacity, replace=False) for r in rngs]
+            picked = (np.stack(draws) + np.arange(0, rows * n, n)[:, None]).ravel()
     elif strategy is Strategy.THRESHOLD_C:
-        eligible = np.flatnonzero(delta_e > threshold)
-        if not eligible.size:
+        picked = np.flatnonzero(delta_e > threshold)
+        if not picked.size:
             return 0
-        # row i's eligible agents are eligible[bounds[i]:bounds[i + 1]]
-        bounds = np.searchsorted(eligible, np.arange(0, rows * n + 1, n)).tolist()
-        draws = [
-            start + r.choice(end - start, size=min(take, end - start), replace=False)
-            for r, start, end in zip(rngs, bounds, bounds[1:])
-            if end > start
-        ]
-        picked = eligible[np.concatenate(draws)]
+        # row i's m[i] candidates start at picked[start[i]]
+        start = np.searchsorted(picked, np.arange(0, rows * n, n))
+        m = np.diff(start, append=picked.size)
+        over = np.flatnonzero(m > capacity).tolist()
+        if over:
+            # forced rows keep every candidate, the others what they draw
+            keep = np.repeat(m <= capacity, m)
+            draws = [
+                start[i] + rngs[i].choice(m[i], capacity, replace=False) for i in over
+            ]
+            keep[np.concatenate(draws)] = True
+            picked = picked[keep]
     else:  # pragma: no cover
         raise ValueError(f"unknown strategy {strategy!r}")
     at = np.divmod(picked, n)
@@ -362,6 +394,11 @@ def _most_faded(delta_e: np.ndarray, take: int) -> np.ndarray:
         tied = np.flatnonzero(delta_e[i] == kth[i])
         chosen[i, tied[-excess[i] :]] = False
     return chosen
+
+
+def _recorded_day_count(horizon_days: int) -> int:
+    """Weekly days from day 0, plus the horizon when it is off that grid."""
+    return horizon_days // 7 + 1 + (horizon_days % 7 != 0)
 
 
 def _recorded_days(horizon_days: int) -> np.ndarray:
@@ -398,12 +435,14 @@ def _simulate_block(
     days = _recorded_days(cfg.horizon_days)
     fracs = np.ones((rows, len(days)))
     cums = np.zeros((rows, len(days)))
+    step = pop.k * 7  # one week's fading, reused every week
+    gaps = np.diff(days, prepend=0).tolist()  # days since the last recorded day
     cum = 0
-    day = 0
-    for col, record_day in enumerate(days.tolist()):
-        while day < record_day:
-            advance_day(pop)
-            day += 1
+    for col, (day, gap) in enumerate(zip(days.tolist(), gaps)):
+        if gap:
+            if gap != 7:  # the last interval, up to an off-grid horizon
+                np.multiply(pop.k, gap, out=step)
+            advance_day(pop, gap, step)
         if day > 0 and day % 7 == 0:
             if repaint_event(pop, cfg.strategy, capacity, threshold, rngs):
                 cum = pop.repaint_count.sum(axis=1)
@@ -430,16 +469,20 @@ def _run_replicate(
 def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
     """Run all replicates and aggregate trajectories with uncertainty bands.
 
-    Replicates advance together, day by day, as one (replicates, agents)
-    population, each drawing from its own stream; they are taken in blocks
-    of at most _BLOCK_CELLS agent cells to bound memory. Monte Carlo mode
-    takes the 2.5th/97.5th percentile across replicates; envelope mode
-    takes two deterministic bounding runs with every k fixed at
-    k_mean -/+ 2 k_sd. A block of a run that cannot repaint (BASELINE, or
-    weekly capacity 0) stops stepping once every agent in it is above the
-    threshold and records fraction 1.0 and no repaints for the remaining
-    days, exactly what stepping on would give. `workers` has no effect and
-    is accepted only so that existing callers keep working.
+    Replicates advance together as one (replicates, agents) population,
+    each drawing from its own stream; they are taken in blocks of at most
+    _BLOCK_CELLS agent cells to bound memory. The population steps from
+    one recorded day to the next (a week, or the remainder up to the
+    horizon), adding k·days once per interval, and repaints on every
+    seventh day; a row draws only when it has more candidates than the
+    weekly capacity (see repaint_event). Monte Carlo mode takes the
+    2.5th/97.5th percentile across replicates; envelope mode takes two
+    deterministic bounding runs with every k fixed at k_mean -/+ 2 k_sd. A
+    block of a run that cannot repaint (BASELINE, or weekly capacity 0)
+    stops stepping once every agent in it is above the threshold and
+    records fraction 1.0 and no repaints for the remaining days, exactly
+    what stepping on would give. `workers` has no effect and is accepted
+    only so that existing callers keep working.
     """
     cfg.validate()
     per_block = max(1, _BLOCK_CELLS // cfg.n_agents)

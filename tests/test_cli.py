@@ -266,6 +266,24 @@ class TestSimulateCommand:
             )
         assert outs[0] == outs[1]
 
+    def test_failed_write_leaves_previous_outputs(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        before = [(p.name, p.read_bytes()) for p in sorted(out.iterdir())]
+        write_text = heartfade.cli.OutputSet.write_text
+
+        def fail_on_manifest(self, name, text):
+            if name == "manifest.json":
+                raise OSError("disk full")
+            return write_text(self, name, text)
+
+        monkeypatch.setattr(heartfade.cli.OutputSet, "write_text", fail_on_manifest)
+        with pytest.raises(OSError, match="disk full"):
+            main(["simulate", str(cfg), "--out", str(out), "--seed", "2"])
+        assert [(p.name, p.read_bytes()) for p in sorted(out.iterdir())] == before
+
     def test_invalid_config_field_message(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"k_mean": -1}')

@@ -150,6 +150,17 @@ class TestLoadObservations:
         with pytest.raises(ObservationError, match="non-numeric"):
             load_observations("heart_id,date,L,a,b,source\nh1,2021-09-02,x,46,20,s\n")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"heart_id,date,L,a,b\r0",  # a bare carriage return in the header
+            b"heart_id,date,L,a,b,source\nh1," + b"x" * 200_000 + b"\n",  # oversized
+        ],
+    )
+    def test_text_csv_cannot_split_is_observation_error(self, data):
+        with pytest.raises(ObservationError, match="field|new-line"):
+            load_observations(data)
+
 
 def obs(heart, date, L, a=46.3, b=20.5):
     import datetime

@@ -170,9 +170,18 @@ def assert_ppm_matches(data):
     assert ppm_outcome(parse_ppm, data) == ppm_outcome(oracle_parse_ppm, data)
 
 
+def typed_oracle_load_observations(data):
+    """The old parser with its csv.Error typed as load_observations types
+    it: ObservationError, same message."""
+    try:
+        return oracle_load_observations(data)
+    except csv.Error as exc:
+        raise ObservationError(str(exc)) from None
+
+
 def assert_observations_match(data):
     assert obs_outcome(load_observations, data) == obs_outcome(
-        oracle_load_observations, data
+        typed_oracle_load_observations, data
     )
 
 

@@ -214,5 +214,8 @@ def test_acceptability_cli_exits_0_or_2(survey):
 
 @FUZZ
 @given(st.one_of(st.binary(max_size=120), mutated(json.dumps(SMALL_CONFIG))))
+# a population no block can hold; outputs too large to allocate or finish
+@example(b'{"k_mean": 0.04, "n_agents": 1000000000000000000000000000000}')
+@example(b'{"k_mean": 0.04, "replicates": 100000000000}')
 def test_simulate_cli_exits_0_or_2(config):
     assert_clean_exit(*run_cli("simulate", {"config.json": config}))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import heartfade.simulate as simulate
 from heartfade.simulate import (
     ConfigError,
     Population,
@@ -67,6 +68,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field.split("_")[0]):
             cfg.validate()
 
+    def test_size_bounds(self):
+        small_cfg(n_agents=simulate._MAX_AGENTS, replicates=1).validate()
+        with pytest.raises(ConfigError, match="n_agents must be in"):
+            small_cfg(n_agents=simulate._MAX_AGENTS + 1).validate()
+        days = simulate._recorded_day_count(6000)
+        assert days == len(simulate._recorded_days(6000))
+        reps = simulate._MAX_OUTPUT_CELLS // days
+        small_cfg(horizon_days=6000, replicates=reps).validate()
+        with pytest.raises(ConfigError, match="replicates x recorded days"):
+            small_cfg(horizon_days=6000, replicates=reps + 1).validate()
+
     def test_json_roundtrip(self):
         import json
 
@@ -125,6 +137,18 @@ class TestAdvanceDay:
         assert pop.delta_e[0] < 10.0
         advance_day(pop)
         assert pop.delta_e[0] == pytest.approx(10.004, abs=1e-9)
+
+    def test_days_add_k_times_days_once(self):
+        k = _stream(1, 0).uniform(0.01, 0.5, size=1000)
+        pop = Population(np.full(1000, 3.0), k.copy(), np.zeros(1000, dtype=np.int64))
+        advance_day(pop, 7)
+        assert np.array_equal(pop.delta_e, 3.0 + k * 7)
+        daily = np.full(1000, 3.0)
+        for _ in range(7):
+            daily += k
+        assert not np.array_equal(daily, pop.delta_e)  # roundings differ somewhere
+        advance_day(pop, 7, k * 7)  # a precomputed step adds the same
+        assert np.array_equal(pop.delta_e, 3.0 + k * 7 + k * 7)
 
     def test_uniform_population_steps_as_one(self):
         cfg = small_cfg(k_sd=0.0, initial_spread_max=0.0)

@@ -1,8 +1,10 @@
 """The batched engine against a reference oracle.
 
-The oracle is the per-day, per-replicate loop the engine replaced: one
-replicate at a time, one Python iteration per day, GREEDY_B by a stable
-argsort. The engine must reproduce it bit for bit.
+The oracle is a plain loop over one replicate at a time: one Python
+iteration per recorded interval, adding k·days once, GREEDY_B by a stable
+argsort, and a draw only where a row has more candidates than capacity (a
+forced pick takes every candidate and draws nothing). The engine must
+reproduce it bit for bit.
 """
 
 from dataclasses import replace
@@ -23,27 +25,31 @@ from heartfade.simulate import (
 )
 
 
-def oracle_repaint(pop, strategy, capacity, threshold, rng):
-    """One repainting event on a single (agents,) population."""
-    n = len(pop.delta_e)
+def oracle_repaint(pop, strategy, capacity, threshold, rng, candidate_counts=None):
+    """One repainting event on a single (agents,) population; appends the
+    number of candidates to `candidate_counts` when given."""
     if strategy is Strategy.BASELINE or capacity == 0:
         return 0
-    if strategy is Strategy.RANDOM_A:
-        chosen = rng.choice(n, size=min(capacity, n), replace=False)
-    elif strategy is Strategy.GREEDY_B:
+    if strategy is Strategy.GREEDY_B:
         order = np.argsort(-pop.delta_e, kind="stable")
-        chosen = order[: min(capacity, n)]
+        chosen = order[:capacity]
     else:
-        eligible = np.flatnonzero(pop.delta_e > threshold)
-        if eligible.size == 0:
-            return 0
-        chosen = rng.choice(eligible, size=min(capacity, eligible.size), replace=False)
+        if strategy is Strategy.RANDOM_A:
+            candidates = np.arange(len(pop.delta_e))
+        else:
+            candidates = np.flatnonzero(pop.delta_e > threshold)
+        if candidate_counts is not None:
+            candidate_counts.append(len(candidates))
+        if len(candidates) <= capacity:
+            chosen = candidates  # forced: no draw
+        else:
+            chosen = rng.choice(candidates, size=capacity, replace=False)
     pop.delta_e[chosen] = 0.0
     pop.repaint_count[chosen] += 1
     return len(chosen)
 
 
-def oracle_replicate(cfg, stream_index, k_override=None):
+def oracle_replicate(cfg, stream_index, k_override=None, candidate_counts=None):
     rng = _stream(cfg.master_seed, stream_index)
     pop = init_population(cfg, rng)
     if k_override is not None:
@@ -53,13 +59,19 @@ def oracle_replicate(cfg, stream_index, k_override=None):
     fracs = [float(np.mean(pop.delta_e > threshold))]
     cums = [0]
     total = 0
-    for day in range(1, cfg.horizon_days + 1):
-        pop.delta_e += pop.k
+    days = list(range(7, cfg.horizon_days + 1, 7))
+    if cfg.horizon_days % 7:
+        days.append(cfg.horizon_days)
+    last = 0
+    for day in days:
+        pop.delta_e += pop.k * (day - last)
+        last = day
         if day % 7 == 0:
-            total += oracle_repaint(pop, cfg.strategy, capacity, threshold, rng)
-        if day % 7 == 0 or day == cfg.horizon_days:
-            fracs.append(float(np.mean(pop.delta_e > threshold)))
-            cums.append(total)
+            total += oracle_repaint(
+                pop, cfg.strategy, capacity, threshold, rng, candidate_counts
+            )
+        fracs.append(float(np.mean(pop.delta_e > threshold)))
+        cums.append(total)
     return np.array(fracs), np.array(cums, dtype=np.float64)
 
 
@@ -138,6 +150,18 @@ NAMED.update(
     }
 )
 NAMED["one-day"] = SimConfig(**FAST, n_agents=5, horizon_days=1, replicates=2)
+# a row's first eligible agents fit in capacity (a forced week, no draw)
+# before more cross the threshold than capacity holds; a forced week that
+# drew would shift every later draw of its row, and the horizon is long
+# enough for repainted agents to cross again, so which were drawn shows
+NAMED["threshold_c-forced-then-over"] = SimConfig(
+    **FAST,
+    n_agents=40,
+    horizon_days=200,
+    strategy=Strategy.THRESHOLD_C,
+    repaint_fraction_weekly=0.1,
+    replicates=4,
+)
 
 
 def random_configs(count, seed=2025):
@@ -161,6 +185,19 @@ def random_configs(count, seed=2025):
             )
         )
     return configs
+
+
+def test_forced_then_over_case_has_both_weeks():
+    cfg = NAMED["threshold_c-forced-then-over"]
+    capacity = weekly_capacity(cfg)
+    rows_with_both = 0
+    for i in range(cfg.replicates):
+        counts = []
+        oracle_replicate(cfg, i, candidate_counts=counts)
+        forced = [w for w, m in enumerate(counts) if 2 <= m <= capacity]
+        over = [w for w, m in enumerate(counts) if m > capacity]
+        rows_with_both += bool(forced and over and forced[0] < over[-1])
+    assert rows_with_both > 0
 
 
 def test_named_cases_cover_the_grid():
@@ -325,12 +362,13 @@ def test_engine_matches_oracle_settling(name):
 
 
 def count_days(monkeypatch):
+    """The days advanced by each advance_day call of the engine."""
     steps = []
     advance = simulate.advance_day
 
-    def counting(pop):
-        steps.append(1)
-        return advance(pop)
+    def counting(pop, days=1, step=None):
+        steps.append(days)
+        return advance(pop, days, step)
 
     monkeypatch.setattr(simulate, "advance_day", counting)
     return steps
@@ -349,7 +387,7 @@ def test_settled_run_stops_stepping(monkeypatch, name):
     steps = count_days(monkeypatch)
     cfg = SETTLING[name]
     result = run_simulation(cfg)
-    assert 0 < len(steps) < cfg.horizon_days
+    assert 0 < sum(steps) < cfg.horizon_days
     assert result.mean_frac[-1] == 1.0
 
 
@@ -361,7 +399,36 @@ def test_repainting_run_steps_every_day(monkeypatch):
         repaint_fraction_weekly=0.1,
     )
     run_simulation(cfg)
-    assert len(steps) == cfg.horizon_days
+    assert sum(steps) == cfg.horizon_days
+
+
+class NoDraws:
+    """Stands in for a row's Generator where no draw may happen."""
+
+    def choice(self, *args, **kwargs):
+        raise AssertionError("a forced pick drew from its stream")
+
+
+@pytest.mark.parametrize("strategy", [Strategy.RANDOM_A, Strategy.THRESHOLD_C])
+def test_forced_picks_draw_nothing(strategy):
+    """Rows with no more candidates than capacity repaint every candidate
+    and never call choice."""
+    rng = np.random.default_rng(13)
+    delta_e = np.round(rng.uniform(0.0, 12.0, size=(5, 8)))
+    delta_e[0] = 0.0  # no candidate
+    delta_e[1, :3] = 11.0  # three candidates, all repainted
+    delta_e[1, 3:] = 1.0
+    eligible = delta_e > 9.5
+    capacity = 8 if strategy is Strategy.RANDOM_A else int(eligible.sum(axis=1).max())
+    assert eligible.sum(axis=1).max() >= 2
+    pop = Population(delta_e.copy(), np.zeros_like(delta_e), np.zeros((5, 8), np.int64))
+
+    count = repaint_event(pop, strategy, capacity, 9.5, [NoDraws()] * 5)
+
+    picked = eligible if strategy is Strategy.THRESHOLD_C else np.ones_like(eligible)
+    assert count == picked.sum()
+    assert np.array_equal(pop.repaint_count, picked.astype(np.int64))
+    assert np.array_equal(pop.delta_e, np.where(picked, 0.0, delta_e))
 
 
 @pytest.mark.parametrize(
