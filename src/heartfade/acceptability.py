@@ -85,12 +85,10 @@ def fit_objective(
     curve: AcceptabilityCurve, points: list[SurveyPoint]
 ) -> float:
     """Weighted sum of squared residuals of the curve against the points."""
-    de = np.array([p.delta_e for p in points])
-    frac = np.array([p.frac_agree for p in points])
+    de = np.array([p.delta_e for p in points], dtype=np.float64)
+    frac = np.array([p.frac_agree for p in points], dtype=np.float64)
     w = np.array([p.n_respondents for p in points], dtype=np.float64)
-    with np.errstate(over="ignore"):  # far below the midpoint: 1/(1+inf) = 0
-        pred = 1.0 / (1.0 + np.exp(-(de - curve.m) / curve.s))
-    return float(np.sum(w * (pred - frac) ** 2))
+    return float(_grid_objective(np.array(curve.m), np.array(curve.s), de, frac, w))
 
 
 def _grid_objective(
@@ -120,24 +118,17 @@ def fit_acceptability(points: list[SurveyPoint]) -> AcceptabilityCurve:
 
     m_grid = np.linspace(_M_RANGE[0], _M_RANGE[1], 101)
     s_grid = np.linspace(0.25, _S_RANGE[1], 100)
-    mm, ss = np.meshgrid(m_grid, s_grid, indexing="ij")
-    obj = _grid_objective(mm, ss, de, frac, w)
-    i, j = np.unravel_index(np.argmin(obj), obj.shape)
-    best_m, best_s = float(mm[i, j]), float(ss[i, j])
     half_m = float(m_grid[1] - m_grid[0])
     half_s = float(s_grid[1] - s_grid[0])
 
-    for _ in range(40):
-        m_grid = np.clip(
-            np.linspace(best_m - half_m, best_m + half_m, 21), *_M_RANGE
-        )
-        s_grid = np.clip(
-            np.linspace(best_s - half_s, best_s + half_s, 21), *_S_RANGE
-        )
+    # the coarse grid, then 40 refinements around the incumbent best
+    for _ in range(41):
         mm, ss = np.meshgrid(m_grid, s_grid, indexing="ij")
         obj = _grid_objective(mm, ss, de, frac, w)
         i, j = np.unravel_index(np.argmin(obj), obj.shape)
         best_m, best_s = float(mm[i, j]), float(ss[i, j])
+        m_grid = np.clip(np.linspace(best_m - half_m, best_m + half_m, 21), *_M_RANGE)
+        s_grid = np.clip(np.linspace(best_s - half_s, best_s + half_s, 21), *_S_RANGE)
         half_m *= 0.6
         half_s *= 0.6
 

@@ -10,6 +10,8 @@ command that fails leaves the files already under --out as they were.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import shutil
@@ -51,30 +53,26 @@ from .simulate import (
 
 EXIT_INPUT_ERROR = 2
 
+# a preset is a config factory; --seed (and, for sweep, --horizon) apply
+# to it as they do to a config file
 SIMULATE_PRESETS = {
-    "paint1-baseline": {"config": lambda: paint1_config()},
-    "paint2-1pct": {
-        "config": lambda: replace(
-            paint2_config(), strategy=Strategy.THRESHOLD_C, repaint_fraction_weekly=0.01
-        )
-    },
+    "paint1-baseline": paint1_config,
+    "paint2-1pct": lambda: replace(
+        paint2_config(), strategy=Strategy.THRESHOLD_C, repaint_fraction_weekly=0.01
+    ),
 }
 
 SWEEP_PRESETS = {
     # decision sweep over repaint fractions for the fast-fading paint,
-    # summarised at the 3-year horizon
-    "paint1-5pct": {
-        "config": lambda: replace(paint1_config(), replicates=50),
-        "fractions": [0.0, 0.01, 0.05, 0.1, 0.2],
-        "horizon": 1095,
-    },
+    # summarised at --horizon's default, the 3-year horizon
+    "paint1-5pct": lambda: replace(paint1_config(), replicates=50),
 }
+# the fractions a sweep preset runs when --fractions is not given
+SWEEP_PRESET_FRACTIONS = {"paint1-5pct": [0.0, 0.01, 0.05, 0.1, 0.2]}
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT_ERROR):
-        super().__init__(message)
-        self.code = code
+    """Bad input: `main` prints it, as it does a ConfigError, and exits 2."""
 
 
 def fnv1a64(data: bytes) -> str:
@@ -156,6 +154,13 @@ def _parse_region(text: str) -> Region:
         raise CliError(f"bad region {text!r}: {exc}") from None
 
 
+def _csv_text(rows) -> str:
+    """`rows` as CSV lines ending in \\n, fields quoted where they need it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _manifest(
     command: str, config: dict, inputs: dict[str, bytes], seed: int
 ) -> str:
@@ -182,24 +187,22 @@ def cmd_calibrate(args) -> int:
     try:
         observed = mean_lab_of_region(grid, board, LabOffset(0, 0, 0))
         offset = derive_calibration(observed, reference)
-        lines = ["region_id,L,a,b"]
+        rows = [["region_id", "L", "a", "b"]]
+        records = []
         for spec in args.heart_region:
             region_id, _, coords = spec.partition(":")
             if not coords:
                 raise CliError(f"expected ID:x,y,w,h heart region, got {spec!r}")
             lab = mean_lab_of_region(grid, _parse_region(coords), offset)
-            lines.append(f"{region_id},{lab.L:.4f},{lab.a:.4f},{lab.b:.4f}")
+            # round(v, 4) is the float that f"{v:.4f}" prints, and prints alike
+            L, a, b = (round(v, 4) for v in (lab.L, lab.a, lab.b))
+            rows.append([region_id, f"{L:.4f}", f"{a:.4f}", f"{b:.4f}"])
+            records.append({"region_id": region_id, "L": L, "a": a, "b": b})
     except RegionError as exc:
         raise CliError(str(exc)) from None
 
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv_text(rows)
     if args.format == "json":
-        records = []
-        for line in lines[1:]:
-            region_id, L, a, b = line.split(",")
-            records.append(
-                {"region_id": region_id, "L": float(L), "a": float(a), "b": float(b)}
-            )
         sys.stdout.write(json.dumps(records, indent=2) + "\n")
     else:
         sys.stdout.write(csv_text)
@@ -281,10 +284,10 @@ def cmd_rate(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.format == "csv":
-        lines = ["heart_id,slope_delta_e_per_day,intercept,r2,n_points"]
+        rows = [["heart_id", "slope_delta_e_per_day", "intercept", "r2", "n_points"]]
         for heart, f in fits.items():
-            lines.append(f"{heart},{f.slope!r},{f.intercept!r},{f.r2!r},{f.n}")
-        sys.stdout.write("\n".join(lines) + "\n")
+            rows.append([heart, repr(f.slope), repr(f.intercept), repr(f.r2), f.n])
+        sys.stdout.write(_csv_text(rows))
     else:
         sys.stdout.write(text)
     if args.out:
@@ -323,11 +326,11 @@ def cmd_acceptability(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.format == "csv":
-        lines = ["key,value"] + [
-            f"{k},{v}" for k, v in doc.items() if not isinstance(v, dict)
+        rows = [["key", "value"]] + [
+            [k, v] for k, v in doc.items() if not isinstance(v, dict)
         ]
-        lines += [f"threshold_{k},{v}" for k, v in thresholds.items()]
-        sys.stdout.write("\n".join(lines) + "\n")
+        rows += [[f"threshold_{k}", v] for k, v in thresholds.items()]
+        sys.stdout.write(_csv_text(rows))
     else:
         sys.stdout.write(text)
     if args.out:
@@ -346,37 +349,32 @@ def cmd_acceptability(args) -> int:
     return 0
 
 
-def _load_sim_config(args, presets: dict) -> tuple[SimConfig, dict[str, bytes], dict]:
-    """The base config from --preset or a JSON config file, the inputs to
-    digest, and the preset's entry ({} for a config file)."""
+def _load_sim_config(args, presets: dict, **fields) -> tuple[SimConfig, dict]:
+    """The run's config and the inputs to digest ({} for a preset).
+
+    --preset or a JSON config file supplies the fields; `fields` and
+    --seed (as master_seed) replace them, and only then is the config
+    validated.
+    """
+    fields["master_seed"] = args.seed
     if args.preset:
         if args.config:
             raise CliError("give either a config file or --preset, not both")
-        if args.preset not in presets:
-            raise CliError(
-                f"unknown preset {args.preset!r}; "
-                f"available: {', '.join(sorted(presets))}"
-            )
-        preset = presets[args.preset]
-        return preset["config"](), {}, preset
+        cfg = replace(presets[args.preset](), **fields)
+        cfg.validate()
+        return cfg, {}
     if not args.config:
         raise CliError("a config file or --preset is required")
     raw = _read_bytes(args.config)
     try:
-        return SimConfig.from_json(raw), {args.config: raw}, {}
+        return SimConfig.from_json(raw, **fields), {args.config: raw}
     except ConfigError as exc:
         raise CliError(f"{args.config}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
-    cfg, inputs, _ = _load_sim_config(args, SIMULATE_PRESETS)
-    cfg = replace(cfg, master_seed=args.seed)
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        raise CliError(str(exc)) from None
-    result = run_simulation(cfg, workers=args.workers)
-
+    cfg, inputs = _load_sim_config(args, SIMULATE_PRESETS)
+    result = run_simulation(cfg)
     _emit(
         Path(args.out or "."),
         {
@@ -390,17 +388,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, inputs, preset = _load_sim_config(args, SWEEP_PRESETS)
-    fractions = preset.get("fractions", args.fractions)
-    horizon = preset.get("horizon", args.horizon)
+    cfg, inputs = _load_sim_config(args, SWEEP_PRESETS, horizon_days=args.horizon)
+    fractions = args.fractions
+    if fractions is None:
+        fractions = SWEEP_PRESET_FRACTIONS.get(args.preset)
     if not fractions:
         raise CliError("no sweep fractions given (use --fractions)")
-    cfg = replace(cfg, master_seed=args.seed)
-
-    try:
-        rows = sweep_fractions(cfg, fractions, horizon_days=horizon, workers=args.workers)
-    except ConfigError as exc:
-        raise CliError(str(exc)) from None
+    rows = sweep_fractions(cfg, fractions, horizon_days=cfg.horizon_days)
 
     lines = ["repaint_fraction_weekly,strategy,frac_needing_repaint,total_repaints"]
     for row in rows:
@@ -411,7 +405,7 @@ def cmd_sweep(args) -> int:
         )
     csv_text = "\n".join(lines) + "\n"
 
-    config = {**cfg.to_dict(), "fractions": list(fractions), "horizon_days": horizon}
+    config = {**cfg.to_dict(), "fractions": list(fractions)}
     _emit(
         Path(args.out or "."),
         {
@@ -437,9 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output directory (simulate and sweep default to the current one)",
     )
-    common.add_argument(
-        "--format", choices=["csv", "json"], default=None, help="stdout format"
-    )
 
     parser = argparse.ArgumentParser(
         prog="heartfade",
@@ -448,8 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # only the commands that print their results take a stdout format
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["csv", "json"], help="stdout format")
+
     p = sub.add_parser(
-        "calibrate", parents=[common], help="calibrated region means from a PPM image"
+        "calibrate",
+        parents=[common, fmt],
+        help="calibrated region means from a PPM image",
     )
     p.add_argument("image", help="PPM image (P3 or P6, maxval 255)")
     p.add_argument("--board-region", required=True, metavar="X,Y,W,H")
@@ -464,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser(
-        "rate", parents=[common], help="per-heart fading rates and the aggregate"
+        "rate", parents=[common, fmt], help="per-heart fading rates and the aggregate"
     )
     p.add_argument("observations", help="CSV: heart_id,date,L,a,b,source")
     p.add_argument("windows", help="JSON: heart_id -> {start_day, end_day}")
@@ -472,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser(
-        "acceptability", parents=[common], help="fit the repaint-agreement curve"
+        "acceptability", parents=[common, fmt], help="fit the repaint-agreement curve"
     )
     p.add_argument("survey", help="CSV: delta_e,frac_agree,n_respondents")
     p.add_argument(
@@ -487,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="run one simulation")
     p.add_argument("config", nargs="?", help="JSON config mirroring SimConfig")
     p.add_argument("--preset", choices=sorted(SIMULATE_PRESETS), default=None)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -497,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
     p.add_argument("--fractions", type=_fraction_list, default=None)
     p.add_argument("--horizon", type=int, default=1095)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -508,9 +503,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ConfigError) as exc:
         print(f"heartfade {args.command}: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import datetime
 import io
 import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+# a PPM token: a comment runs from # to the end of its line, anything else
+# to the next whitespace
+_PPM_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
 class PpmError(ValueError):
@@ -116,108 +120,88 @@ class HeartSeries:
     points: tuple[tuple[int, float], ...]
 
 
-class _Tokens:
-    """Whitespace/comment-aware tokenizer over PPM header bytes."""
+def _ppm_tokens(data: bytes, pos: int = 0) -> Iterator[re.Match]:
+    """The PPM tokens of `data` from `pos` on, comments skipped; asked for
+    one more, it raises "unexpected end of input"."""
+    for tok in _PPM_TOKEN.finditer(data, pos):
+        if not tok[0].startswith(b"#"):
+            yield tok
+    raise PpmError("unexpected end of input", len(data))
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_space(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                end = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if end < 0 else end + 1
-            else:
-                return
-
-    def next_token(self) -> tuple[bytes, int]:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.data) and not self.data[
-            self.pos : self.pos + 1
-        ].isspace():
-            self.pos += 1
-        if self.pos == start:
-            raise PpmError("unexpected end of input", start)
-        return self.data[start : self.pos], start
-
-    def next_int(self, what: str) -> tuple[int, int]:
-        tok, start = self.next_token()
-        try:
-            return int(tok), start
-        except ValueError:
-            raise PpmError(f"invalid {what} {tok!r}", start) from None
+def _next_int(tokens: Iterator[re.Match], what: str) -> tuple[int, re.Match]:
+    tok = next(tokens)
+    try:
+        return int(tok[0]), tok
+    except ValueError:
+        raise PpmError(f"invalid {what} {tok[0]!r}", tok.start()) from None
 
 
 def parse_ppm(data: bytes) -> PixelGrid:
     """Decode a PPM image (magic P3 or P6, maxval 255)."""
-    toks = _Tokens(data)
-    magic, at = toks.next_token()
-    if magic not in (b"P3", b"P6"):
-        raise PpmError(f"unsupported format magic {magic!r}, expected P3 or P6", at)
-    width, at = toks.next_int("width")
+    tokens = _ppm_tokens(data)
+    magic = next(tokens)
+    if magic[0] not in (b"P3", b"P6"):
+        raise PpmError(
+            f"unsupported format magic {magic[0]!r}, expected P3 or P6", magic.start()
+        )
+    width, tok = _next_int(tokens, "width")
     if width < 1:
-        raise PpmError(f"width must be positive, got {width}", at)
-    height, at = toks.next_int("height")
+        raise PpmError(f"width must be positive, got {width}", tok.start())
+    height, tok = _next_int(tokens, "height")
     if height < 1:
-        raise PpmError(f"height must be positive, got {height}", at)
-    maxval, at = toks.next_int("maxval")
+        raise PpmError(f"height must be positive, got {height}", tok.start())
+    maxval, tok = _next_int(tokens, "maxval")
     if maxval != 255:
-        raise PpmError(f"unsupported maxval {maxval}, only 255 accepted", at)
+        raise PpmError(f"unsupported maxval {maxval}, only 255 accepted", tok.start())
 
     n = width * height * 3
-    if magic == b"P6":
+    pos = tok.end()
+    if magic[0] == b"P6":
         # exactly one whitespace byte separates maxval from pixel data
-        if toks.pos >= len(data) or not data[toks.pos : toks.pos + 1].isspace():
-            raise PpmError("missing whitespace after maxval", toks.pos)
-        start = toks.pos + 1
-        raw = data[start : start + n]
+        if pos >= len(data) or not data[pos : pos + 1].isspace():
+            raise PpmError("missing whitespace after maxval", pos)
+        raw = data[pos + 1 : pos + 1 + n]
         if len(raw) < n:
             raise PpmError(
                 f"truncated pixel data: expected {n} bytes, got {len(raw)}",
-                start + len(raw),
+                pos + 1 + len(raw),
             )
         pixels = np.frombuffer(raw, dtype=np.uint8).copy()
     else:
-        pixels = _p3_samples(toks, n)
+        pixels = _p3_samples(data, pos, n)
     return PixelGrid(width, height, pixels.reshape(height, width, 3))
 
 
-def _p3_samples(toks: _Tokens, n: int) -> np.ndarray:
-    """The n ASCII samples after the header, split in one pass.
+def _p3_samples(data: bytes, pos: int, n: int) -> np.ndarray:
+    """The n ASCII samples from `pos` on, split in one pass.
 
     Any raster this cannot decode (too few tokens, a token int() rejects,
-    such as a comment, or a value outside 0..255) goes through _walk_samples,
-    which decodes comments and reports the first bad token with its offset.
+    such as a comment, or a value outside 0..255) is walked token by token
+    instead, which skips comments and reports the first bad token with its
+    offset.
     """
     try:
-        pieces = toks.data[toks.pos :].split(maxsplit=n)[:n]
+        pieces = data[pos:].split(maxsplit=n)[:n]
         if len(pieces) == n:
             values = np.fromiter(map(int, pieces), dtype=np.int64, count=n)
             if values.min() >= 0 and values.max() <= 255:
                 return values.astype(np.uint8)
     except (ValueError, OverflowError):
         pass
-    return _walk_samples(toks, n)
-
-
-def _walk_samples(toks: _Tokens, n: int) -> np.ndarray:
     # values grow with the tokens found, so a header claiming more samples
     # than the file holds allocates nothing up front
     values = []
+    tokens = _ppm_tokens(data, pos)
     for i in range(n):
         try:
-            v, at = toks.next_int("sample")
+            v, tok = _next_int(tokens, "sample")
         except PpmError as exc:
             raise PpmError(
                 f"truncated pixel data: expected {n} samples, got {i}", exc.offset
             ) from None
         if not 0 <= v <= 255:
-            raise PpmError(f"sample {v} outside 0..255", at)
+            raise PpmError(f"sample {v} outside 0..255", tok.start())
         values.append(v)
     return np.array(values, dtype=np.uint8)
 

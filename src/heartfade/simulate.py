@@ -58,6 +58,9 @@ WALL_HEART_COUNT = 240_000
 # (replicates x agents), which bounds memory for large populations; the
 # presets fit in one block
 _BLOCK_CELLS = 1 << 20
+# and of at most this many replicates: each row also holds its own
+# Generator (~1.2 KiB), which the cell budget does not count
+_BLOCK_ROWS = 4096
 # one replicate's row must fit in a block
 _MAX_AGENTS = _BLOCK_CELLS
 # replicates x recorded days: each (replicates, days) output array of
@@ -190,7 +193,10 @@ class SimConfig:
         return cfg
 
     @classmethod
-    def from_json(cls, text: str | bytes) -> "SimConfig":
+    def from_json(cls, text: str | bytes, **fields) -> "SimConfig":
+        """The config in a JSON object of its fields. Each of `fields`
+        replaces (or supplies) the document's value before validation, so
+        a value the caller overrides is never checked on its own."""
         try:
             d = json.loads(text)
         except UnicodeDecodeError as exc:
@@ -206,7 +212,7 @@ class SimConfig:
             raise ConfigError(f"invalid JSON config: {exc}") from None
         if not isinstance(d, dict):
             raise ConfigError("config JSON must be an object")
-        return cls.from_dict(d)
+        return cls.from_dict({**d, **fields})
 
 
 @dataclass
@@ -402,10 +408,9 @@ def _recorded_day_count(horizon_days: int) -> int:
 
 
 def _recorded_days(horizon_days: int) -> np.ndarray:
-    days = list(range(0, horizon_days + 1, 7))
-    if days[-1] != horizon_days:
-        days.append(horizon_days)
-    return np.array(days, dtype=np.int64)
+    days = 7 * np.arange(_recorded_day_count(horizon_days), dtype=np.int64)
+    days[-1] = horizon_days
+    return days
 
 
 def _simulate_block(
@@ -457,35 +462,25 @@ def _simulate_block(
     return fracs, cums
 
 
-def _run_replicate(
-    cfg: SimConfig, stream_index: int, k_override: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One replicate trajectory: (fractions above threshold, cumulative
-    repaints) at each recorded day."""
-    fracs, cums = _simulate_block(cfg, [stream_index], k_override)
-    return fracs[0], cums[0]
-
-
-def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
+def run_simulation(cfg: SimConfig) -> SimResult:
     """Run all replicates and aggregate trajectories with uncertainty bands.
 
     Replicates advance together as one (replicates, agents) population,
     each drawing from its own stream; they are taken in blocks of at most
-    _BLOCK_CELLS agent cells to bound memory. The population steps from
-    one recorded day to the next (a week, or the remainder up to the
-    horizon), adding k·days once per interval, and repaints on every
-    seventh day; a row draws only when it has more candidates than the
-    weekly capacity (see repaint_event). Monte Carlo mode takes the
-    2.5th/97.5th percentile across replicates; envelope mode takes two
-    deterministic bounding runs with every k fixed at k_mean -/+ 2 k_sd. A
-    block of a run that cannot repaint (BASELINE, or weekly capacity 0)
-    stops stepping once every agent in it is above the threshold and
-    records fraction 1.0 and no repaints for the remaining days, exactly
-    what stepping on would give. `workers` has no effect and is accepted
-    only so that existing callers keep working.
+    _BLOCK_CELLS agent cells and _BLOCK_ROWS replicates to bound memory.
+    The population steps from one recorded day to the next (a week, or the
+    remainder up to the horizon), adding k·days once per interval, and
+    repaints on every seventh day; a row draws only when it has more
+    candidates than the weekly capacity (see repaint_event). Monte Carlo
+    mode takes the 2.5th/97.5th percentile across replicates; envelope
+    mode takes two deterministic bounding runs with every k fixed at
+    k_mean -/+ 2 k_sd. A block of a run that cannot repaint (BASELINE, or
+    weekly capacity 0) stops stepping once every agent in it is above the
+    threshold and records fraction 1.0 and no repaints for the remaining
+    days, exactly what stepping on would give.
     """
     cfg.validate()
-    per_block = max(1, _BLOCK_CELLS // cfg.n_agents)
+    per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
     blocks = [
         _simulate_block(cfg, range(start, min(start + per_block, cfg.replicates)))
         for start in range(0, cfg.replicates, per_block)
@@ -499,14 +494,14 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
         lo = np.percentile(frac_by_rep, 2.5, axis=0)
         hi = np.percentile(frac_by_rep, 97.5, axis=0)
     else:
-        lo_run, _ = _run_replicate(
-            cfg, _ENVELOPE_LO_STREAM, k_override=cfg.k_mean - 2 * cfg.k_sd
+        lo_run, _ = _simulate_block(
+            cfg, [_ENVELOPE_LO_STREAM], k_override=cfg.k_mean - 2 * cfg.k_sd
         )
-        hi_run, _ = _run_replicate(
-            cfg, _ENVELOPE_HI_STREAM, k_override=cfg.k_mean + 2 * cfg.k_sd
+        hi_run, _ = _simulate_block(
+            cfg, [_ENVELOPE_HI_STREAM], k_override=cfg.k_mean + 2 * cfg.k_sd
         )
-        lo = np.minimum(lo_run, hi_run)
-        hi = np.maximum(lo_run, hi_run)
+        lo = np.minimum(lo_run[0], hi_run[0])
+        hi = np.maximum(lo_run[0], hi_run[0])
 
     return SimResult(
         config=cfg,
@@ -521,14 +516,10 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> SimResult:
 
 
 def sweep_fractions(
-    cfg_base: SimConfig,
-    fractions: list[float],
-    horizon_days: int = 1095,
-    workers: int = 1,
+    cfg_base: SimConfig, fractions: list[float], horizon_days: int = 1095
 ) -> list[SweepRow]:
     """Decision sweep: each repaint fraction crossed with the three active
-    strategies, summarised at the horizon (default 3 years). `workers`
-    has no effect, as in run_simulation."""
+    strategies, summarised at the horizon (default 3 years)."""
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ConfigError(f"sweep fraction {f} outside [0, 1]")
@@ -541,7 +532,7 @@ def sweep_fractions(
                 repaint_fraction_weekly=f,
                 horizon_days=horizon_days,
             )
-            result = run_simulation(cfg, workers=workers)
+            result = run_simulation(cfg)
             rows.append(
                 SweepRow(
                     repaint_fraction_weekly=f,

@@ -1,8 +1,12 @@
 import math
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from heartfade.acceptability import (
+    _M_RANGE,
+    _S_RANGE,
     AcceptabilityCurve,
     FitError,
     SurveyPoint,
@@ -20,7 +24,65 @@ def logistic_points(m, s, des, n=100):
     ]
 
 
+def oracle_objective(m, s, points):
+    """The weighted sum of squares written out for one (m, s)."""
+    de = np.array([p.delta_e for p in points])
+    frac = np.array([p.frac_agree for p in points])
+    w = np.array([p.n_respondents for p in points], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        pred = 1.0 / (1.0 + np.exp(-(de - m) / s))
+    return float(np.sum(w * (pred - frac) ** 2))
+
+
+def oracle_fit(points):
+    """The grid search as a coarse-grid step, then 40 separate refinements."""
+    de, frac, w = (
+        np.array([getattr(p, f) for p in points], dtype=np.float64)
+        for f in ("delta_e", "frac_agree", "n_respondents")
+    )
+
+    def best(m_grid, s_grid):
+        mm, ss = np.meshgrid(m_grid, s_grid, indexing="ij")
+        with np.errstate(over="ignore"):
+            pred = 1.0 / (1.0 + np.exp(-(de - mm[..., None]) / ss[..., None]))
+        obj = np.sum(w * (pred - frac) ** 2, axis=-1)
+        i, j = np.unravel_index(np.argmin(obj), obj.shape)
+        return float(mm[i, j]), float(ss[i, j])
+
+    m_grid = np.linspace(_M_RANGE[0], _M_RANGE[1], 101)
+    s_grid = np.linspace(0.25, _S_RANGE[1], 100)
+    m, s = best(m_grid, s_grid)
+    half_m, half_s = float(m_grid[1] - m_grid[0]), float(s_grid[1] - s_grid[0])
+    for _ in range(40):
+        m, s = best(
+            np.clip(np.linspace(m - half_m, m + half_m, 21), *_M_RANGE),
+            np.clip(np.linspace(s - half_s, s + half_s, 21), *_S_RANGE),
+        )
+        half_m *= 0.6
+        half_s *= 0.6
+    return m, s
+
+
+ANCHORS = load_survey(
+    resources.files("heartfade").joinpath("data/acceptability_anchors.csv").read_bytes()
+)
+
+
 class TestFit:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ANCHORS,
+            logistic_points(25.0, 4.0, range(5, 50, 5)),
+            [SurveyPoint(d, f, n) for d, f, n in [(0, 0, 1), (3, 0.9, 7), (9, 0.2, 3)]],
+        ],
+        ids=["anchors", "logistic", "noisy"],
+    )
+    def test_bit_equal_to_oracle(self, points):
+        curve = fit_acceptability(points)
+        assert (curve.m, curve.s) == oracle_fit(points)
+        assert fit_objective(curve, points) == oracle_objective(curve.m, curve.s, points)
+
     def test_recovers_known_curve(self):
         points = logistic_points(25.0, 4.0, range(5, 50, 5))
         curve = fit_acceptability(points)

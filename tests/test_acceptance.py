@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import heartfade.simulate as simulate
 from heartfade.acceptability import (
     AcceptabilityCurve,
     SurveyPoint,
@@ -188,7 +189,7 @@ def test_08_acceptability_recovery():
     report(8, f"recovered m={curve.m:.4f}, s={curve.s:.4f}; inverse dev {worst:.1e}")
 
 
-def test_09_determinism(tmp_path):
+def test_09_determinism(tmp_path, monkeypatch):
     presets = [
         ["simulate", "--preset", "paint1-baseline"],
         ["simulate", "--preset", "paint2-1pct"],
@@ -212,8 +213,9 @@ def test_09_determinism(tmp_path):
         horizon_days=700,
         replicates=20,
     )
-    serial = run_simulation(cfg, workers=1)
-    parallel = run_simulation(cfg, workers=4)
-    assert np.array_equal(serial.frac_by_rep, parallel.frac_by_rep)
-    assert np.array_equal(serial.cum_repaints_by_rep, parallel.cum_repaints_by_rep)
-    report(9, "3 presets byte-identical across reruns; parallel == serial")
+    whole = run_simulation(cfg)  # all 20 replicates in one block
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * cfg.n_agents)
+    blocked = run_simulation(cfg)  # blocks of 3 replicates
+    assert np.array_equal(whole.frac_by_rep, blocked.frac_by_rep)
+    assert np.array_equal(whole.cum_repaints_by_rep, blocked.cum_repaints_by_rep)
+    report(9, "3 presets byte-identical across reruns; one block == 7 blocks")

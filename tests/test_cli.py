@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -344,12 +346,96 @@ class TestSweepCommand:
         )
         assert len(lines) == 1 + 2 * 3
 
+    def test_preset_takes_horizon_and_fractions_flags(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["sweep", "--preset", "paint1-5pct", "--horizon", "14", "--fractions", "0.5"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = [line.split(",")[:2] for line in (out / "sweep.csv").read_text().splitlines()]
+        assert rows[1:] == [["0.5", "random_a"], ["0.5", "greedy_b"], ["0.5", "threshold_c"]]
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["horizon_days"], config["fractions"]) == (14, [0.5])
+        assert config["replicates"] == 50  # the preset's own value
+
+    def test_preset_horizon_is_validated(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--preset", "paint1-5pct", "--horizon", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "horizon_days must be >= 1" in err
+        assert not out.exists()
+
+    def test_config_validated_at_the_flag_horizon(self, tmp_path, capsys):
+        # at its own 6000 days this config would exceed the output-cell cap
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"k_mean": 0.041, "replicates": 20000, "n_agents": 1}')
+        out = tmp_path / "out"
+        argv = ["sweep", str(cfg), "--horizon", "30", "--fractions", "0.1"]
+        assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["horizon_days"], config["replicates"]) == (30, 20000)
+
     def test_missing_fractions(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"k_mean": 0.041}')
         rc = main(["sweep", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "fractions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--format", "json"]])
+@pytest.mark.parametrize(
+    "command", [["simulate", "--preset", "paint1-baseline"], ["sweep", "--preset", "paint1-5pct"]]
+)
+def test_removed_flags_are_usage_errors(tmp_path, command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(command + flag + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+class TestCsvIds:
+    """Ids holding a comma, a quote or a newline are quoted in CSV output."""
+
+    IDS = ["a,b", 'say "hi"', "two\nlines", "h1"]
+
+    def test_calibrate(self, tmp_path, capsys):
+        img = tmp_path / "wall.ppm"
+        write_test_image(img)
+        argv = ["calibrate", str(img), "--board-region", "0,0,4,4", "--reference-lab", "16,0,0"]
+        for region_id in self.IDS:
+            argv += ["--heart-region", f"{region_id}:4,0,4,4"]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        written = list(csv.reader(io.StringIO((out / "calibrated.csv").read_bytes().decode())))
+        assert printed == written
+        assert [row[0] for row in written] == ["region_id", *self.IDS]
+        assert {len(row) for row in written} == {4}
+
+        assert main(argv + ["--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["region_id"] for r in records] == self.IDS
+        assert [[f"{r[c]:.4f}" for c in "Lab"] for r in records] == [
+            row[1:] for row in written[1:]
+        ]
+
+    def test_rate(self, tmp_path, capsys):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["heart_id", "date", "L", "a", "b", "source"])
+        for heart in self.IDS:
+            for day, L in (("01", 49.3), ("11", 50.3), ("21", 51.3)):
+                writer.writerow([heart, f"2021-05-{day}", L, 46.3, 20.5, "x"])
+        obs = tmp_path / "obs.csv"
+        obs.write_text(buf.getvalue())
+        win = tmp_path / "win.json"
+        win.write_text(json.dumps({h: {"start_day": 0, "end_day": 30} for h in self.IDS}))
+        argv = ["rate", str(obs), str(win), "--baseline-lab", BASELINE, "--format", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[0] for row in rows] == ["heart_id", *self.IDS]
+        assert {len(row) for row in rows} == {5}
 
 
 def test_only_simulate_and_sweep_default_to_cwd(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,11 @@
 """Property tests of the survey and config parsers and of the CLI on
-arbitrary input bytes.
+arbitrary input bytes and arguments.
 
 Each parser either returns a result or raises its own typed error. Each
 command returns 0 or 2 and never raises; when it returns 2 it prints one
-line to stderr and leaves nothing under --out.
+line to stderr and leaves nothing under --out. Where argparse itself
+rejects an argument (its SystemExit 2 and usage message), that is
+accepted too.
 """
 
 import contextlib
@@ -12,11 +14,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from heartfade.acceptability import FitError, SurveyPoint, load_survey
 from heartfade.cli import main
+from heartfade.ingest import PixelGrid, encode_p6
 from heartfade.simulate import ConfigError, SimConfig
 
 FUZZ = settings(
@@ -219,3 +223,90 @@ def test_acceptability_cli_exits_0_or_2(survey):
 @example(b'{"k_mean": 0.04, "replicates": 100000000000}')
 def test_simulate_cli_exits_0_or_2(config):
     assert_clean_exit(*run_cli("simulate", {"config.json": config}))
+
+
+def assert_clean_exit_or_usage_error(command, inputs, extra):
+    """assert_clean_exit on run_cli, unless argparse itself rejects the
+    arguments (SystemExit 2)."""
+    try:
+        result = run_cli(command, inputs, extra)
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert_clean_exit(*result)
+
+
+NUMBER_TEXT = st.one_of(
+    st.integers(-3, 12).map(str), st.floats().map(repr), st.text(max_size=4)
+)
+
+
+def comma_list(items, min_size, max_size):
+    return st.lists(items, min_size=min_size, max_size=max_size).map(",".join)
+
+
+# regions inside the 8x4 test image, or arbitrary comma-separated text
+REGION_TEXT = st.one_of(
+    st.tuples(
+        st.integers(0, 4), st.integers(0, 2), st.integers(1, 4), st.integers(1, 2)
+    ).map(lambda r: ",".join(map(str, r))),
+    comma_list(NUMBER_TEXT, 3, 5),
+)
+LAB_TEXT = st.one_of(
+    st.tuples(*[st.floats(-100, 100)] * 3).map(lambda c: ",".join(map(repr, c))),
+    comma_list(NUMBER_TEXT, 2, 4),
+)
+# ids that need quoting in CSV; a ":" ends the id, so the rest is coordinates
+REGION_ID = st.text(st.sampled_from(list('ab ,:"\n')), max_size=5)
+CALIBRATE_IMAGE = encode_p6(PixelGrid(8, 4, np.full((4, 8, 3), 90, dtype=np.uint8)))
+
+
+@FUZZ
+@given(
+    REGION_TEXT,
+    LAB_TEXT,
+    st.lists(st.tuples(REGION_ID, REGION_TEXT), min_size=1, max_size=3),
+)
+@example("0,0,4,4", "16,0,0", [('a,"b"\n', "4,0,4,4"), ("", "0,0,8,4")])
+def test_calibrate_cli_exits_0_or_2(board, reference, hearts):
+    extra = [f"--board-region={board}", f"--reference-lab={reference}"]
+    extra += [f"--heart-region={region_id}:{coords}" for region_id, coords in hearts]
+    assert_clean_exit_or_usage_error("calibrate", {"wall.ppm": CALIBRATE_IMAGE}, extra)
+
+
+FRACTION_TEXT = comma_list(
+    st.one_of(
+        st.floats(0, 1).map(repr),
+        st.sampled_from(["0", "1", " 0.5"]),
+        st.floats().map(repr),
+        st.text(max_size=3),
+    ),
+    0,
+    2,
+)
+
+
+@settings(FUZZ, max_examples=30)
+@given(FRACTION_TEXT, st.integers(-2, 30))
+@example("0.5", 14)
+@example("0.1", 10**12)  # recorded days past the output cap
+def test_sweep_preset_cli_exits_0_or_2(fractions, horizon):
+    extra = ["--preset=paint1-5pct", f"--fractions={fractions}", f"--horizon={horizon}"]
+    assert_clean_exit_or_usage_error("sweep", {}, extra)
+
+
+@FUZZ
+@given(
+    st.one_of(
+        st.just(json.dumps(SMALL_CONFIG).encode()),
+        st.binary(max_size=60),
+        mutated(json.dumps(SMALL_CONFIG)),
+    ),
+    FRACTION_TEXT,
+    st.integers(-2, 400).map(str),
+)
+@example(json.dumps(SMALL_CONFIG).encode(), "0.25", "10**12")  # not an integer
+@example(json.dumps(SMALL_CONFIG).encode(), "0.25", str(10**12))
+def test_sweep_config_cli_exits_0_or_2(config, fractions, horizon):
+    extra = [f"--fractions={fractions}", f"--horizon={horizon}"]
+    assert_clean_exit_or_usage_error("sweep", {"config.json": config}, extra)

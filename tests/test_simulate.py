@@ -7,7 +7,7 @@ from heartfade.simulate import (
     Population,
     SimConfig,
     Strategy,
-    _run_replicate,
+    _simulate_block,
     _stream,
     derive_stream_seed,
     advance_day,
@@ -93,6 +93,15 @@ class TestConfig:
     def test_json_unknown_strategy(self):
         with pytest.raises(ConfigError, match="strategy"):
             SimConfig.from_json('{"k_mean": 0.04, "strategy": "psychic"}')
+
+    def test_json_fields_replace_before_validation(self):
+        text = '{"k_mean": 0.041, "replicates": 20000, "master_seed": 1}'
+        with pytest.raises(ConfigError, match="replicates x recorded days"):
+            SimConfig.from_json(text)  # at the default 6000 days
+        cfg = SimConfig.from_json(text, horizon_days=30, master_seed=7)
+        assert (cfg.horizon_days, cfg.master_seed, cfg.replicates) == (30, 7, 20000)
+        with pytest.raises(ConfigError, match="horizon_days"):
+            SimConfig.from_json(text, horizon_days=0)
 
 
 class TestInitPopulation:
@@ -205,12 +214,6 @@ class TestRunSimulation:
         assert np.array_equal(a.frac_by_rep, b.frac_by_rep)
         assert np.array_equal(a.cum_repaints_by_rep, b.cum_repaints_by_rep)
 
-    def test_parallel_matches_serial(self):
-        cfg = small_cfg(strategy=Strategy.THRESHOLD_C, repaint_fraction_weekly=0.1)
-        serial = run_simulation(cfg, workers=1)
-        parallel = run_simulation(cfg, workers=4)
-        assert np.array_equal(serial.frac_by_rep, parallel.frac_by_rep)
-
     def test_baseline_fraction_non_decreasing(self):
         cfg = small_cfg(horizon_days=400)
         res = run_simulation(cfg)
@@ -247,6 +250,28 @@ class TestRunSimulation:
         assert np.all(res.lo_frac <= res.hi_frac)
         # slow-k bound lags the fast-k bound somewhere mid-trajectory
         assert np.any(res.lo_frac < res.hi_frac)
+
+    def test_recorded_days_are_weekly_plus_horizon(self):
+        for horizon in range(1, 60):
+            days = list(range(0, horizon + 1, 7))
+            days += [horizon] if days[-1] != horizon else []
+            assert simulate._recorded_days(horizon).tolist() == days
+            assert simulate._recorded_day_count(horizon) == len(days)
+
+    def test_blocks_hold_at_most_block_rows(self, monkeypatch):
+        # one agent per replicate: the cell budget alone would put all
+        # 5,000 rows, and their Generators, in one block
+        rows = []
+        simulate_block = simulate._simulate_block
+
+        def counting(cfg, streams, k_override=None):
+            rows.append(len(streams))
+            return simulate_block(cfg, streams, k_override)
+
+        monkeypatch.setattr(simulate, "_simulate_block", counting)
+        run_simulation(SimConfig(k_mean=0.04, n_agents=1, horizon_days=7, replicates=5000))
+        assert max(rows) <= simulate._BLOCK_ROWS
+        assert sum(rows) == 5000
 
     def test_recorded_days_include_horizon(self):
         res = run_simulation(small_cfg(horizon_days=100))
@@ -343,8 +368,8 @@ class TestSeedDerivation:
 
     def test_replicate_order_independence(self):
         cfg = small_cfg(strategy=Strategy.RANDOM_A, repaint_fraction_weekly=0.1)
-        forward = [_run_replicate(cfg, i)[0] for i in range(cfg.replicates)]
-        backward = [_run_replicate(cfg, i)[0] for i in reversed(range(cfg.replicates))]
+        forward = [_simulate_block(cfg, [i])[0] for i in range(cfg.replicates)]
+        backward = [_simulate_block(cfg, [i])[0] for i in reversed(range(cfg.replicates))]
         for f, b in zip(forward, reversed(backward)):
             assert np.array_equal(f, b)
 
