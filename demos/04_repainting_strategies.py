@@ -38,7 +38,9 @@ for strategy in (Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C):
 # --- decision sweep: which weekly fraction is enough? -------------------
 print("\nsweep over weekly fractions (3-year horizon, greedy strategy column):")
 rows = sweep_fractions(
-    replace(paint1_config(), replicates=20), [0.0, 0.01, 0.05, 0.1, 0.2]
+    replace(paint1_config(), replicates=20),
+    [0.0, 0.01, 0.05, 0.1, 0.2],
+    horizon_days=1095,
 )
 print("  fraction  strategy      needing-repaint  total-repaints")
 for row in rows:

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import os
 import shutil
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .acceptability import (
@@ -35,12 +36,12 @@ from .ingest import (
     PpmError,
     Region,
     RegionError,
-    build_series,
-    load_observations,
+    load_observation_columns,
     mean_lab_of_region,
     parse_ppm,
+    series_columns,
 )
-from .rates import InsufficientDataError, Window, aggregate_rates, estimate_heart_rate
+from .rates import Window, aggregate_rates, estimate_rates
 from .simulate import (
     ConfigError,
     SimConfig,
@@ -155,10 +156,16 @@ def _parse_region(text: str) -> Region:
 
 
 def _csv_text(rows) -> str:
-    """`rows` as CSV lines ending in \\n, fields quoted where they need it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """`rows` as CSV lines ending in \\n, fields quoted where they need it.
+
+    Each row is written with the terminator \\r\\n, then cut to \\n: csv
+    quotes a field holding one of the terminator's characters, and on
+    Python 3.11 not one holding a bare \\r otherwise, which csv.reader then
+    cannot read back.
+    """
+    # writerow returns what the file's write returns, here the row's text
+    write_row = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+    return "".join(write_row(row)[:-2] + "\n" for row in rows)
 
 
 def _manifest(
@@ -230,7 +237,7 @@ def cmd_rate(args) -> int:
     windows_bytes = _read_bytes(args.windows)
     baseline = _parse_lab(args.baseline_lab)
     try:
-        observations = load_observations(obs_bytes)
+        cols = load_observation_columns(obs_bytes)
     except ObservationError as exc:
         raise CliError(f"{args.observations}: {exc}") from None
     try:
@@ -247,19 +254,10 @@ def cmd_rate(args) -> int:
         raise CliError(f"{args.windows}: invalid windows document: {exc}") from None
 
     try:
-        series = build_series(observations, baseline)
+        heart, day, delta_e = series_columns(cols, baseline)
     except ObservationError as exc:
         raise CliError(f"{args.observations}: {exc}") from None
-    fits = {}
-    excluded = []
-    for s in series:
-        if s.heart_id not in windows:
-            excluded.append({"heart_id": s.heart_id, "reason": "no window supplied"})
-            continue
-        try:
-            fits[s.heart_id] = estimate_heart_rate(s, windows[s.heart_id])
-        except InsufficientDataError as exc:
-            excluded.append({"heart_id": s.heart_id, "reason": str(exc)})
+    fits, excluded = estimate_rates(cols.heart_ids, heart, day, delta_e, windows)
     if not fits:
         raise CliError("no fittable hearts")
 
@@ -277,10 +275,11 @@ def cmd_rate(args) -> int:
         "aggregate": {
             "mean_k_delta_e_per_day": agg.mean_k,
             "sd_k_delta_e_per_day": agg.sd_k,
-            "rel_err": agg.rel_err,
+            # undefined (NaN) where mean_k <= 0: null, as JSON has no NaN
+            "rel_err": agg.rel_err if math.isfinite(agg.rel_err) else None,
             "n_hearts": agg.n_hearts,
         },
-        "excluded": excluded,
+        "excluded": [{"heart_id": h, "reason": r} for h, r in excluded.items()],
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.format == "csv":
@@ -394,7 +393,7 @@ def cmd_sweep(args) -> int:
         fractions = SWEEP_PRESET_FRACTIONS.get(args.preset)
     if not fractions:
         raise CliError("no sweep fractions given (use --fractions)")
-    rows = sweep_fractions(cfg, fractions, horizon_days=cfg.horizon_days)
+    rows = sweep_fractions(cfg, fractions)
 
     lines = ["repaint_fraction_weekly,strategy,frac_needing_repaint,total_repaints"]
     for row in rows:

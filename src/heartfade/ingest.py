@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .color import LabColor, LabOffset, SrgbColor, delta_e, srgb_array_to_lab
+from .color import LabColor, LabOffset, SrgbColor, srgb_array_to_lab
 
 __all__ = [
     "PixelGrid",
     "Region",
     "Observation",
+    "ObservationColumns",
     "HeartSeries",
     "PpmError",
     "ObservationError",
@@ -32,10 +33,16 @@ __all__ = [
     "encode_p6",
     "mean_lab_of_region",
     "load_observations",
+    "load_observation_columns",
+    "series_columns",
     "build_series",
 ]
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_ASCII_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# numpy reads year 0000, which datetime.date rejects
+_FIRST_DATE = np.datetime64("0001-01-01", "D")
+_EPOCH = datetime.date(1970, 1, 1)
 # a PPM token: a comment runs from # to the end of its line, anything else
 # to the next whitespace
 _PPM_TOKEN = re.compile(rb"#[^\n]*|\S+")
@@ -105,6 +112,19 @@ class Observation:
     date: datetime.date
     lab: LabColor
     source: str = ""
+
+
+@dataclass(frozen=True)
+class ObservationColumns:
+    """The observation table as arrays, one entry per data row in file order:
+    heart[i] indexes heart_ids (each heart once, in order of first
+    occurrence), day[i] is the date in days since 1970-01-01 (int64) and
+    lab[i] the (L, a, b) reading (float64, shape (n, 3)). No source."""
+
+    heart_ids: list[str]
+    heart: np.ndarray = field(repr=False)
+    day: np.ndarray = field(repr=False)
+    lab: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -314,37 +334,101 @@ def load_observations(csv_bytes: bytes | str) -> list[Observation]:
     return observations
 
 
+def load_observation_columns(csv_bytes: bytes | str) -> ObservationColumns:
+    """Parse the observation table into columns in one streaming pass.
+
+    load_observations stays the authority. This pass keeps a table only
+    when every row is plainly valid: long enough, an ASCII YYYY-MM-DD date
+    from 0001 on that numpy reads, LAB values float() reads as finite. On
+    anything else (a short row, a padded or impossible date, a bad value,
+    non-UTF-8 bytes, text csv cannot split, a missing column) the table is
+    walked by load_observations, which raises its row-numbered
+    ObservationError or returns rows, turned into columns. Either way,
+    hearts are indexed in order of first occurrence.
+    """
+    try:
+        text = csv_bytes.decode("utf-8") if isinstance(csv_bytes, bytes) else csv_bytes
+        reader = csv.reader(io.StringIO(text))
+        column = {name: j for j, name in enumerate(next(reader, []))}
+        required = [column[c] for c in ("heart_id", "date", "L", "a", "b", "source")]
+        pick = operator.itemgetter(*required[:5])  # IndexError on a short row
+        codes: dict[str, int] = {}
+        heart, dates, L, a, b = [], [], [], [], []
+        for h, d, l_, a_, b_ in map(pick, filter(None, reader)):  # no blank lines
+            heart.append(codes.setdefault(h, len(codes)))
+            dates.append(d)
+            L.append(float(l_))
+            a.append(float(a_))
+            b.append(float(b_))
+        if all(map(_ASCII_DATE.fullmatch, dates)):
+            day = np.array(dates, dtype="datetime64[D]")  # ValueError if impossible
+            lab = np.array([L, a, b], np.float64).T
+            if not (day < _FIRST_DATE).any() and np.isfinite(lab).all():
+                heart, day = np.array(heart, np.int64), day.astype(np.int64)
+                return ObservationColumns(list(codes), heart, day, lab)
+    except (KeyError, IndexError, ValueError, csv.Error):
+        pass
+    return _observation_columns(load_observations(csv_bytes))
+
+
+def _observation_columns(obs: list[Observation]) -> ObservationColumns:
+    codes: dict[str, int] = {}
+    heart = [codes.setdefault(o.heart_id, len(codes)) for o in obs]
+    return ObservationColumns(
+        list(codes),
+        np.array(heart, np.int64),
+        np.array([o.date for o in obs], dtype="datetime64[D]").astype(np.int64),
+        np.array([(o.lab.L, o.lab.a, o.lab.b) for o in obs]).reshape(-1, 3),
+    )
+
+
+def series_columns(
+    cols: ObservationColumns, baseline: LabColor
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every heart's delta-E-vs-day series as flat arrays (heart, day, delta_e).
+
+    Same-date readings of one heart are averaged in LAB (float64 sums
+    accumulated in row order, as Python's sum adds them) before the delta
+    E is taken. Points run by heart, in order of first occurrence, then by
+    date; day counts from the heart's earliest reading. A mean whose sum
+    overflowed raises ObservationError, for the first such heart and its
+    earliest such date.
+    """
+    # one key per (heart, date), sorted by heart, then date; `initial`
+    # serves an empty table, and any first <= min(day) keys alike
+    first = cols.day.min(initial=0)
+    span = cols.day.max(initial=0) - first + 1
+    keys, group = np.unique(cols.heart * span + (cols.day - first), return_inverse=True)
+    sums = np.stack([np.bincount(group, cols.lab[:, j]) for j in range(3)], axis=1)
+    mean = sums / np.bincount(group)[:, None]
+    heart, day = np.divmod(keys, span)
+    bad = np.flatnonzero(~np.isfinite(mean).all(axis=1))
+    if len(bad):
+        date = _EPOCH + datetime.timedelta(days=int(day[bad[0]] + first))
+        raise ObservationError(
+            f"heart {cols.heart_ids[heart[bad[0]]]}: mean LAB on {date} is not finite"
+        )
+    with np.errstate(over="ignore"):  # a square too large for a float is inf
+        d = mean - (baseline.L, baseline.a, baseline.b)
+        delta = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2)
+    # day minus the day of the heart's first point
+    return heart, day - day[np.searchsorted(heart, heart)], delta
+
+
 def build_series(
     obs: list[Observation], baseline: LabColor
 ) -> list[HeartSeries]:
     """Group observations by heart and derive delta-E-vs-day series.
 
     Same-date observations of one heart are averaged in LAB before the
-    delta E is taken. Hearts appear in order of first occurrence.
+    delta E is taken (see series_columns). Hearts appear in order of first
+    occurrence.
     """
-    by_heart: dict[str, list[Observation]] = {}
-    for o in obs:
-        by_heart.setdefault(o.heart_id, []).append(o)
-
-    series = []
-    for heart_id, readings in by_heart.items():
-        by_date: dict[datetime.date, list[LabColor]] = {}
-        for o in readings:
-            by_date.setdefault(o.date, []).append(o.lab)
-        first = min(by_date)
-        points = []
-        for date in sorted(by_date):
-            labs = by_date[date]
-            try:
-                mean = LabColor(
-                    sum(c.L for c in labs) / len(labs),
-                    sum(c.a for c in labs) / len(labs),
-                    sum(c.b for c in labs) / len(labs),
-                )
-            except ValueError:  # a sum overflowed to infinity
-                raise ObservationError(
-                    f"heart {heart_id}: mean LAB on {date} is not finite"
-                ) from None
-            points.append(((date - first).days, delta_e(mean, baseline)))
-        series.append(HeartSeries(heart_id, baseline, tuple(points)))
-    return series
+    cols = _observation_columns(obs)
+    heart, day, delta = series_columns(cols, baseline)
+    cuts = np.flatnonzero(np.diff(heart)) + 1
+    days, deltas = np.split(day, cuts), np.split(delta, cuts)
+    return [
+        HeartSeries(heart_id, baseline, tuple(zip(d.tolist(), e.tolist())))
+        for heart_id, d, e in zip(cols.heart_ids, days, deltas)
+    ]

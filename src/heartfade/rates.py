@@ -2,11 +2,13 @@
 
 Each heart's delta-E-vs-day series is fitted with ordinary least squares
 over a user-selected window; per-heart slopes are then pooled into a
-population mean rate with its sample standard deviation.
+population mean rate with its sample standard deviation. Every fit, of one
+line or of all hearts at once, goes through one closed-form kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "InsufficientDataError",
     "fit_line",
     "estimate_heart_rate",
+    "estimate_rates",
     "aggregate_rates",
 ]
 
@@ -56,31 +59,53 @@ class AggregateRate:
     n_hearts: int
 
 
-def fit_line(points: list[tuple[float, float]]) -> LineFit:
-    """Ordinary least squares of y on t.
+_NOT_FINITE = "fit is not finite: values too large"
 
-    r2 = 1 - SS_res/SS_tot, defined as 1 for an exact fit to constant data.
+
+def _ols(group: np.ndarray, t: np.ndarray, y: np.ndarray, n_groups: int):
+    """Closed-form least squares of y on t within each group: the lists
+    (n, slope, intercept, r2), one entry per group.
+
+    Sums are centred on each group's means and accumulated in float64, in
+    point order (np.bincount). r2 = 1 - SS_res/SS_tot, defined as 1 for an
+    exact fit to constant data. Fewer than 2 points, a single t or values
+    too large give values that are not finite.
     """
+
+    def total(w):
+        return np.bincount(group, w, minlength=n_groups)
+
+    with np.errstate(all="ignore"):
+        n = np.bincount(group, minlength=n_groups)
+        t_mean, y_mean = total(t) / n, total(y) / n
+        tc, yc = t - t_mean[group], y - y_mean[group]
+        slope = total(tc * yc) / total(tc * tc)
+        intercept = y_mean - slope * t_mean
+        residuals = y - (slope[group] * t + intercept[group])
+        ss_res, ss_tot = total(residuals * residuals), total(yc * yc)
+        r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
+    return [a.tolist() for a in (n, slope, intercept, r2)]
+
+
+def fit_line(points: list[tuple[float, float]]) -> LineFit:
+    """Ordinary least squares of y on t: `_ols` over one group."""
     if len(points) < 2:
         raise InsufficientDataError(f"need >= 2 points, got {len(points)}")
     t = np.array([p[0] for p in points], dtype=np.float64)
     y = np.array([p[1] for p in points], dtype=np.float64)
     if np.all(t == t[0]):
         raise InsufficientDataError("all t values identical")
+    n, *fit = (v[0] for v in _ols(np.zeros(len(t), np.intp), t, y, 1))
+    if not all(map(math.isfinite, fit)):
+        raise InsufficientDataError(_NOT_FINITE)
+    return LineFit(*fit, n)
 
-    slope, intercept = np.polyfit(t, y, 1)
-    # values too large give inf or NaN here; the finiteness check rejects them
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = y - (slope * t + intercept)
-        ss_res = float(residuals @ residuals)
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    if not np.isfinite([slope, intercept, r2]).all():
-        raise InsufficientDataError("fit is not finite: values too large")
-    return LineFit(float(slope), float(intercept), r2, len(points))
+
+def _window_error(heart_id: str, n: int, window: Window) -> str:
+    return (
+        f"heart {heart_id}: {n} usable point(s) in "
+        f"window [{window.start_day}, {window.end_day}]"
+    )
 
 
 def estimate_heart_rate(series: HeartSeries, window: Window) -> LineFit:
@@ -92,11 +117,48 @@ def estimate_heart_rate(series: HeartSeries, window: Window) -> LineFit:
     ]
     days = {p[0] for p in points}
     if len(points) < 2 or len(days) < 2:
-        raise InsufficientDataError(
-            f"heart {series.heart_id}: {len(points)} usable point(s) in "
-            f"window [{window.start_day}, {window.end_day}]"
-        )
+        raise InsufficientDataError(_window_error(series.heart_id, len(points), window))
     return fit_line(points)
+
+
+def estimate_rates(
+    heart_ids: list[str],
+    heart: np.ndarray,
+    day: np.ndarray,
+    delta_e: np.ndarray,
+    windows: dict[str, Window],
+) -> tuple[dict[str, LineFit], dict[str, str]]:
+    """Fit every heart over its window in one pass of `_ols`.
+
+    Takes the flat series of ingest.series_columns (point i belongs to
+    heart_ids[heart[i]]; a heart's days are distinct). Returns the fits and
+    the reasons hearts were excluded, each keyed by heart id in the order
+    of heart_ids: first occurrence.
+    """
+    # days lie in [0, end): a bound clipped to [-1, end] compares alike and
+    # fits int64; a heart without a window gets [1, 0], which holds no day
+    end = int(day.max(initial=0)) + 1
+    bounds = [(1, 0)] * len(heart_ids)
+    for i, heart_id in enumerate(heart_ids):
+        if heart_id in windows:
+            w = windows[heart_id]
+            bounds[i] = tuple(min(max(b, -1), end) for b in (w.start_day, w.end_day))
+    lo, hi = np.array(bounds, np.int64).reshape(-1, 2).T
+    keep = (lo[heart] <= day) & (day <= hi[heart])
+    n_hearts = len(heart_ids)
+    fits, excluded = {}, {}
+    for heart_id, n, *fit in zip(
+        heart_ids, *_ols(heart[keep], day[keep].astype(float), delta_e[keep], n_hearts)
+    ):
+        if heart_id not in windows:
+            excluded[heart_id] = "no window supplied"
+        elif n < 2:
+            excluded[heart_id] = _window_error(heart_id, n, windows[heart_id])
+        elif not all(map(math.isfinite, fit)):
+            excluded[heart_id] = _NOT_FINITE
+        else:
+            fits[heart_id] = LineFit(*fit, n)
+    return fits, excluded
 
 
 def aggregate_rates(fits: list[LineFit]) -> AggregateRate:

@@ -516,10 +516,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
 
 def sweep_fractions(
-    cfg_base: SimConfig, fractions: list[float], horizon_days: int = 1095
+    cfg_base: SimConfig, fractions: list[float], horizon_days: int | None = None
 ) -> list[SweepRow]:
     """Decision sweep: each repaint fraction crossed with the three active
-    strategies, summarised at the horizon (default 3 years)."""
+    strategies, summarised at the horizon: `horizon_days`, or the config's
+    own `horizon_days` when it is None."""
+    if horizon_days is None:
+        horizon_days = cfg_base.horizon_days
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ConfigError(f"sweep fraction {f} outside [0, 1]")

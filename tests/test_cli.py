@@ -184,6 +184,29 @@ class TestRate:
         doc = self.run_bundled(capsys)
         assert [e["heart_id"] for e in doc["excluded"]] == ["heart_8"]
 
+    def test_rel_err_null_when_mean_rate_not_positive(self, tmp_path, capsys):
+        # the heart moves toward the baseline: slope and mean_k below 0
+        obs = tmp_path / "obs.csv"
+        obs.write_text(
+            "heart_id,date,L,a,b,source\n"
+            "h1,2021-05-01,59.3,46.3,20.5,x\n"
+            "h1,2021-05-11,54.3,46.3,20.5,x\n"
+        )
+        win = tmp_path / "win.json"
+        win.write_text('{"h1": {"start_day": 0, "end_day": 10}}')
+        out = tmp_path / "out"
+        argv = ["rate", str(obs), str(win), "--baseline-lab", BASELINE, "--out", str(out)]
+        assert main(argv) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        printed = json.loads(capsys.readouterr().out, parse_constant=reject)
+        written = json.loads((out / "rates.json").read_text(), parse_constant=reject)
+        assert printed == written
+        assert written["aggregate"]["mean_k_delta_e_per_day"] == pytest.approx(-0.5)
+        assert written["aggregate"]["rel_err"] is None
+
     def test_no_fittable_hearts(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
         obs.write_text(
@@ -395,9 +418,10 @@ def test_removed_flags_are_usage_errors(tmp_path, command, flag):
 
 
 class TestCsvIds:
-    """Ids holding a comma, a quote or a newline are quoted in CSV output."""
+    """Ids holding a comma, a quote, a newline or a bare carriage return are
+    quoted in CSV output."""
 
-    IDS = ["a,b", 'say "hi"', "two\nlines", "h1"]
+    IDS = ["a,b", 'say "hi"', "two\nlines", "a\rb", "h1"]
 
     def test_calibrate(self, tmp_path, capsys):
         img = tmp_path / "wall.ppm"
@@ -422,7 +446,9 @@ class TestCsvIds:
 
     def test_rate(self, tmp_path, capsys):
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        # quoted, so that the input holds "a\rb" readably whatever the
+        # writer's own rule for a bare \r
+        writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["heart_id", "date", "L", "a", "b", "source"])
         for heart in self.IDS:
             for day, L in (("01", 49.3), ("11", 50.3), ("21", 51.3)):

@@ -15,6 +15,7 @@ both within Monte Carlo error: `0.01,threshold_c` (fraction 0.646200 ->
 """
 
 import hashlib
+from importlib import resources
 
 import pytest
 
@@ -44,3 +45,33 @@ def test_preset_outputs_match_golden_digests(tmp_path, command, preset):
         for name in GOLDEN[(command, preset)]
     }
     assert digests == GOLDEN[(command, preset)]
+
+
+# rates.json of `rate` on the bundled table and windows
+RATE_GOLDEN = "21c2a6b41c74b1e6c26ecb3e284aa018d68264ba93c92bd0b6ca4cf001b0d5a7"
+
+
+def test_rate_output_matches_golden_digest(tmp_path):
+    """`rate` on the bundled synthetic data, pinned when the fits moved to
+    one closed-form least-squares pass over all hearts.
+
+    That change moved the last digits of the printed slopes, intercepts and
+    r2 against the former per-heart `np.polyfit` (slopes by at most 2.1e-17
+    here). The digest keeps any later drift, of parsing, grouping or
+    fitting, deliberate.
+    """
+    data = resources.files("heartfade").joinpath("data")
+    argv = [
+        "rate",
+        str(data / "synthetic_observations.csv"),
+        str(data / "synthetic_windows.json"),
+        "--baseline-lab",
+        "49.3,46.3,20.5",
+        "--seed",
+        "42",
+        "--out",
+        str(tmp_path),
+    ]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "rates.json").read_bytes()).hexdigest()
+    assert digest == RATE_GOLDEN

@@ -357,6 +357,19 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_fractions(small_cfg(), [1.2])
 
+    def test_horizon_defaults_to_the_config(self, monkeypatch):
+        horizons = []
+        original = simulate.run_simulation
+
+        def recording(cfg):
+            horizons.append(cfg.horizon_days)
+            return original(cfg)
+
+        monkeypatch.setattr(simulate, "run_simulation", recording)
+        cfg = SimConfig(k_mean=0.041, n_agents=5, replicates=2, horizon_days=100)
+        assert len(sweep_fractions(cfg, [0.1])) == 3
+        assert horizons == [100, 100, 100]
+
 
 class TestSeedDerivation:
     def test_distinct_streams(self):
