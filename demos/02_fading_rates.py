@@ -15,34 +15,33 @@ from heartfade import (
     Window,
     aggregate_rates,
     build_series,
-    estimate_heart_rate,
     load_observations,
 )
-from heartfade.rates import InsufficientDataError
+from heartfade.rates import estimate_rates
 
 data = resources.files("heartfade") / "data"
 observations = load_observations((data / "synthetic_observations.csv").read_bytes())
 windows_doc = json.loads((data / "synthetic_windows.json").read_bytes())
 baseline = LabColor(49.3, 46.3, 20.5)  # fresh paint
 
-series = build_series(observations, baseline)
-print(f"{len(observations)} observations -> {len(series)} heart series\n")
+# flat arrays: point i is day[i], delta_e[i] of heart_ids[heart[i]]
+heart, day, delta_e = build_series(observations, baseline)
+n_hearts = len(observations.heart_ids)
+print(f"{len(observations)} observations -> {n_hearts} heart series\n")
 
-fits = []
-for s in series:
-    w = windows_doc[s.heart_id]
-    try:
-        fit = estimate_heart_rate(s, Window(w["start_day"], w["end_day"]))
-    except InsufficientDataError as exc:
-        print(f"{s.heart_id}: excluded ({exc})")
+windows = {h: Window(w["start_day"], w["end_day"]) for h, w in windows_doc.items()}
+fits, excluded = estimate_rates(observations.heart_ids, heart, day, delta_e, windows)
+for heart_id in observations.heart_ids:
+    if heart_id in excluded:
+        print(f"{heart_id}: excluded ({excluded[heart_id]})")
         continue
-    fits.append(fit)
+    fit = fits[heart_id]
     print(
-        f"{s.heart_id}: slope {fit.slope:.4f} dE/day over {fit.n} points "
+        f"{heart_id}: slope {fit.slope:.4f} dE/day over {fit.n} points "
         f"(r2={fit.r2:.3f})"
     )
 
-agg = aggregate_rates(fits)
+agg = aggregate_rates(list(fits.values()))
 print(
     f"\npopulation rate: {agg.mean_k:.4f} +/- {agg.sd_k:.4f} dE/day "
     f"({agg.rel_err:.1%} relative) from {agg.n_hearts} hearts"

@@ -21,8 +21,6 @@ from .color import (
     srgb_to_lab,
 )
 from .ingest import (
-    HeartSeries,
-    Observation,
     PixelGrid,
     Region,
     build_series,

@@ -36,10 +36,10 @@ from .ingest import (
     PpmError,
     Region,
     RegionError,
-    load_observation_columns,
+    build_series,
+    load_observations,
     mean_lab_of_region,
     parse_ppm,
-    series_columns,
 )
 from .rates import Window, aggregate_rates, estimate_rates
 from .simulate import (
@@ -232,29 +232,34 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _window(heart: str, w: dict) -> Window:
+    """A windows-document entry; its days must be JSON integers, not bools."""
+    for name in ("start_day", "end_day"):
+        if type(w[name]) is not int:
+            got = json.dumps(w[name])
+            raise TypeError(f"heart {heart}: {name} must be an integer, got {got}")
+    return Window(w["start_day"], w["end_day"])
+
+
 def cmd_rate(args) -> int:
     obs_bytes = _read_bytes(args.observations)
     windows_bytes = _read_bytes(args.windows)
     baseline = _parse_lab(args.baseline_lab)
     try:
-        cols = load_observation_columns(obs_bytes)
+        cols = load_observations(obs_bytes)
     except ObservationError as exc:
         raise CliError(f"{args.observations}: {exc}") from None
     try:
         windows_doc = json.loads(windows_bytes)
         if not isinstance(windows_doc, dict):
             raise TypeError("expected an object of heart_id: window")
-        windows = {
-            heart: Window(int(w["start_day"]), int(w["end_day"]))
-            for heart, w in windows_doc.items()
-        }
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError;
-        # OverflowError is int() of an infinite day such as 1e400
+        windows = {heart: _window(heart, w) for heart, w in windows_doc.items()}
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise CliError(f"{args.windows}: invalid windows document: {exc}") from None
 
     try:
-        heart, day, delta_e = series_columns(cols, baseline)
+        heart, day, delta_e = build_series(cols, baseline)
     except ObservationError as exc:
         raise CliError(f"{args.observations}: {exc}") from None
     fits, excluded = estimate_rates(cols.heart_ids, heart, day, delta_e, windows)

@@ -84,9 +84,6 @@ class LabOffset:
         if not all(math.isfinite(v) for v in (self.dL, self.da, self.db)):
             raise ValueError(f"non-finite offset components: {self}")
 
-    def __add__(self, other: "LabOffset") -> "LabOffset":
-        return LabOffset(self.dL + other.dL, self.da + other.da, self.db + other.db)
-
 
 def srgb_array_to_lab(rgb: np.ndarray) -> np.ndarray:
     """Vectorised sRGB (0..255, shape (..., 3)) to CIELAB (shape (..., 3))."""

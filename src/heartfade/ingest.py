@@ -1,12 +1,14 @@
 """Image and observation ingestion.
 
 Decodes PPM photographs (P3/P6, maxval 255), samples region-mean colours,
-parses observation CSV tables, and builds per-heart delta-E time series
-against a fresh-paint baseline.
+parses the observation table into columns in one pass (rows are searched
+one by one only to report the first bad row), and builds every heart's
+delta-E series against a fresh-paint baseline.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import io
@@ -14,6 +16,7 @@ import operator
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -22,9 +25,7 @@ from .color import LabColor, LabOffset, SrgbColor, srgb_array_to_lab
 __all__ = [
     "PixelGrid",
     "Region",
-    "Observation",
     "ObservationColumns",
-    "HeartSeries",
     "PpmError",
     "ObservationError",
     "RegionError",
@@ -33,8 +34,6 @@ __all__ = [
     "encode_p6",
     "mean_lab_of_region",
     "load_observations",
-    "load_observation_columns",
-    "series_columns",
     "build_series",
 ]
 
@@ -43,6 +42,8 @@ _ASCII_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # numpy reads year 0000, which datetime.date rejects
 _FIRST_DATE = np.datetime64("0001-01-01", "D")
 _EPOCH = datetime.date(1970, 1, 1)
+# the columns a row must reach; source is required in the header, not read
+_READ = ("heart_id", "date", "L", "a", "b")
 # a PPM token: a comment runs from # to the end of its line, anything else
 # to the next whitespace
 _PPM_TOKEN = re.compile(rb"#[^\n]*|\S+")
@@ -104,40 +105,19 @@ class Region:
     h: int
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
-    """One dated, already-calibrated colour reading of one heart."""
-
-    heart_id: str
-    date: datetime.date
-    lab: LabColor
-    source: str = ""
-
-
 @dataclass(frozen=True)
 class ObservationColumns:
     """The observation table as arrays, one entry per data row in file order:
-    heart[i] indexes heart_ids (each heart once, in order of first
-    occurrence), day[i] is the date in days since 1970-01-01 (int64) and
-    lab[i] the (L, a, b) reading (float64, shape (n, 3)). No source."""
+    heart[i] indexes heart_ids (in order of first occurrence), day[i] is days
+    since 1970-01-01 (int64), lab[i] the (L, a, b) reading (float64, (n, 3))."""
 
     heart_ids: list[str]
     heart: np.ndarray = field(repr=False)
     day: np.ndarray = field(repr=False)
     lab: np.ndarray = field(repr=False)
 
-
-@dataclass(frozen=True)
-class HeartSeries:
-    """Delta-E trajectory of one heart relative to the fresh-paint baseline.
-
-    points are (day_index, delta_e) pairs, day_index counted from the
-    heart's earliest observation, strictly increasing.
-    """
-
-    heart_id: str
-    baseline: LabColor
-    points: tuple[tuple[int, float], ...]
+    def __len__(self) -> int:  # the number of data rows
+        return len(self.day)
 
 
 def _ppm_tokens(data: bytes, pos: int = 0) -> Iterator[re.Match]:
@@ -268,23 +248,21 @@ def mean_lab_of_region(grid: PixelGrid, region: Region, offset: LabOffset) -> La
     return LabColor(float(mean[0]), float(mean[1]), float(mean[2]))
 
 
-def _csv_rows(text: str):
-    """The rows of csv.reader over `text`, its csv.Error raised as
-    ObservationError."""
-    try:
-        yield from csv.reader(io.StringIO(text))
-    except csv.Error as exc:
-        raise ObservationError(str(exc)) from None
+def load_observations(csv_bytes: bytes | str) -> ObservationColumns:
+    """Parse the observation table into columns in one streaming pass.
 
+    Header (the first line): heart_id,date,L,a,b,source; source is not
+    read. Dates are YYYY-MM-DD (a month without a day is rejected, not
+    guessed at), LAB values what float() reads as finite. Blank lines are
+    neither rows nor counted. Hearts are indexed by first occurrence.
 
-def load_observations(csv_bytes: bytes | str) -> list[Observation]:
-    """Parse the observation table.
-
-    Expected header: heart_id,date,L,a,b,source with ISO dates
-    (YYYY-MM-DD). Imprecisely dated rows (e.g. a month without a day) are
-    rejected rather than guessed at. Raises ObservationError, also where
-    the csv module cannot split the text (a bare carriage return in an
-    unquoted field, a field over its size limit), with csv's message.
+    The stream stops at a row too short for a column that is read, at LAB
+    values that are not finite numbers, or where csv cannot split the text.
+    Dates are checked in bulk (ASCII, read by numpy, year 0001 on); only if
+    the stream stopped or that check failed are they walked in file order,
+    stripped, one by one, so the first bad row raises its row-numbered
+    ObservationError, its date before its values. The walk also converts
+    dates the bulk check does not take (padded, non-ASCII digits).
     """
     text = csv_bytes
     if isinstance(csv_bytes, bytes):
@@ -294,95 +272,69 @@ def load_observations(csv_bytes: bytes | str) -> list[Observation]:
             raise ObservationError(
                 f"not UTF-8: byte 0x{csv_bytes[exc.start]:02x} at offset {exc.start}"
             ) from None
-    reader = _csv_rows(text)
-    header = next(reader, [])
+    rows = csv.reader(io.StringIO(text))
+    try:
+        header = next(rows, [])
+    except csv.Error as exc:
+        raise ObservationError(str(exc)) from None
     # the last of duplicate header names wins, as with csv.DictReader
     column = {name: j for j, name in enumerate(header)}
-    required = ["heart_id", "date", "L", "a", "b", "source"]
-    missing = [c for c in required if c not in column]
+    missing = [c for c in (*_READ, "source") if c not in column]
     if missing:
         raise ObservationError(f"missing column(s): {', '.join(missing)}")
-    cols = [column[c] for c in required]
-    pick = operator.itemgetter(*cols)
-    width = max(cols) + 1
+    index = [column[c] for c in _READ]
+    pick = operator.itemgetter(*index)
 
-    observations = []
-    i = 1
-    for row in reader:
-        if not row:
-            continue  # blank lines are neither rows nor counted
-        i += 1
-        if len(row) < width:
-            row = row + [None] * (width - len(row))
-        heart_id, raw_date, L, a, b, source = pick(row)
-        raw_date = (raw_date or "").strip()
-        if not _ISO_DATE.match(raw_date):
-            raise ObservationError(
-                f"row {i}: date {raw_date!r} is not a full YYYY-MM-DD date"
-            )
-        try:
-            date = datetime.date.fromisoformat(raw_date)
-        except ValueError:
-            raise ObservationError(f"row {i}: invalid date {raw_date!r}") from None
-        try:
-            lab = LabColor(float(L), float(a), float(b))
-        except (TypeError, ValueError):
-            raise ObservationError(
-                f"row {i}: non-numeric LAB values ({L!r}, {a!r}, {b!r})"
-            ) from None
-        observations.append(Observation(heart_id, date, lab, source or ""))
-    return observations
-
-
-def load_observation_columns(csv_bytes: bytes | str) -> ObservationColumns:
-    """Parse the observation table into columns in one streaming pass.
-
-    load_observations stays the authority. This pass keeps a table only
-    when every row is plainly valid: long enough, an ASCII YYYY-MM-DD date
-    from 0001 on that numpy reads, LAB values float() reads as finite. On
-    anything else (a short row, a padded or impossible date, a bad value,
-    non-UTF-8 bytes, text csv cannot split, a missing column) the table is
-    walked by load_observations, which raises its row-numbered
-    ObservationError or returns rows, turned into columns. Either way,
-    hearts are indexed in order of first occurrence.
-    """
-    try:
-        text = csv_bytes.decode("utf-8") if isinstance(csv_bytes, bytes) else csv_bytes
-        reader = csv.reader(io.StringIO(text))
-        column = {name: j for j, name in enumerate(next(reader, []))}
-        required = [column[c] for c in ("heart_id", "date", "L", "a", "b", "source")]
-        pick = operator.itemgetter(*required[:5])  # IndexError on a short row
-        codes: dict[str, int] = {}
-        heart, dates, L, a, b = [], [], [], [], []
-        for h, d, l_, a_, b_ in map(pick, filter(None, reader)):  # no blank lines
-            heart.append(codes.setdefault(h, len(codes)))
-            dates.append(d)
-            L.append(float(l_))
-            a.append(float(a_))
-            b.append(float(b_))
-        if all(map(_ASCII_DATE.fullmatch, dates)):
-            day = np.array(dates, dtype="datetime64[D]")  # ValueError if impossible
-            lab = np.array([L, a, b], np.float64).T
-            if not (day < _FIRST_DATE).any() and np.isfinite(lab).all():
-                heart, day = np.array(heart, np.int64), day.astype(np.int64)
-                return ObservationColumns(list(codes), heart, day, lab)
-    except (KeyError, IndexError, ValueError, csv.Error):
-        pass
-    return _observation_columns(load_observations(csv_bytes))
-
-
-def _observation_columns(obs: list[Observation]) -> ObservationColumns:
     codes: dict[str, int] = {}
-    heart = [codes.setdefault(o.heart_id, len(codes)) for o in obs]
+    heart, dates, lab = [], [], []
+    stop = None  # what ended the stream early, raised if no row before it is bad
+    try:
+        for row in filter(None, rows):
+            h, d, l_, a_, b_ = pick(row)  # IndexError on a short row
+            dates.append(d)
+            x, y, z = float(l_), float(a_), float(b_)
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                raise ValueError("LAB value not finite")
+            heart.append(codes.setdefault(h, len(codes)))
+            lab += x, y, z
+    except IndexError:
+        short = ", ".join(c for c, j in zip(_READ, index) if j >= len(row))
+        stop = ObservationError(f"row {len(dates) + 2}: missing field(s): {short}")
+    except ValueError:
+        stop = ObservationError(
+            f"row {len(dates) + 1}: non-numeric LAB values ({l_!r}, {a_!r}, {b_!r})"
+        )
+    except csv.Error as exc:
+        stop = ObservationError(str(exc))
+
+    day = None
+    if stop is None and all(map(_ASCII_DATE.fullmatch, dates)):
+        with contextlib.suppress(ValueError):  # a date numpy cannot read
+            day = np.array(dates, dtype="datetime64[D]")
+    if day is None or (day < _FIRST_DATE).any():
+        days = []
+        for i, raw in enumerate(dates, start=2):
+            raw = raw.strip()
+            if not _ISO_DATE.match(raw):
+                raise ObservationError(
+                    f"row {i}: date {raw!r} is not a full YYYY-MM-DD date"
+                )
+            try:
+                days.append(datetime.date.fromisoformat(raw))
+            except ValueError:
+                raise ObservationError(f"row {i}: invalid date {raw!r}") from None
+        if stop is not None:
+            raise stop
+        day = np.array(days, dtype="datetime64[D]")
     return ObservationColumns(
         list(codes),
         np.array(heart, np.int64),
-        np.array([o.date for o in obs], dtype="datetime64[D]").astype(np.int64),
-        np.array([(o.lab.L, o.lab.a, o.lab.b) for o in obs]).reshape(-1, 3),
+        day.astype(np.int64),
+        np.array(lab, np.float64).reshape(-1, 3),
     )
 
 
-def series_columns(
+def build_series(
     cols: ObservationColumns, baseline: LabColor
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every heart's delta-E-vs-day series as flat arrays (heart, day, delta_e).
@@ -414,21 +366,3 @@ def series_columns(
     # day minus the day of the heart's first point
     return heart, day - day[np.searchsorted(heart, heart)], delta
 
-
-def build_series(
-    obs: list[Observation], baseline: LabColor
-) -> list[HeartSeries]:
-    """Group observations by heart and derive delta-E-vs-day series.
-
-    Same-date observations of one heart are averaged in LAB before the
-    delta E is taken (see series_columns). Hearts appear in order of first
-    occurrence.
-    """
-    cols = _observation_columns(obs)
-    heart, day, delta = series_columns(cols, baseline)
-    cuts = np.flatnonzero(np.diff(heart)) + 1
-    days, deltas = np.split(day, cuts), np.split(delta, cuts)
-    return [
-        HeartSeries(heart_id, baseline, tuple(zip(d.tolist(), e.tolist())))
-        for heart_id, d, e in zip(cols.heart_ids, days, deltas)
-    ]

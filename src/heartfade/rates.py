@@ -3,7 +3,8 @@
 Each heart's delta-E-vs-day series is fitted with ordinary least squares
 over a user-selected window; per-heart slopes are then pooled into a
 population mean rate with its sample standard deviation. Every fit, of one
-line or of all hearts at once, goes through one closed-form kernel.
+line or of all hearts at once, goes through one closed-form kernel, and
+every window through estimate_rates (estimate_heart_rate: one heart).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .ingest import HeartSeries
 
 __all__ = [
     "LineFit",
@@ -101,24 +100,16 @@ def fit_line(points: list[tuple[float, float]]) -> LineFit:
     return LineFit(*fit, n)
 
 
-def _window_error(heart_id: str, n: int, window: Window) -> str:
-    return (
-        f"heart {heart_id}: {n} usable point(s) in "
-        f"window [{window.start_day}, {window.end_day}]"
-    )
-
-
-def estimate_heart_rate(series: HeartSeries, window: Window) -> LineFit:
-    """Fit the fading rate over the in-window portion of a series."""
-    points = [
-        (float(day), de)
-        for day, de in series.points
-        if window.start_day <= day <= window.end_day
-    ]
-    days = {p[0] for p in points}
-    if len(points) < 2 or len(days) < 2:
-        raise InsufficientDataError(_window_error(series.heart_id, len(points), window))
-    return fit_line(points)
+def estimate_heart_rate(heart_id: str, points: list, window: Window) -> LineFit:
+    """Fit one heart's (day, delta_e) points, days distinct integers, over
+    its window: estimate_rates for that heart alone. The reason it would be
+    excluded is raised as InsufficientDataError."""
+    day, delta_e = np.array(points, np.float64).reshape(-1, 2).T
+    heart = np.zeros(len(day), np.int64)
+    fits, excluded = estimate_rates([heart_id], heart, day, delta_e, {heart_id: window})
+    if excluded:
+        raise InsufficientDataError(excluded[heart_id])
+    return fits[heart_id]
 
 
 def estimate_rates(
@@ -130,7 +121,7 @@ def estimate_rates(
 ) -> tuple[dict[str, LineFit], dict[str, str]]:
     """Fit every heart over its window in one pass of `_ols`.
 
-    Takes the flat series of ingest.series_columns (point i belongs to
+    Takes the flat series of ingest.build_series (point i belongs to
     heart_ids[heart[i]]; a heart's days are distinct). Returns the fits and
     the reasons hearts were excluded, each keyed by heart id in the order
     of heart_ids: first occurrence.
@@ -153,7 +144,11 @@ def estimate_rates(
         if heart_id not in windows:
             excluded[heart_id] = "no window supplied"
         elif n < 2:
-            excluded[heart_id] = _window_error(heart_id, n, windows[heart_id])
+            w = windows[heart_id]
+            excluded[heart_id] = (
+                f"heart {heart_id}: {n} usable point(s) in "
+                f"window [{w.start_day}, {w.end_day}]"
+            )
         elif not all(map(math.isfinite, fit)):
             excluded[heart_id] = _NOT_FINITE
         else:

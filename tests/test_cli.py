@@ -576,7 +576,35 @@ GOOD_WINDOWS = '{"h1": {"start_day": 0, "end_day": 10}}'
             "rate",
             {"obs.csv": GOOD_OBS.encode(),
              "win.json": b'{"h1": {"start_day": 1e400, "end_day": 2}}'},
-            "win.json: invalid windows document: cannot convert float infinity",
+            "win.json: invalid windows document: heart h1: start_day must be an "
+            "integer, got Infinity",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(),
+             "win.json": b'{"h1": {"start_day": 0.9, "end_day": 350.9}}'},
+            "win.json: invalid windows document: heart h1: start_day must be an "
+            "integer, got 0.9",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(),
+             "win.json": b'{"h1": {"start_day": true, "end_day": "300"}}'},
+            "win.json: invalid windows document: heart h1: start_day must be an "
+            "integer, got true",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(),
+             "win.json": b'{"h1": {"start_day": 0, "end_day": "300"}}'},
+            'win.json: invalid windows document: heart h1: end_day must be an '
+            'integer, got "300"',
+        ),
+        (
+            "rate",
+            {"obs.csv": b"date,L,a,b,source,heart_id\n2021-01-01,1,2,3\n",
+             "win.json": GOOD_WINDOWS.encode()},
+            "obs.csv: row 2: missing field(s): heart_id",
         ),
         (
             "rate",
@@ -591,7 +619,8 @@ GOOD_WINDOWS = '{"h1": {"start_day": 0, "end_day": 10}}'
         ),
     ],
     ids=["rate-utf8", "acceptability-utf8", "simulate-utf8", "simulate-utf8-bom",
-         "rate-windows-list", "rate-windows-overflow", "rate-bare-cr",
+         "rate-windows-list", "rate-windows-overflow", "rate-windows-float",
+         "rate-windows-bool", "rate-windows-string", "rate-short-row", "rate-bare-cr",
          "acceptability-bare-cr"],
 )
 def test_malformed_input_one_line_exit_2(tmp_path, capsys, command, files, message):

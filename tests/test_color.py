@@ -131,7 +131,8 @@ def test_calibration_composition_and_translation_invariance():
         o1 = LabOffset(*rng.uniform(-5, 5, size=3))
         o2 = LabOffset(*rng.uniform(-5, 5, size=3))
         lhs = apply_calibration(apply_calibration(c, o1), o2)
-        rhs = apply_calibration(c, o1 + o2)
+        summed = LabOffset(o1.dL + o2.dL, o1.da + o2.da, o1.db + o2.db)
+        rhs = apply_calibration(c, summed)
         assert delta_e(lhs, rhs) < 1e-9
         # same offset on both colours preserves their distance
         assert math.isclose(

@@ -1,9 +1,10 @@
+import datetime
+
 import numpy as np
 import pytest
 
 from heartfade.color import LabColor, LabOffset, delta_e, srgb_to_lab, SrgbColor
 from heartfade.ingest import (
-    Observation,
     ObservationError,
     PixelGrid,
     PpmError,
@@ -19,6 +20,7 @@ from heartfade.ingest import (
 
 ZERO = LabOffset(0, 0, 0)
 BASELINE = LabColor(49.3, 46.3, 20.5)
+EPOCH = datetime.date(1970, 1, 1)
 
 
 def uniform_grid(w, h, rgb):
@@ -127,20 +129,38 @@ class TestRegionMean:
 
 class TestLoadObservations:
     def test_single_row(self):
-        obs = load_observations(
+        cols = load_observations(
             "heart_id,date,L,a,b,source\nh1,2021-09-02,49.3,46.3,20.5,instagram\n"
         )
-        assert len(obs) == 1
-        assert obs[0].heart_id == "h1"
-        assert obs[0].date.isoformat() == "2021-09-02"
-        assert obs[0].source == "instagram"
+        assert len(cols) == 1
+        assert cols.heart_ids == ["h1"] and cols.heart.tolist() == [0]
+        assert cols.day.tolist() == [(datetime.date(2021, 9, 2) - EPOCH).days]
+        assert cols.lab.tolist() == [[49.3, 46.3, 20.5]]
 
     def test_month_only_date_rejected(self):
         with pytest.raises(ObservationError, match="row 2"):
             load_observations("heart_id,date,L,a,b,source\nh1,2021-09,49,46,20,x\n")
 
     def test_header_only(self):
-        assert load_observations("heart_id,date,L,a,b,source\n") == []
+        cols = load_observations("heart_id,date,L,a,b,source\n")
+        assert len(cols) == 0 and cols.heart_ids == []
+        assert cols.lab.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a row too short for a column that is read; blank lines are not rows
+            ("date,L,a,b,source,heart_id\n2021-01-01,1,2,3\n", "row 2: missing field(s): heart_id"),
+            ("heart_id,date,L,a,b,source\nh1,2021-01-01,1,2\n", "row 2: missing field(s): b"),
+            ("heart_id,date,L,a,b,source\n\nh1,2021-01-01,1,2,3\nh1\n", "row 3: missing field(s): date, L, a, b"),
+            # row 2's date comes before its value and the rows after it
+            ("heart_id,date,L,a,b,source\nh1,2021-9-1,x,2,3,s\nh1\n", "row 2: date '2021-9-1' is not a full YYYY-MM-DD date"),
+        ],
+    )
+    def test_first_bad_row_reported(self, text, message):
+        with pytest.raises(ObservationError) as raised:
+            load_observations(text)
+        assert str(raised.value) == message
 
     def test_missing_column(self):
         with pytest.raises(ObservationError, match="missing column"):
@@ -163,20 +183,28 @@ class TestLoadObservations:
 
 
 def obs(heart, date, L, a=46.3, b=20.5):
-    import datetime
+    return f"{heart},{date},{L!r},{a!r},{b!r},photo\n"
 
-    return Observation(heart, datetime.date.fromisoformat(date), LabColor(L, a, b))
+
+def series_of(rows):
+    """build_series over a table of `obs` rows, as {heart_id: [(day, delta_e)]}
+    in order of first occurrence."""
+    cols = load_observations("heart_id,date,L,a,b,source\n" + "".join(rows))
+    heart, day, delta = build_series(cols, BASELINE)
+    assert heart.tolist() == sorted(heart.tolist())
+    return {
+        heart_id: list(zip(day[heart == i].tolist(), delta[heart == i].tolist()))
+        for i, heart_id in enumerate(cols.heart_ids)
+    }
 
 
 class TestBuildSeries:
     def test_single_observation_at_baseline(self):
-        series = build_series([obs("h1", "2021-05-01", 49.3)], BASELINE)
-        assert len(series) == 1
-        assert series[0].points == ((0, 0.0),)
+        assert series_of([obs("h1", "2021-05-01", 49.3)]) == {"h1": [(0, 0.0)]}
 
     def test_lightness_shift_is_delta_e(self):
-        series = build_series([obs("h1", "2021-05-01", 59.3)], BASELINE)
-        assert series[0].points[0] == (0, pytest.approx(10.0))
+        series = series_of([obs("h1", "2021-05-01", 59.3)])
+        assert series["h1"][0] == (0, pytest.approx(10.0))
 
     def test_interleaved_hearts_sorted(self):
         rows = [
@@ -185,18 +213,17 @@ class TestBuildSeries:
             obs("h1", "2021-05-10", 49.5),
             obs("h2", "2021-07-01", 52.0),
         ]
-        series = build_series(rows, BASELINE)
-        assert [s.heart_id for s in series] == ["h1", "h2"]
-        for s in series:
-            days = [d for d, _ in s.points]
+        series = series_of(rows)
+        assert list(series) == ["h1", "h2"]
+        for points in series.values():
+            days = [d for d, _ in points]
             assert days[0] == 0
             assert days == sorted(days)
 
     def test_same_date_merged_in_lab(self):
         rows = [obs("h1", "2021-05-01", 49.3), obs("h1", "2021-05-01", 59.3)]
-        series = build_series(rows, BASELINE)
         # LAB mean is L=54.3 -> delta E 5, not the mean of the delta Es
-        assert series[0].points == ((0, pytest.approx(5.0)),)
+        assert series_of(rows) == {"h1": [(0, pytest.approx(5.0))]}
 
     def test_point_count_never_exceeds_input(self):
         rng = np.random.default_rng(5)
@@ -204,8 +231,7 @@ class TestBuildSeries:
         for _ in range(60):
             day = int(rng.integers(0, 10))
             rows.append(obs("h1", f"2021-05-{day + 1:02d}", float(rng.uniform(45, 60))))
-        series = build_series(rows, BASELINE)
-        assert sum(len(s.points) for s in series) <= len(rows)
+        assert sum(map(len, series_of(rows).values())) <= len(rows)
 
     def test_empty_input(self):
-        assert build_series([], BASELINE) == []
+        assert series_of([]) == {}

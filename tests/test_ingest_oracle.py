@@ -4,12 +4,14 @@ The oracles are the parsers that `parse_ppm` and `load_observations`
 replaced: a token-by-token walk over the P3 raster and a `csv.DictReader`
 loop over the observation table. For every input, fuzzed or named, the
 library must return what the oracle returns, or raise the same error with
-the same message (and, for PPM, the same byte offset).
+the same message (and, for PPM, the same byte offset). The oracle's rows
+are compared with `load_observations`' columns in the columns' layout.
 """
 
 import csv
 import datetime
 import io
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from hypothesis import strategies as st
 from heartfade.color import LabColor
 from heartfade.ingest import (
     _ISO_DATE,
-    Observation,
     ObservationError,
     PixelGrid,
     PpmError,
@@ -27,6 +28,7 @@ from heartfade.ingest import (
     parse_ppm,
 )
 
+EPOCH = datetime.date(1970, 1, 1)
 FUZZ = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -115,8 +117,19 @@ def oracle_parse_ppm(data: bytes) -> PixelGrid:
     return PixelGrid(width, height, pixels.copy())
 
 
+class Observation(NamedTuple):
+    """One dated colour reading of one heart, as the oracle returns it."""
+
+    heart_id: str
+    date: datetime.date
+    lab: LabColor
+    source: str
+
+
 def oracle_load_observations(csv_bytes) -> list[Observation]:
-    """Row-by-row parse through csv.DictReader."""
+    """Row-by-row parse through csv.DictReader. A row too short for a
+    column that is read (DictReader fills it with None) is rejected; one
+    short only by `source` is not."""
     text = csv_bytes.decode("utf-8") if isinstance(csv_bytes, bytes) else csv_bytes
     reader = csv.DictReader(io.StringIO(text))
     required = ["heart_id", "date", "L", "a", "b", "source"]
@@ -127,7 +140,10 @@ def oracle_load_observations(csv_bytes) -> list[Observation]:
 
     observations = []
     for i, row in enumerate(reader, start=2):
-        raw_date = (row["date"] or "").strip()
+        short = [c for c in required[:5] if row[c] is None]
+        if short:
+            raise ObservationError(f"row {i}: missing field(s): {', '.join(short)}")
+        raw_date = row["date"].strip()
         if not _ISO_DATE.match(raw_date):
             raise ObservationError(
                 f"row {i}: date {raw_date!r} is not a full YYYY-MM-DD date"
@@ -159,9 +175,30 @@ def ppm_outcome(parse, data):
     return ("ok", grid.width, grid.height, grid.pixels.dtype.str, grid.pixels.tobytes())
 
 
-def obs_outcome(load, data):
+def as_columns(observations):
+    """The oracle's rows in the layout of ObservationColumns, as lists."""
+    ids = list(dict.fromkeys(o.heart_id for o in observations))
+    return (
+        ids,
+        [ids.index(o.heart_id) for o in observations],
+        [(o.date - EPOCH).days for o in observations],
+        [[o.lab.L, o.lab.a, o.lab.b] for o in observations],
+    )
+
+
+def columns_outcome(data):
     try:
-        return ("ok", load(data))
+        cols = load_observations(data)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+    assert cols.heart.dtype == np.int64 and cols.day.dtype == np.int64
+    assert cols.lab.dtype == np.float64 and cols.lab.shape == (len(cols), 3)
+    return ("ok", (cols.heart_ids, cols.heart.tolist(), cols.day.tolist(), cols.lab.tolist()))
+
+
+def oracle_outcome(data):
+    try:
+        return ("ok", as_columns(typed_oracle_load_observations(data)))
     except Exception as exc:
         return (type(exc).__name__, str(exc))
 
@@ -171,18 +208,21 @@ def assert_ppm_matches(data):
 
 
 def typed_oracle_load_observations(data):
-    """The old parser with its csv.Error typed as load_observations types
-    it: ObservationError, same message."""
+    """The old parser with its csv.Error and UnicodeDecodeError typed as
+    load_observations types them: ObservationError, csv's message and the
+    offset of the first byte that is not UTF-8."""
     try:
         return oracle_load_observations(data)
     except csv.Error as exc:
         raise ObservationError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ObservationError(
+            f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
 
 
 def assert_observations_match(data):
-    assert obs_outcome(load_observations, data) == obs_outcome(
-        typed_oracle_load_observations, data
-    )
+    assert columns_outcome(data) == oracle_outcome(data)
 
 
 # --- PPM -------------------------------------------------------------------

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from heartfade.color import LabColor
-from heartfade.ingest import HeartSeries
 from heartfade.rates import (
     InsufficientDataError,
     Window,
     aggregate_rates,
     estimate_heart_rate,
+    estimate_rates,
     fit_line,
 )
-
-BASELINE = LabColor(49.3, 46.3, 20.5)
 
 
 def ols_oracle(t, y):
@@ -82,24 +79,28 @@ class TestFitLine:
 
 
 class TestEstimateHeartRate:
-    def series(self, points):
-        return HeartSeries("h1", BASELINE, tuple(points))
-
     def test_window_covering_all_matches_fit_line(self):
         points = [(t, 0.04 * t) for t in range(0, 100, 10)]
-        fit = estimate_heart_rate(self.series(points), Window(0, 90))
+        fit = estimate_heart_rate("h1", points, Window(0, 90))
         direct = fit_line([(float(t), y) for t, y in points])
         assert fit == direct
 
     def test_window_with_one_point_errors(self):
         points = [(t, 0.04 * t) for t in range(0, 100, 10)]
-        with pytest.raises(InsufficientDataError, match="h1"):
-            estimate_heart_rate(self.series(points), Window(85, 95))
+        with pytest.raises(InsufficientDataError) as raised:
+            estimate_heart_rate("h1", points, Window(85, 95))
+        # the reason estimate_rates records for the heart
+        assert str(raised.value) == "heart h1: 1 usable point(s) in window [85, 95]"
+        days = np.arange(0, 100, 10)
+        _, excluded = estimate_rates(
+            ["h1"], np.zeros(10, np.int64), days, 0.04 * days, {"h1": Window(85, 95)}
+        )
+        assert excluded == {"h1": str(raised.value)}
 
     def test_piecewise_series_recovers_window_slope(self):
         inside = [(t, 0.0351 * t) for t in range(0, 200, 20)]
         flat = [(t, 0.0351 * 180) for t in range(220, 400, 20)]
-        fit = estimate_heart_rate(self.series(inside + flat), Window(0, 199))
+        fit = estimate_heart_rate("h1", inside + flat, Window(0, 199))
         assert fit.slope == pytest.approx(0.0351, abs=1e-9)
 
     def test_invalid_window(self):

@@ -1,10 +1,11 @@
 """The columnar `rate` path against the per-heart path it replaced.
 
 The oracles are the previous implementations, kept here as they were:
-`build_series` (a dict of hearts, a dict of dates, Python sums of the
-same-date readings and `color.delta_e`), `fit_line` through `np.polyfit`,
-`estimate_heart_rate` and the loop of `cmd_rate` over the series. For
-every table, fuzzed or named, `heartfade rate` must give the oracle's exit
+the `csv.DictReader` parse of `test_ingest_oracle`, `build_series` (a dict
+of hearts, a dict of dates, Python sums of the same-date readings and
+`color.delta_e`), `fit_line` through `np.polyfit`, `estimate_heart_rate`
+and the loop of `cmd_rate` over the series. For every table, fuzzed or
+named, `heartfade rate` must give the oracle's exit
 code and stderr line or, on success, the same hearts in the same order,
 the same `n_points` and excluded list, and slopes within 1e-9, the
 tolerance of acceptance criterion 2. Where a heart's delta E exceeds
@@ -12,8 +13,8 @@ tolerance of acceptance criterion 2. Where a heart's delta E exceeds
 bound is 1e-12 of the heart's largest delta E: for a 1e100 outlier the
 closed form can give an exact 0 where `np.polyfit` gives -3.5e82.
 
-`load_observation_columns` must agree with `load_observations`, the row
-walk it falls back to: the same error and message, or the same rows.
+`load_observations` must give the DictReader oracle's error and message
+or its rows, and `build_series` the oracle's series or its error.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -33,24 +35,25 @@ from hypothesis import strategies as st
 
 from heartfade.cli import main
 from heartfade.color import LabColor, delta_e
-from heartfade.ingest import (
-    HeartSeries,
-    ObservationError,
-    build_series,
-    load_observation_columns,
-    load_observations,
-)
+from heartfade.ingest import ObservationError, build_series, load_observations
 from heartfade.rates import InsufficientDataError, LineFit, Window
+from test_ingest_oracle import assert_observations_match, typed_oracle_load_observations
 
 FUZZ = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 BASELINE = LabColor(49.3, 46.3, 20.5)
 BASELINE_ARG = "49.3,46.3,20.5"
-EPOCH = datetime.date(1970, 1, 1)
 
 
 # --- oracles: the per-heart path as it was ----------------------------------
+
+
+class Series(NamedTuple):
+    """One heart's (day, delta_e) points, days from its first reading."""
+
+    heart_id: str
+    points: tuple[tuple[int, float], ...]
 
 
 def oracle_build_series(obs, baseline):
@@ -78,7 +81,7 @@ def oracle_build_series(obs, baseline):
                     f"heart {heart_id}: mean LAB on {date} is not finite"
                 ) from None
             points.append(((date - first).days, delta_e(mean, baseline)))
-        series.append(HeartSeries(heart_id, baseline, tuple(points)))
+        series.append(Series(heart_id, tuple(points)))
     return series
 
 
@@ -122,7 +125,8 @@ def oracle_rate(obs_path, obs_bytes, windows):
     """(exit code, stderr, {heart: (slope, n, tolerance)} in order,
     excluded)."""
     try:
-        series = oracle_build_series(load_observations(obs_bytes), BASELINE)
+        obs = typed_oracle_load_observations(obs_bytes)
+        series = oracle_build_series(obs, BASELINE)
     except ObservationError as exc:
         return 2, f"heartfade rate: {obs_path}: {exc}\n", None, None
     fits, excluded = {}, []
@@ -188,54 +192,28 @@ def assert_rate_matches(obs_bytes, windows):
         assert abs(slope - o_slope) <= tolerance, (slope, o_slope)
 
 
-def columns_outcome(load, data):
-    try:
-        return ("ok", load(data))
-    except ObservationError as exc:
-        return ("ObservationError", str(exc))
-
-
-def walk_as_columns(data):
-    """load_observations' rows in the layout of ObservationColumns."""
-    obs = load_observations(data)
-    ids = list(dict.fromkeys(o.heart_id for o in obs))
-    return (
-        ids,
-        [ids.index(o.heart_id) for o in obs],
-        [(o.date - EPOCH).days for o in obs],
-        [[o.lab.L, o.lab.a, o.lab.b] for o in obs],
-    )
-
-
-def assert_columns_match(data):
-    got = columns_outcome(load_observation_columns, data)
-    expected = columns_outcome(walk_as_columns, data)
-    if got[0] == "ok" and expected[0] == "ok":
-        cols = got[1]
-        assert cols.heart.dtype == np.int64 and cols.day.dtype == np.int64
-        assert cols.lab.dtype == np.float64 and cols.lab.shape == (len(cols.day), 3)
-        got = ("ok", (cols.heart_ids, cols.heart.tolist(), cols.day.tolist(), cols.lab.tolist()))
-    assert got == expected
-
-
 def assert_series_match(text):
     """build_series gives the oracle's series (delta E to 1e-15) or its
     error and message."""
     try:
-        obs = load_observations(text)
+        obs = typed_oracle_load_observations(text)
     except ObservationError:
         return
+    cols = load_observations(text)
     try:
         expected = oracle_build_series(obs, BASELINE)
     except ObservationError as exc:
         with pytest.raises(ObservationError) as raised:
-            build_series(obs, BASELINE)
+            build_series(cols, BASELINE)
         assert str(raised.value) == str(exc)
         return
-    got = build_series(obs, BASELINE)
-    assert [(s.heart_id, s.baseline) for s in got] == [
-        (s.heart_id, s.baseline) for s in expected
+    heart, day, delta = build_series(cols, BASELINE)
+    got = [
+        Series(heart_id, tuple(zip(day[heart == i].tolist(), delta[heart == i].tolist())))
+        for i, heart_id in enumerate(cols.heart_ids)
     ]
+    assert [s.heart_id for s in got] == [s.heart_id for s in expected]
+    assert heart.tolist() == sorted(heart.tolist())  # points run by heart
     for s, o in zip(got, expected):
         assert [d for d, _ in s.points] == [d for d, _ in o.points]
         for (_, e), (_, o_e) in zip(s.points, o.points):
@@ -246,8 +224,8 @@ def assert_series_match(text):
 
 REQUIRED = ["heart_id", "date", "L", "a", "b", "source"]
 IDS = ["h1", "h2", "h3", "a,b", 'say "hi"', "two\nlines"]
-# dates and values the walk accepts, though the columnar pass does not
-# take all of them: it leaves padded dates and non-ASCII digits to the walk
+# dates and values the oracle accepts, though the bulk date check does not
+# take all of them: padded dates go through the row-by-row date rule
 KEPT_DATES = [" 2021-01-05 "]
 KEPT_VALUES = [
     "1_0",
@@ -374,8 +352,8 @@ def test_rate_matches_oracle_fuzzed(text, windows):
 @FUZZ
 @given(observation_table())
 def test_columns_and_series_match_oracles_fuzzed(text):
-    assert_columns_match(text)
-    assert_columns_match(text.encode("utf-8"))
+    assert_observations_match(text)
+    assert_observations_match(text.encode("utf-8"))
     assert_series_match(text)
 
 
@@ -386,8 +364,9 @@ def test_columns_and_series_match_oracles_fuzzed(text):
         TABLE_HEAD,
         TABLE_HEAD + "\n\nh1,2021-01-02,1,2,3,x\n\nh1,2021-01-01,1,2,3,x\n",
         TABLE_HEAD + "h1,2021-01-02,1,2,3\n",  # short by the source only
-        TABLE_HEAD + "h1,2021-01-02,1,2\n",
-        "date,L,a,b,source,heart_id\n2021-01-02,1,2,3\n",  # short by the id
+        TABLE_HEAD + "h1,2021-01-02,1,2\n",  # short by b: "row 2: missing field(s): b"
+        # short by the id: "row 2: missing field(s): heart_id", no longer a None id
+        "date,L,a,b,source,heart_id\n2021-01-02,1,2,3\n",
         "heart_id,date,L,a,b,source,L\nh1,2021-01-02,1,2,3,x,7\n",
         TABLE_HEAD + "h1,0000-01-01,1,2,3,x\n",
         TABLE_HEAD + "h1,2021-02-30,1,2,3,x\n",
@@ -403,7 +382,7 @@ def test_columns_and_series_match_oracles_fuzzed(text):
     ],
 )
 def test_columns_and_series_match_oracles_named(text):
-    assert_columns_match(text)
+    assert_observations_match(text)
     assert_series_match(text)
 
 
