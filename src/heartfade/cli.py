@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: calibrate, rate, acceptability, simulate, sweep. Every run is
-deterministic given its inputs and --seed; runs that write files also emit
-a manifest recording the sha256 digest of every input, the resolved
-configuration and the seed. A command's files are written as one set: a
-command that fails leaves the files already under --out as they were.
+deterministic given its inputs and --seed. A subcommand only computes and
+returns (printed, files, config, inputs); `main` prints, then writes the
+files under --out with a manifest recording the sha256 digest of every
+input, the resolved configuration and the seed, as one set: a command
+that fails leaves the files already under --out as they were.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def _manifest(
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> tuple:
     image_bytes = _read_bytes(args.image)
     try:
         grid = parse_ppm(image_bytes)
@@ -208,28 +209,16 @@ def cmd_calibrate(args) -> int:
     except RegionError as exc:
         raise CliError(str(exc)) from None
 
-    csv_text = _csv_text(rows)
+    printed = csv_text = _csv_text(rows)
     if args.format == "json":
-        sys.stdout.write(json.dumps(records, indent=2) + "\n")
-    else:
-        sys.stdout.write(csv_text)
-    if args.out:
-        config = {
-            "board_region": args.board_region,
-            "reference_lab": args.reference_lab,
-            "heart_regions": args.heart_region,
-            "offset": [offset.dL, offset.da, offset.db],
-        }
-        _emit(
-            Path(args.out),
-            {
-                "calibrated.csv": csv_text,
-                "manifest.json": _manifest(
-                    "calibrate", config, {args.image: image_bytes}, args.seed
-                ),
-            },
-        )
-    return 0
+        printed = json.dumps(records, indent=2) + "\n"
+    config = {
+        "board_region": args.board_region,
+        "reference_lab": args.reference_lab,
+        "heart_regions": args.heart_region,
+        "offset": [offset.dL, offset.da, offset.db],
+    }
+    return printed, {"calibrated.csv": csv_text}, config, {args.image: image_bytes}
 
 
 def _window(heart: str, w: dict) -> Window:
@@ -241,7 +230,7 @@ def _window(heart: str, w: dict) -> Window:
     return Window(w["start_day"], w["end_day"])
 
 
-def cmd_rate(args) -> int:
+def cmd_rate(args) -> tuple:
     obs_bytes = _read_bytes(args.observations)
     windows_bytes = _read_bytes(args.windows)
     baseline = _parse_lab(args.baseline_lab)
@@ -286,29 +275,17 @@ def cmd_rate(args) -> int:
         },
         "excluded": [{"heart_id": h, "reason": r} for h, r in excluded.items()],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = printed = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.format == "csv":
         rows = [["heart_id", "slope_delta_e_per_day", "intercept", "r2", "n_points"]]
         for heart, f in fits.items():
             rows.append([heart, repr(f.slope), repr(f.intercept), repr(f.r2), f.n])
-        sys.stdout.write(_csv_text(rows))
-    else:
-        sys.stdout.write(text)
-    if args.out:
-        inputs = {args.observations: obs_bytes, args.windows: windows_bytes}
-        _emit(
-            Path(args.out),
-            {
-                "rates.json": text,
-                "manifest.json": _manifest(
-                    "rate", {"baseline_lab": args.baseline_lab}, inputs, args.seed
-                ),
-            },
-        )
-    return 0
+        printed = _csv_text(rows)
+    inputs = {args.observations: obs_bytes, args.windows: windows_bytes}
+    return printed, {"rates.json": text}, {"baseline_lab": args.baseline_lab}, inputs
 
 
-def cmd_acceptability(args) -> int:
+def cmd_acceptability(args) -> tuple:
     survey_bytes = _read_bytes(args.survey)
     try:
         points = load_survey(survey_bytes)
@@ -328,29 +305,15 @@ def cmd_acceptability(args) -> int:
         "agreement_at_delta_e_30": predict_agreement(curve, 30.0),
         "thresholds": thresholds,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = printed = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.format == "csv":
         rows = [["key", "value"]] + [
             [k, v] for k, v in doc.items() if not isinstance(v, dict)
         ]
         rows += [[f"threshold_{k}", v] for k, v in thresholds.items()]
-        sys.stdout.write(_csv_text(rows))
-    else:
-        sys.stdout.write(text)
-    if args.out:
-        _emit(
-            Path(args.out),
-            {
-                "acceptability.json": text,
-                "manifest.json": _manifest(
-                    "acceptability",
-                    {"thresholds": fracs},
-                    {args.survey: survey_bytes},
-                    args.seed,
-                ),
-            },
-        )
-    return 0
+        printed = _csv_text(rows)
+    files = {"acceptability.json": text}
+    return printed, files, {"thresholds": fracs}, {args.survey: survey_bytes}
 
 
 def _load_sim_config(args, presets: dict, **fields) -> tuple[SimConfig, dict]:
@@ -376,48 +339,31 @@ def _load_sim_config(args, presets: dict, **fields) -> tuple[SimConfig, dict]:
         raise CliError(f"{args.config}: {exc}") from None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     cfg, inputs = _load_sim_config(args, SIMULATE_PRESETS)
     result = run_simulation(cfg)
-    _emit(
-        Path(args.out or "."),
-        {
-            "result.csv": "\n".join(result.csv_rows()) + "\n",
-            "summary.json": json.dumps(result.summary(), indent=2, sort_keys=True)
-            + "\n",
-            "manifest.json": _manifest("simulate", cfg.to_dict(), inputs, args.seed),
-        },
-    )
-    return 0
+    files = {
+        "result.csv": _csv_text(result.csv_rows()),
+        "summary.json": json.dumps(result.summary(), indent=2, sort_keys=True) + "\n",
+    }
+    return "", files, cfg.to_dict(), inputs
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     cfg, inputs = _load_sim_config(args, SWEEP_PRESETS, horizon_days=args.horizon)
     fractions = args.fractions
     if fractions is None:
         fractions = SWEEP_PRESET_FRACTIONS.get(args.preset)
     if not fractions:
         raise CliError("no sweep fractions given (use --fractions)")
-    rows = sweep_fractions(cfg, fractions)
-
-    lines = ["repaint_fraction_weekly,strategy,frac_needing_repaint,total_repaints"]
-    for row in rows:
-        lines.append(
-            f"{row.repaint_fraction_weekly},{row.strategy.value},"
-            f"{row.frac_needing_repaint_at_horizon:.6f},"
-            f"{row.total_repaints_at_horizon:.4f}"
-        )
-    csv_text = "\n".join(lines) + "\n"
-
+    header = "repaint_fraction_weekly,strategy,frac_needing_repaint,total_repaints"
+    table = [header.split(",")]
+    for row in sweep_fractions(cfg, fractions):
+        frac = f"{row.frac_needing_repaint_at_horizon:.6f}"
+        repaints = f"{row.total_repaints_at_horizon:.4f}"
+        table.append([row.repaint_fraction_weekly, row.strategy.value, frac, repaints])
     config = {**cfg.to_dict(), "fractions": list(fractions)}
-    _emit(
-        Path(args.out or "."),
-        {
-            "sweep.csv": csv_text,
-            "manifest.json": _manifest("sweep", config, inputs, args.seed),
-        },
-    )
-    return 0
+    return "", {"sweep.csv": _csv_text(table)}, config, inputs
 
 
 def _fraction_list(text: str) -> list[float]:
@@ -430,10 +376,16 @@ def _fraction_list(text: str) -> list[float]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    common.add_argument(
-        "--out",
-        default=None,
-        help="output directory (simulate and sweep default to the current one)",
+    # calibrate, rate and acceptability print their results in --format and
+    # write files only given --out; simulate and sweep always write them
+    printing = argparse.ArgumentParser(add_help=False, parents=[common])
+    printing.add_argument("--format", choices=["csv", "json"], help="stdout format")
+    printing.add_argument(
+        "--out", help="write the files and manifest.json here (default: print only)"
+    )
+    writing = argparse.ArgumentParser(add_help=False, parents=[common])
+    writing.add_argument(
+        "--out", default=".", help="write the files and manifest.json here (default: .)"
     )
 
     parser = argparse.ArgumentParser(
@@ -443,14 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # only the commands that print their results take a stdout format
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["csv", "json"], help="stdout format")
-
     p = sub.add_parser(
-        "calibrate",
-        parents=[common, fmt],
-        help="calibrated region means from a PPM image",
+        "calibrate", parents=[printing], help="calibrated region means from a PPM image"
     )
     p.add_argument("image", help="PPM image (P3 or P6, maxval 255)")
     p.add_argument("--board-region", required=True, metavar="X,Y,W,H")
@@ -465,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser(
-        "rate", parents=[common, fmt], help="per-heart fading rates and the aggregate"
+        "rate", parents=[printing], help="per-heart fading rates and the aggregate"
     )
     p.add_argument("observations", help="CSV: heart_id,date,L,a,b,source")
     p.add_argument("windows", help="JSON: heart_id -> {start_day, end_day}")
@@ -473,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser(
-        "acceptability", parents=[common, fmt], help="fit the repaint-agreement curve"
+        "acceptability", parents=[printing], help="fit the repaint-agreement curve"
     )
     p.add_argument("survey", help="CSV: delta_e,frac_agree,n_respondents")
     p.add_argument(
@@ -485,13 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_acceptability)
 
-    p = sub.add_parser("simulate", parents=[common], help="run one simulation")
+    p = sub.add_parser("simulate", parents=[writing], help="run one simulation")
     p.add_argument("config", nargs="?", help="JSON config mirroring SimConfig")
     p.add_argument("--preset", choices=sorted(SIMULATE_PRESETS), default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
-        "sweep", parents=[common], help="fraction-by-strategy decision sweep"
+        "sweep", parents=[writing], help="fraction-by-strategy decision sweep"
     )
     p.add_argument("config", nargs="?", help="JSON base config")
     p.add_argument("--preset", choices=sorted(SWEEP_PRESETS), default=None)
@@ -503,13 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: print what it returns, then, given an --out
+    directory, write its files and manifest.json there as one set."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        printed, files, config, inputs = args.func(args)
     except (CliError, ConfigError) as exc:
         print(f"heartfade {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    sys.stdout.write(printed)
+    if args.out is not None:
+        files["manifest.json"] = _manifest(args.command, config, inputs, args.seed)
+        _emit(Path(args.out), files)
+    return 0
 
 
 if __name__ == "__main__":

@@ -59,6 +59,7 @@ class AggregateRate:
 
 
 _NOT_FINITE = "fit is not finite: values too large"
+_ONE_DAY = "all t values identical"
 
 
 def _ols(group: np.ndarray, t: np.ndarray, y: np.ndarray, n_groups: int):
@@ -93,7 +94,7 @@ def fit_line(points: list[tuple[float, float]]) -> LineFit:
     t = np.array([p[0] for p in points], dtype=np.float64)
     y = np.array([p[1] for p in points], dtype=np.float64)
     if np.all(t == t[0]):
-        raise InsufficientDataError("all t values identical")
+        raise InsufficientDataError(_ONE_DAY)
     n, *fit = (v[0] for v in _ols(np.zeros(len(t), np.intp), t, y, 1))
     if not all(map(math.isfinite, fit)):
         raise InsufficientDataError(_NOT_FINITE)
@@ -101,9 +102,9 @@ def fit_line(points: list[tuple[float, float]]) -> LineFit:
 
 
 def estimate_heart_rate(heart_id: str, points: list, window: Window) -> LineFit:
-    """Fit one heart's (day, delta_e) points, days distinct integers, over
-    its window: estimate_rates for that heart alone. The reason it would be
-    excluded is raised as InsufficientDataError."""
+    """Fit one heart's (day, delta_e) points over its window:
+    estimate_rates for that heart alone. The reason it would be excluded is
+    raised as InsufficientDataError."""
     day, delta_e = np.array(points, np.float64).reshape(-1, 2).T
     heart = np.zeros(len(day), np.int64)
     fits, excluded = estimate_rates([heart_id], heart, day, delta_e, {heart_id: window})
@@ -122,9 +123,10 @@ def estimate_rates(
     """Fit every heart over its window in one pass of `_ols`.
 
     Takes the flat series of ingest.build_series (point i belongs to
-    heart_ids[heart[i]]; a heart's days are distinct). Returns the fits and
-    the reasons hearts were excluded, each keyed by heart id in the order
-    of heart_ids: first occurrence.
+    heart_ids[heart[i]]). Returns the fits and the reasons hearts were
+    excluded, each keyed by heart id in the order of heart_ids: first
+    occurrence. A heart whose in-window points all fall on one day is
+    excluded as fit_line would reject it.
     """
     # days lie in [0, end): a bound clipped to [-1, end] compares alike and
     # fits int64; a heart without a window gets [1, 0], which holds no day
@@ -136,10 +138,14 @@ def estimate_rates(
             bounds[i] = tuple(min(max(b, -1), end) for b in (w.start_day, w.end_day))
     lo, hi = np.array(bounds, np.int64).reshape(-1, 2).T
     keep = (lo[heart] <= day) & (day <= hi[heart])
-    n_hearts = len(heart_ids)
+    heart, day, n_hearts = heart[keep], day[keep].astype(float), len(heart_ids)
+    # a heart's days vary when any differs from one of them, whichever
+    some_day = np.zeros(n_hearts)
+    some_day[heart] = day
+    varied = np.bincount(heart, day != some_day[heart], minlength=n_hearts)
     fits, excluded = {}, {}
-    for heart_id, n, *fit in zip(
-        heart_ids, *_ols(heart[keep], day[keep].astype(float), delta_e[keep], n_hearts)
+    for heart_id, varies, n, *fit in zip(
+        heart_ids, varied.tolist(), *_ols(heart, day, delta_e[keep], n_hearts)
     ):
         if heart_id not in windows:
             excluded[heart_id] = "no window supplied"
@@ -149,6 +155,8 @@ def estimate_rates(
                 f"heart {heart_id}: {n} usable point(s) in "
                 f"window [{w.start_day}, {w.end_day}]"
             )
+        elif not varies:
+            excluded[heart_id] = _ONE_DAY
         elif not all(map(math.isfinite, fit)):
             excluded[heart_id] = _NOT_FINITE
         else:

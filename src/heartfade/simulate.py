@@ -66,22 +66,23 @@ _MAX_AGENTS = _BLOCK_CELLS
 # replicates x recorded days: each (replicates, days) output array of
 # float64 stays within 128 MiB
 _MAX_OUTPUT_CELLS = 1 << 24
+# replicates x agents x days, the work of a run: about 35 minutes at the
+# slowest throughput measured (5.3e8 agent-days/s, GREEDY_B at 5%, 2 vCPUs)
+_MAX_AGENT_DAYS = 1 << 40
 
-_INT_FIELDS = ("n_agents", "horizon_days", "replicates", "master_seed")
-_FLOAT_FIELDS = (
-    "k_mean",
-    "k_sd",
-    "initial_spread_max",
-    "perception_threshold",
-    "repaint_fraction_weekly",
+# one row per numeric field, checked in this order: (name, integer or else
+# a finite real, low bound or None, low bound excluded, high bound or None)
+_FIELD_RULES = (
+    ("n_agents", True, 1, False, _MAX_AGENTS),
+    ("horizon_days", True, 1, False, None),
+    ("replicates", True, 1, False, None),
+    ("master_seed", True, None, False, None),
+    ("k_mean", False, 0, True, None),
+    ("k_sd", False, 0, False, None),
+    ("initial_spread_max", False, 0, False, None),
+    ("perception_threshold", False, None, False, None),
+    ("repaint_fraction_weekly", False, 0, False, 1),
 )
-
-
-def _is_finite(value: numbers.Real) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 class ConfigError(ValueError):
@@ -120,39 +121,33 @@ class SimConfig:
     uncertainty_mode: str = "montecarlo"  # or "envelope"
 
     def validate(self) -> None:
-        for name in _INT_FIELDS:
+        out_of_range = None  # the first, raised once every type has passed
+        for name, integer, low, low_open, high in _FIELD_RULES:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not _is_finite(value)
-            ):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not 1 <= self.n_agents <= _MAX_AGENTS:
+            try:
+                ok = isinstance(value, numbers.Integral if integer else numbers.Real)
+                ok = ok and not isinstance(value, bool)
+                ok = ok and (integer or math.isfinite(value))
+            except OverflowError:  # an int too large for a float
+                ok = False
+            if not ok:
+                what = "an integer" if integer else "a finite number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            if out_of_range or low is None:
+                continue
+            if high is not None and not low <= value <= high:
+                out_of_range = f"{name} must be in [{low}, {high}], got {value}"
+            elif value < low or (low_open and value == low):
+                sign = ">" if low_open else ">="
+                out_of_range = f"{name} must be {sign} {low}, got {value}"
+        if out_of_range:
+            raise ConfigError(out_of_range)
+        work = (self.replicates, self.n_agents, self.horizon_days)
+        if math.prod(work) > _MAX_AGENT_DAYS:
             raise ConfigError(
-                f"n_agents must be in [1, {_MAX_AGENTS}], got {self.n_agents}"
+                f"replicates x n_agents x horizon_days must be <= {_MAX_AGENT_DAYS}, "
+                "got {} x {} x {}".format(*work)
             )
-        if self.horizon_days < 1:
-            raise ConfigError(f"horizon_days must be >= 1, got {self.horizon_days}")
-        if not self.k_mean > 0:
-            raise ConfigError(f"k_mean must be > 0, got {self.k_mean}")
-        if self.k_sd < 0:
-            raise ConfigError(f"k_sd must be >= 0, got {self.k_sd}")
-        if self.initial_spread_max < 0:
-            raise ConfigError(
-                f"initial_spread_max must be >= 0, got {self.initial_spread_max}"
-            )
-        if not 0.0 <= self.repaint_fraction_weekly <= 1.0:
-            raise ConfigError(
-                "repaint_fraction_weekly must be in [0, 1], "
-                f"got {self.repaint_fraction_weekly}"
-            )
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         days = _recorded_day_count(self.horizon_days)
         if self.replicates * days > _MAX_OUTPUT_CELLS:
             raise ConfigError(
@@ -251,14 +246,14 @@ class SimResult:
             "wall_hearts_per_agent": scale,
         }
 
-    def csv_rows(self) -> list[str]:
-        rows = ["day,mean_frac_above,lo_frac_above,hi_frac_above,cum_repaints"]
-        for i, day in enumerate(self.days):
-            rows.append(
-                f"{int(day)},{self.mean_frac[i]:.6f},{self.lo_frac[i]:.6f},"
-                f"{self.hi_frac[i]:.6f},{self.mean_cum_repaints[i]:.4f}"
-            )
-        return rows
+    def csv_rows(self) -> list[list[str]]:
+        """The trajectory table as lists of CSV fields, header first."""
+        header = "day,mean_frac_above,lo_frac_above,hi_frac_above,cum_repaints"
+        columns = (self.mean_frac, self.lo_frac, self.hi_frac, self.mean_cum_repaints)
+        return [header.split(",")] + [
+            [str(day), f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}", f"{cum:.4f}"]
+            for day, mean, lo, hi, cum in zip(self.days.tolist(), *columns)
+        ]
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,24 @@ class TestSimulateCommand:
         assert err.count("\n") == 1 and field in err
         assert not out.exists()
 
+    def test_work_over_the_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 2**9 x 2**20 x 2**12 agent-days, over the cap of 2**40: rejected
+        # before it runs, and never run should the check be lost
+        monkeypatch.setattr(
+            heartfade.cli, "run_simulation", lambda cfg: pytest.fail("config ran")
+        )
+        cfg = tmp_path / "config.json"
+        big = {"replicates": 2**9, "n_agents": 2**20, "horizon_days": 2**12}
+        cfg.write_text(json.dumps({**self.CONFIG, **big}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"heartfade simulate: {cfg}: replicates x n_agents x horizon_days "
+            "must be <= 1099511627776, got 512 x 1048576 x 4096\n"
+        )
+        assert not out.exists()
+
     def test_preset_unknown(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "paint9"])

@@ -17,6 +17,7 @@ both within Monte Carlo error: `0.01,threshold_c` (fraction 0.646200 ->
 import hashlib
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from heartfade.cli import main
@@ -75,3 +76,85 @@ def test_rate_output_matches_golden_digest(tmp_path):
     assert main(argv) == 0
     digest = hashlib.sha256((tmp_path / "rates.json").read_bytes()).hexdigest()
     assert digest == RATE_GOLDEN
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _bundled(name: str) -> str:
+    return str(resources.files("heartfade").joinpath(f"data/{name}"))
+
+
+# Output bytes that the command tail routes (stdout and files other than
+# manifest.json, which holds input paths), pinned before that tail was
+# shared by all commands. Keys: (command, --format, stdout or file name).
+TAIL_GOLDEN = {
+    ("calibrate", "csv", "stdout"): (
+        "9d71a801c84e552eb57aeaced268e4da28ae2cf6b38cfc33cb77f98204421bc0"
+    ),
+    ("calibrate", "json", "stdout"): (
+        "35d6b35e26f28fbe821d5067b6ad4f1d02b9eb7195c7e8310229b67f8632ab3c"
+    ),
+    ("calibrate", "csv", "calibrated.csv"): (
+        "9d71a801c84e552eb57aeaced268e4da28ae2cf6b38cfc33cb77f98204421bc0"
+    ),
+    ("acceptability", "csv", "stdout"): (
+        "4f0b36581b784c5b80529e384e76de71442cf60ad07f315c5763b51f7ec1da89"
+    ),
+    ("acceptability", "csv", "acceptability.json"): (
+        "b630e9f5f9dc9e2916283cab292d1e1b92ef7bd2aaff1e11cd3de62deff647ff"
+    ),
+    ("rate", "csv", "stdout"): (
+        "be1c45340784028c1689fd5b70cd2b6b222e2840450532d6ebe6686ebe156510"
+    ),
+}
+
+
+def _calibrate_argv(tmp_path) -> list[str]:
+    """`calibrate` on a deterministic 16x8 P6 image: a patterned board and
+    two heart regions, one with an id that CSV must quote."""
+    pixels = (np.arange(8 * 16 * 3, dtype=np.int64) * 37 % 251).astype(np.uint8)
+    image = tmp_path / "wall.ppm"
+    image.write_bytes(b"P6\n16 8\n255\n" + pixels.tobytes())
+    return [
+        "calibrate",
+        str(image),
+        "--board-region",
+        "0,0,4,8",
+        "--reference-lab",
+        "16,0.5,-1",
+        "--heart-region",
+        "h1:4,0,6,4",
+        "--heart-region",
+        'h"2,b:8,2,8,6',
+    ]
+
+
+TAIL_ARGV = {
+    "calibrate": _calibrate_argv,
+    "acceptability": lambda tmp_path: [
+        "acceptability",
+        _bundled("acceptability_anchors.csv"),
+        "--threshold",
+        "0.3",
+    ],
+    "rate": lambda tmp_path: [
+        "rate",
+        _bundled("synthetic_observations.csv"),
+        _bundled("synthetic_windows.json"),
+        "--baseline-lab",
+        "49.3,46.3,20.5",
+    ],
+}
+
+
+@pytest.mark.parametrize("command,fmt,name", sorted(TAIL_GOLDEN))
+def test_printed_and_written_outputs_match_golden_digests(
+    tmp_path, capsys, command, fmt, name
+):
+    out = tmp_path / "out"
+    argv = TAIL_ARGV[command](tmp_path) + ["--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    data = capsys.readouterr().out if name == "stdout" else (out / name).read_bytes()
+    assert _digest(data) == TAIL_GOLDEN[(command, fmt, name)]

@@ -97,6 +97,24 @@ class TestEstimateHeartRate:
         )
         assert excluded == {"h1": str(raised.value)}
 
+    def test_points_on_one_day_in_window(self):
+        # two in-window points share day 0: the reason is the one fit_line
+        # gives, not that the fit overflowed
+        points = [(0, 1.0), (0, 2.0), (5, 3.0)]
+        with pytest.raises(InsufficientDataError, match="^all t values identical$"):
+            estimate_heart_rate("h1", points, Window(0, 3))
+        with pytest.raises(InsufficientDataError, match="^all t values identical$"):
+            fit_line([(0, 1.0), (0, 2.0)])
+        # days whose mean rounds away from them (3 x 0.1) still count as one
+        with pytest.raises(InsufficientDataError, match="^all t values identical$"):
+            estimate_heart_rate("h1", [(0.1, 1.0), (0.1, 2.0), (0.1, 3)], Window(0, 1))
+        # with two days in the window the same points fit, and a fit that
+        # overflows on distinct days keeps its own reason
+        assert estimate_heart_rate("h1", points, Window(0, 5)).n == 3
+        huge = [(0, 1e300), (1, -1e300), (2, 1e300)]
+        with pytest.raises(InsufficientDataError, match="values too large"):
+            estimate_heart_rate("h1", huge, Window(0, 2))
+
     def test_piecewise_series_recovers_window_slope(self):
         inside = [(t, 0.0351 * t) for t in range(0, 200, 20)]
         flat = [(t, 0.0351 * 180) for t in range(220, 400, 20)]

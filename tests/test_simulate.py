@@ -68,6 +68,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field.split("_")[0]):
             cfg.validate()
 
+    def test_type_errors_before_range_errors(self):
+        # n_agents is out of range and checked first, but a bad type on a
+        # later field is what is reported
+        with pytest.raises(ConfigError, match="^k_mean must be a finite number"):
+            small_cfg(n_agents=0, k_mean="fast").validate()
+
     def test_size_bounds(self):
         small_cfg(n_agents=simulate._MAX_AGENTS, replicates=1).validate()
         with pytest.raises(ConfigError, match="n_agents must be in"):
@@ -78,6 +84,22 @@ class TestConfig:
         small_cfg(horizon_days=6000, replicates=reps).validate()
         with pytest.raises(ConfigError, match="replicates x recorded days"):
             small_cfg(horizon_days=6000, replicates=reps + 1).validate()
+
+    def test_work_bound(self):
+        # replicates x n_agents x horizon_days at the cap passes, one over
+        # fails (2**40 + 1 is 257 x 4278255361); neither config is run
+        assert simulate._MAX_AGENT_DAYS == 2**40
+        small_cfg(replicates=2**8, n_agents=2**20, horizon_days=2**12).validate()
+        over = small_cfg(replicates=1, n_agents=257, horizon_days=4278255361)
+        message = (
+            "replicates x n_agents x horizon_days must be <= 1099511627776, "
+            "got 1 x 257 x 4278255361"
+        )
+        with pytest.raises(ConfigError) as raised:
+            over.validate()
+        assert str(raised.value) == message
+        # a full-wall run stays accepted
+        small_cfg(replicates=100, n_agents=240_000, horizon_days=6000).validate()
 
     def test_json_roundtrip(self):
         import json
