@@ -18,7 +18,6 @@ from heartfade import (
     srgb_to_lab,
 )
 from heartfade.color import LabOffset, lab_array_to_srgb, srgb_array_to_lab
-from heartfade.ingest import PixelGrid, encode_p6
 
 # A freshly painted heart measures roughly RGB (194, 80, 85).
 fresh_rgb = SrgbColor(194, 80, 85)
@@ -42,7 +41,7 @@ pixels[:, 8:] = (194, 80, 85)  # heart
 scene = srgb_array_to_lab(pixels)
 scene += np.array([5.0, -3.0, 2.0])  # camera colour-balance error
 distorted, _ = lab_array_to_srgb(scene)
-photo = parse_ppm(encode_p6(PixelGrid(16, 8, distorted.astype(np.uint8))))
+photo = parse_ppm(b"P6\n16 8\n255\n" + distorted.astype(np.uint8).tobytes())
 
 board_region = Region(0, 0, 8, 8)
 heart_region = Region(8, 0, 8, 8)

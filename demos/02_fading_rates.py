@@ -7,21 +7,19 @@ averaging 0.041 dE/day, plus one heart with too little data).
 Run: python3 demos/02_fading_rates.py
 """
 
-import json
 from importlib import resources
 
 from heartfade import (
     LabColor,
-    Window,
     aggregate_rates,
     build_series,
     load_observations,
 )
-from heartfade.rates import estimate_rates
+from heartfade.rates import estimate_rates, load_windows
 
 data = resources.files("heartfade") / "data"
 observations = load_observations((data / "synthetic_observations.csv").read_bytes())
-windows_doc = json.loads((data / "synthetic_windows.json").read_bytes())
+windows = load_windows((data / "synthetic_windows.json").read_bytes())
 baseline = LabColor(49.3, 46.3, 20.5)  # fresh paint
 
 # flat arrays: point i is day[i], delta_e[i] of heart_ids[heart[i]]
@@ -29,7 +27,6 @@ heart, day, delta_e = build_series(observations, baseline)
 n_hearts = len(observations.heart_ids)
 print(f"{len(observations)} observations -> {n_hearts} heart series\n")
 
-windows = {h: Window(w["start_day"], w["end_day"]) for h, w in windows_doc.items()}
 fits, excluded = estimate_rates(observations.heart_ids, heart, day, delta_e, windows)
 for heart_id in observations.heart_ids:
     if heart_id in excluded:

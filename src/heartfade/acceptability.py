@@ -8,12 +8,12 @@ least squares so repeated runs give identical parameters.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ingest import csv_rows
 
 __all__ = [
     "SurveyPoint",
@@ -136,35 +136,13 @@ def fit_acceptability(points: list[SurveyPoint]) -> AcceptabilityCurve:
 
 
 def load_survey(csv_bytes: bytes | str) -> list[SurveyPoint]:
-    """Parse the survey table (header: delta_e,frac_agree,n_respondents)."""
-    text = csv_bytes
-    if isinstance(csv_bytes, bytes):
-        try:
-            text = csv_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FitError(
-                f"not UTF-8: byte 0x{csv_bytes[exc.start]:02x} at offset {exc.start}"
-            ) from None
-    reader = csv.DictReader(io.StringIO(text))
-    try:
-        header = reader.fieldnames or []
-        rows = list(reader)
-    except csv.Error as exc:
-        raise FitError(str(exc)) from None
-    required = ["delta_e", "frac_agree", "n_respondents"]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise FitError(f"missing column(s): {', '.join(missing)}")
+    """Parse the survey table (header: delta_e,frac_agree,n_respondents)
+    through ingest.csv_rows; every fault is a FitError."""
     out = []
-    for i, row in enumerate(rows, start=2):
+    rows = csv_rows(csv_bytes, ("delta_e", "frac_agree", "n_respondents"), FitError)
+    for i, (delta_e, frac, n) in enumerate(rows, start=2):
         try:
-            out.append(
-                SurveyPoint(
-                    float(row["delta_e"]),
-                    float(row["frac_agree"]),
-                    int(row["n_respondents"]),
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            out.append(SurveyPoint(float(delta_e), float(frac), int(n)))
+        except ValueError as exc:
             raise FitError(f"row {i}: {exc}") from None
     return out

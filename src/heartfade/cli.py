@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: calibrate, rate, acceptability, simulate, sweep. Every run is
-deterministic given its inputs and --seed. A subcommand only computes and
-returns (printed, files, config, inputs); `main` prints, then writes the
-files under --out with a manifest recording the sha256 digest of every
-input, the resolved configuration and the seed, as one set: a command
-that fails leaves the files already under --out as they were.
+deterministic given its inputs and --seed. `_load` alone reads an input
+file: it keeps the bytes and hands them to the format's loader, whose
+ValueError becomes one line prefixed with the path. A subcommand only
+computes and returns (printed, files, config); `main` prints, then writes
+the files under --out with a manifest recording the sha256 digest of
+every input, the resolved configuration and the seed, as one set: a
+command that fails leaves the files already under --out as they were.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from types import SimpleNamespace
 
 from . import __version__
 from .acceptability import (
-    FitError,
     fit_acceptability,
     fit_objective,
     load_survey,
@@ -33,8 +34,6 @@ from .acceptability import (
 )
 from .color import LabColor, LabOffset, derive_calibration
 from .ingest import (
-    ObservationError,
-    PpmError,
     Region,
     RegionError,
     build_series,
@@ -42,7 +41,7 @@ from .ingest import (
     mean_lab_of_region,
     parse_ppm,
 )
-from .rates import Window, aggregate_rates, estimate_rates
+from .rates import aggregate_rates, estimate_rates, load_windows
 from .simulate import (
     ConfigError,
     SimConfig,
@@ -129,11 +128,18 @@ def _emit(out_dir: Path, files: dict[str, str]) -> None:
         shutil.rmtree(staged.out_dir, ignore_errors=True)
 
 
-def _read_bytes(path: str) -> bytes:
+def _load(inputs: dict[str, bytes], path: str, parse):
+    """`parse` of the bytes of the input file at `path`: the one read of an
+    input file. The bytes are kept in `inputs` for the manifest; a
+    ValueError `parse` raises becomes a CliError prefixed with the path."""
     p = Path(path)
     if not p.is_file():
         raise CliError(f"input file not found: {path}")
-    return p.read_bytes()
+    inputs[path] = data = p.read_bytes()
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _parse_lab(text: str) -> LabColor:
@@ -183,12 +189,8 @@ def _manifest(
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_calibrate(args) -> tuple:
-    image_bytes = _read_bytes(args.image)
-    try:
-        grid = parse_ppm(image_bytes)
-    except PpmError as exc:
-        raise CliError(f"{args.image}: {exc}") from None
+def cmd_calibrate(args, inputs: dict[str, bytes]) -> tuple:
+    grid = _load(inputs, args.image, parse_ppm)
     board = _parse_region(args.board_region)
     reference = _parse_lab(args.reference_lab)
 
@@ -218,40 +220,19 @@ def cmd_calibrate(args) -> tuple:
         "heart_regions": args.heart_region,
         "offset": [offset.dL, offset.da, offset.db],
     }
-    return printed, {"calibrated.csv": csv_text}, config, {args.image: image_bytes}
+    return printed, {"calibrated.csv": csv_text}, config
 
 
-def _window(heart: str, w: dict) -> Window:
-    """A windows-document entry; its days must be JSON integers, not bools."""
-    for name in ("start_day", "end_day"):
-        if type(w[name]) is not int:
-            got = json.dumps(w[name])
-            raise TypeError(f"heart {heart}: {name} must be an integer, got {got}")
-    return Window(w["start_day"], w["end_day"])
-
-
-def cmd_rate(args) -> tuple:
-    obs_bytes = _read_bytes(args.observations)
-    windows_bytes = _read_bytes(args.windows)
+def cmd_rate(args, inputs: dict[str, bytes]) -> tuple:
     baseline = _parse_lab(args.baseline_lab)
-    try:
-        cols = load_observations(obs_bytes)
-    except ObservationError as exc:
-        raise CliError(f"{args.observations}: {exc}") from None
-    try:
-        windows_doc = json.loads(windows_bytes)
-        if not isinstance(windows_doc, dict):
-            raise TypeError("expected an object of heart_id: window")
-        windows = {heart: _window(heart, w) for heart, w in windows_doc.items()}
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
-        raise CliError(f"{args.windows}: invalid windows document: {exc}") from None
 
-    try:
-        heart, day, delta_e = build_series(cols, baseline)
-    except ObservationError as exc:
-        raise CliError(f"{args.observations}: {exc}") from None
-    fits, excluded = estimate_rates(cols.heart_ids, heart, day, delta_e, windows)
+    def series(data: bytes) -> tuple:
+        cols = load_observations(data)
+        return cols.heart_ids, *build_series(cols, baseline)
+
+    heart_ids, heart, day, delta_e = _load(inputs, args.observations, series)
+    windows = _load(inputs, args.windows, load_windows)
+    fits, excluded = estimate_rates(heart_ids, heart, day, delta_e, windows)
     if not fits:
         raise CliError("no fittable hearts")
 
@@ -281,17 +262,15 @@ def cmd_rate(args) -> tuple:
         for heart, f in fits.items():
             rows.append([heart, repr(f.slope), repr(f.intercept), repr(f.r2), f.n])
         printed = _csv_text(rows)
-    inputs = {args.observations: obs_bytes, args.windows: windows_bytes}
-    return printed, {"rates.json": text}, {"baseline_lab": args.baseline_lab}, inputs
+    return printed, {"rates.json": text}, {"baseline_lab": args.baseline_lab}
 
 
-def cmd_acceptability(args) -> tuple:
-    survey_bytes = _read_bytes(args.survey)
-    try:
-        points = load_survey(survey_bytes)
-        curve = fit_acceptability(points)
-    except FitError as exc:
-        raise CliError(f"{args.survey}: {exc}") from None
+def cmd_acceptability(args, inputs: dict[str, bytes]) -> tuple:
+    def fitted(data: bytes) -> tuple:
+        points = load_survey(data)
+        return points, fit_acceptability(points)
+
+    points, curve = _load(inputs, args.survey, fitted)
 
     fracs = args.threshold if args.threshold else [0.2, 0.5]
     try:
@@ -312,16 +291,13 @@ def cmd_acceptability(args) -> tuple:
         ]
         rows += [[f"threshold_{k}", v] for k, v in thresholds.items()]
         printed = _csv_text(rows)
-    files = {"acceptability.json": text}
-    return printed, files, {"thresholds": fracs}, {args.survey: survey_bytes}
+    return printed, {"acceptability.json": text}, {"thresholds": fracs}
 
 
-def _load_sim_config(args, presets: dict, **fields) -> tuple[SimConfig, dict]:
-    """The run's config and the inputs to digest ({} for a preset).
-
-    --preset or a JSON config file supplies the fields; `fields` and
-    --seed (as master_seed) replace them, and only then is the config
-    validated.
+def _load_sim_config(args, inputs: dict, presets: dict, **fields) -> SimConfig:
+    """The run's config: --preset or a JSON config file (read into
+    `inputs`) supplies the fields; `fields` and --seed (as master_seed)
+    replace them, and only then is the config validated.
     """
     fields["master_seed"] = args.seed
     if args.preset:
@@ -329,28 +305,24 @@ def _load_sim_config(args, presets: dict, **fields) -> tuple[SimConfig, dict]:
             raise CliError("give either a config file or --preset, not both")
         cfg = replace(presets[args.preset](), **fields)
         cfg.validate()
-        return cfg, {}
+        return cfg
     if not args.config:
         raise CliError("a config file or --preset is required")
-    raw = _read_bytes(args.config)
-    try:
-        return SimConfig.from_json(raw, **fields), {args.config: raw}
-    except ConfigError as exc:
-        raise CliError(f"{args.config}: {exc}") from None
+    return _load(inputs, args.config, lambda data: SimConfig.from_json(data, **fields))
 
 
-def cmd_simulate(args) -> tuple:
-    cfg, inputs = _load_sim_config(args, SIMULATE_PRESETS)
+def cmd_simulate(args, inputs: dict[str, bytes]) -> tuple:
+    cfg = _load_sim_config(args, inputs, SIMULATE_PRESETS)
     result = run_simulation(cfg)
     files = {
         "result.csv": _csv_text(result.csv_rows()),
         "summary.json": json.dumps(result.summary(), indent=2, sort_keys=True) + "\n",
     }
-    return "", files, cfg.to_dict(), inputs
+    return "", files, cfg.to_dict()
 
 
-def cmd_sweep(args) -> tuple:
-    cfg, inputs = _load_sim_config(args, SWEEP_PRESETS, horizon_days=args.horizon)
+def cmd_sweep(args, inputs: dict[str, bytes]) -> tuple:
+    cfg = _load_sim_config(args, inputs, SWEEP_PRESETS, horizon_days=args.horizon)
     fractions = args.fractions
     if fractions is None:
         fractions = SWEEP_PRESET_FRACTIONS.get(args.preset)
@@ -363,7 +335,7 @@ def cmd_sweep(args) -> tuple:
         repaints = f"{row.total_repaints_at_horizon:.4f}"
         table.append([row.repaint_fraction_weekly, row.strategy.value, frac, repaints])
     config = {**cfg.to_dict(), "fractions": list(fractions)}
-    return "", {"sweep.csv": _csv_text(table)}, config, inputs
+    return "", {"sweep.csv": _csv_text(table)}, config
 
 
 def _fraction_list(text: str) -> list[float]:
@@ -452,8 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: print what it returns, then, given an --out
     directory, write its files and manifest.json there as one set."""
     args = build_parser().parse_args(argv)
+    inputs: dict[str, bytes] = {}  # path -> bytes, filled by _load
     try:
-        printed, files, config, inputs = args.func(args)
+        printed, files, config = args.func(args, inputs)
     except (CliError, ConfigError) as exc:
         print(f"heartfade {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

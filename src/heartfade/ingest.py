@@ -3,7 +3,8 @@
 Decodes PPM photographs (P3/P6, maxval 255), samples region-mean colours,
 parses the observation table into columns in one pass (rows are searched
 one by one only to report the first bad row), and builds every heart's
-delta-E series against a fresh-paint baseline.
+delta-E series against a fresh-paint baseline. Every CSV table is read
+through one front, `csv_rows`.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import datetime
 import io
 import operator
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from math import isfinite
 
 import numpy as np
 
-from .color import LabColor, LabOffset, SrgbColor, srgb_array_to_lab
+from .color import LabColor, LabOffset, srgb_array_to_lab
 
 __all__ = [
     "PixelGrid",
@@ -30,9 +31,8 @@ __all__ = [
     "ObservationError",
     "RegionError",
     "parse_ppm",
-    "encode_p3",
-    "encode_p6",
     "mean_lab_of_region",
+    "csv_rows",
     "load_observations",
     "build_series",
 ]
@@ -65,7 +65,7 @@ class RegionError(ValueError):
     """Region outside its grid, or with zero area."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PixelGrid:
     """Decoded image: (height, width, 3) uint8 array of sRGB pixels."""
 
@@ -81,18 +81,6 @@ class PixelGrid:
                 f"pixel array shape {self.pixels.shape} does not match "
                 f"{self.height}x{self.width}x3"
             )
-
-    def pixel(self, x: int, y: int) -> SrgbColor:
-        r, g, b = self.pixels[y, x]
-        return SrgbColor(int(r), int(g), int(b))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PixelGrid)
-            and self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.pixels, other.pixels)
-        )
 
 
 @dataclass(frozen=True)
@@ -206,22 +194,6 @@ def _p3_samples(data: bytes, pos: int, n: int) -> np.ndarray:
     return np.array(values, dtype=np.uint8)
 
 
-def encode_p3(grid: PixelGrid) -> bytes:
-    """Encode a grid as ASCII PPM (test and demo support)."""
-    out = io.StringIO()
-    out.write(f"P3\n{grid.width} {grid.height}\n255\n")
-    for row in grid.pixels:
-        out.write(" ".join(str(int(v)) for v in row.reshape(-1)))
-        out.write("\n")
-    return out.getvalue().encode("ascii")
-
-
-def encode_p6(grid: PixelGrid) -> bytes:
-    """Encode a grid as binary PPM."""
-    header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    return header + grid.pixels.astype(np.uint8).tobytes()
-
-
 def mean_lab_of_region(grid: PixelGrid, region: Region, offset: LabOffset) -> LabColor:
     """Mean calibrated LAB colour over a rectangular region.
 
@@ -236,16 +208,55 @@ def mean_lab_of_region(grid: PixelGrid, region: Region, offset: LabOffset) -> La
         or region.x + region.w > grid.width
         or region.y + region.h > grid.height
     ):
-        raise RegionError(
-            f"region {region} outside {grid.width}x{grid.height} grid"
-        )
-    patch = grid.pixels[
-        region.y : region.y + region.h, region.x : region.x + region.w
-    ]
+        raise RegionError(f"region {region} outside {grid.width}x{grid.height} grid")
+    patch = grid.pixels[region.y : region.y + region.h, region.x : region.x + region.w]
     lab = srgb_array_to_lab(patch.reshape(-1, 3))
     lab += np.array([offset.dL, offset.da, offset.db])
-    mean = lab.mean(axis=0)
+    with np.errstate(over="ignore"):  # an offset near the float limit sums to inf
+        mean = lab.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise RegionError(f"region {region}: calibrated mean LAB is not finite")
     return LabColor(float(mean[0]), float(mean[1]), float(mean[2]))
+
+
+def csv_rows(
+    data: bytes | str,
+    columns: Sequence[str],
+    error: type[ValueError],
+    required: Sequence[str] = (),
+) -> Iterator[tuple[str, ...]]:
+    """The fields `columns` of each data row of a CSV table, in file order:
+    the front every CSV loader shares.
+
+    `data` is UTF-8 (if bytes); its first line is the header, where the last
+    of duplicate names wins, and which must hold `columns` and `required`.
+    Blank lines are neither rows nor counted. The iterator raises `error`
+    for bytes that do not decode, a missing column, a row too short for one
+    of `columns` (row N: missing field(s)) and text csv cannot split.
+    """
+    text = data
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(
+                f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+            ) from None
+    rows = csv.reader(io.StringIO(text))
+    try:
+        column = {name: j for j, name in enumerate(next(rows, []))}
+        missing = [c for c in (*columns, *required) if c not in column]
+        if missing:
+            raise error(f"missing column(s): {', '.join(missing)}")
+        index = [column[c] for c in columns]
+        pick = operator.itemgetter(*index)
+        for n, row in enumerate(filter(None, rows), start=2):  # row 1: the header
+            yield pick(row)  # IndexError on a short row
+    except IndexError:
+        short = ", ".join(c for c, j in zip(columns, index) if j >= len(row))
+        raise error(f"row {n}: missing field(s): {short}") from None
+    except csv.Error as exc:
+        raise error(str(exc)) from None
 
 
 def load_observations(csv_bytes: bytes | str) -> ObservationColumns:
@@ -264,48 +275,24 @@ def load_observations(csv_bytes: bytes | str) -> ObservationColumns:
     ObservationError, its date before its values. The walk also converts
     dates the bulk check does not take (padded, non-ASCII digits).
     """
-    text = csv_bytes
-    if isinstance(csv_bytes, bytes):
-        try:
-            text = csv_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ObservationError(
-                f"not UTF-8: byte 0x{csv_bytes[exc.start]:02x} at offset {exc.start}"
-            ) from None
-    rows = csv.reader(io.StringIO(text))
-    try:
-        header = next(rows, [])
-    except csv.Error as exc:
-        raise ObservationError(str(exc)) from None
-    # the last of duplicate header names wins, as with csv.DictReader
-    column = {name: j for j, name in enumerate(header)}
-    missing = [c for c in (*_READ, "source") if c not in column]
-    if missing:
-        raise ObservationError(f"missing column(s): {', '.join(missing)}")
-    index = [column[c] for c in _READ]
-    pick = operator.itemgetter(*index)
-
+    rows = csv_rows(csv_bytes, _READ, ObservationError, required=("source",))
     codes: dict[str, int] = {}
     heart, dates, lab = [], [], []
     stop = None  # what ended the stream early, raised if no row before it is bad
     try:
-        for row in filter(None, rows):
-            h, d, l_, a_, b_ = pick(row)  # IndexError on a short row
+        for h, d, l_, a_, b_ in rows:
             dates.append(d)
             x, y, z = float(l_), float(a_), float(b_)
             if not (isfinite(x) and isfinite(y) and isfinite(z)):
                 raise ValueError("LAB value not finite")
             heart.append(codes.setdefault(h, len(codes)))
             lab += x, y, z
-    except IndexError:
-        short = ", ".join(c for c, j in zip(_READ, index) if j >= len(row))
-        stop = ObservationError(f"row {len(dates) + 2}: missing field(s): {short}")
+    except ObservationError as exc:  # from csv_rows: a header or row fault
+        stop = exc
     except ValueError:
         stop = ObservationError(
             f"row {len(dates) + 1}: non-numeric LAB values ({l_!r}, {a_!r}, {b_!r})"
         )
-    except csv.Error as exc:
-        stop = ObservationError(str(exc))
 
     day = None
     if stop is None and all(map(_ASCII_DATE.fullmatch, dates)):

@@ -5,10 +5,12 @@ over a user-selected window; per-heart slopes are then pooled into a
 population mean rate with its sample standard deviation. Every fit, of one
 line or of all hearts at once, goes through one closed-form kernel, and
 every window through estimate_rates (estimate_heart_rate: one heart).
+Windows are read from their JSON document by load_windows.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ __all__ = [
     "Window",
     "AggregateRate",
     "InsufficientDataError",
+    "load_windows",
     "fit_line",
     "estimate_heart_rate",
     "estimate_rates",
@@ -56,6 +59,28 @@ class AggregateRate:
     sd_k: float  # sample standard deviation (n-1)
     rel_err: float  # sd_k / mean_k
     n_hearts: int
+
+
+def load_windows(data: bytes | str) -> dict[str, Window]:
+    """The windows document: a JSON object of heart_id -> {"start_day": int,
+    "end_day": int}. The days must be JSON integers, not floats, bools or
+    strings. Any fault raises ValueError("invalid windows document: ...")."""
+
+    def window(heart: str, w: dict) -> Window:
+        for name in ("start_day", "end_day"):
+            if type(w[name]) is not int:
+                got = json.dumps(w[name])
+                raise TypeError(f"heart {heart}: {name} must be an integer, got {got}")
+        return Window(w["start_day"], w["end_day"])
+
+    try:
+        doc = json.loads(data)
+        if not isinstance(doc, dict):
+            raise TypeError("expected an object of heart_id: window")
+        return {heart: window(heart, w) for heart, w in doc.items()}
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"invalid windows document: {exc}") from None
 
 
 _NOT_FINITE = "fit is not finite: values too large"

@@ -168,26 +168,6 @@ class SimConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        d = dict(d)
-        if "strategy" in d:
-            try:
-                d["strategy"] = Strategy(d["strategy"])
-            except ValueError:
-                raise ConfigError(f"unknown strategy {d['strategy']!r}") from None
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            names = ", ".join(map(repr, sorted(unknown)))
-            raise ConfigError(f"unknown config field(s): {names}")
-        try:
-            cfg = cls(**d)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-        cfg.validate()
-        return cfg
-
-    @classmethod
     def from_json(cls, text: str | bytes, **fields) -> "SimConfig":
         """The config in a JSON object of its fields. Each of `fields`
         replaces (or supplies) the document's value before validation, so
@@ -207,7 +187,22 @@ class SimConfig:
             raise ConfigError(f"invalid JSON config: {exc}") from None
         if not isinstance(d, dict):
             raise ConfigError("config JSON must be an object")
-        return cls.from_dict({**d, **fields})
+        d.update(fields)
+        if "strategy" in d:
+            try:
+                d["strategy"] = Strategy(d["strategy"])
+            except ValueError:
+                raise ConfigError(f"unknown strategy {d['strategy']!r}") from None
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            names = ", ".join(map(repr, sorted(unknown)))
+            raise ConfigError(f"unknown config field(s): {names}")
+        try:
+            cfg = cls(**d)
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
+        cfg.validate()
+        return cfg
 
 
 @dataclass

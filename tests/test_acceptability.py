@@ -186,3 +186,20 @@ class TestLoadSurvey:
     def test_bad_row(self):
         with pytest.raises(FitError, match="row 2"):
             load_survey("delta_e,frac_agree,n_respondents\n10,high,150\n")
+
+    def test_short_row_names_its_missing_field(self):
+        with pytest.raises(FitError) as exc:
+            load_survey("delta_e,frac_agree,n_respondents\n10,0.05\n")
+        assert str(exc.value) == "row 2: missing field(s): n_respondents"
+
+    def test_blank_line_skipped_and_not_counted(self):
+        header = "delta_e,frac_agree,n_respondents\n"
+        pts = load_survey(header + "\n10,0.05,150\n\n")
+        assert pts == [SurveyPoint(10.0, 0.05, 150)]
+        with pytest.raises(FitError, match="^row 3: "):
+            load_survey(header + "\n10,0.05,150\n\n20,high,150\n")
+
+    def test_last_of_duplicate_headers_wins(self):
+        text = "delta_e,frac_agree,n_respondents,frac_agree\n10,x,150,0.05\n"
+        pts = load_survey(text)
+        assert pts == [SurveyPoint(10.0, 0.05, 150)]

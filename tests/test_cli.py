@@ -14,7 +14,8 @@ import pytest
 import heartfade.cli
 from heartfade.cli import fnv1a64, main, sha256_hex
 from heartfade.color import LabColor, srgb_to_lab, SrgbColor
-from heartfade.ingest import PixelGrid, encode_p6
+from heartfade.ingest import PixelGrid
+from ppm_codec import encode_p6
 
 
 BASELINE = "49.3,46.3,20.5"
@@ -150,6 +151,34 @@ class TestCalibrate:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("reference", ["1e308,0,0", "1e307,0,0"])
+    def test_calibrated_mean_overflow_exit_2(self, tmp_path, capsys, reference):
+        # a reference near the float limit makes the offset sum to inf over
+        # the region's 100 pixels
+        img = tmp_path / "wall.ppm"
+        pixels = np.full((20, 20, 3), 200, dtype=np.uint8)
+        img.write_bytes(encode_p6(PixelGrid(20, 20, pixels)))
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "calibrate",
+                str(img),
+                "--board-region",
+                "0,0,10,10",
+                f"--reference-lab={reference}",
+                "--heart-region",
+                "h:10,10,10,10",
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "heartfade calibrate: region Region(x=10, y=10, w=10, h=10): "
+            "calibrated mean LAB is not finite\n"
+        )
+        assert not out.exists()
 
 
 class TestRate:
@@ -480,6 +509,60 @@ class TestCsvIds:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert [row[0] for row in rows] == ["heart_id", *self.IDS]
         assert {len(row) for row in rows} == {5}
+
+
+def _calibrate_argv(tmp_path):
+    img = tmp_path / "wall.ppm"
+    write_test_image(img)
+    region = ["--board-region", "0,0,4,4", "--reference-lab", "16,0,0"]
+    return ["calibrate", str(img), *region, "--heart-region", "h1:4,0,4,4"]
+
+
+def _config_path(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TestSimulateCommand.CONFIG))
+    return str(cfg)
+
+
+@pytest.mark.parametrize(
+    "argv,n_inputs",
+    [
+        (_calibrate_argv, 1),
+        (
+            lambda tmp_path: [
+                "rate",
+                str(data_path("synthetic_observations.csv")),
+                str(data_path("synthetic_windows.json")),
+                "--baseline-lab",
+                BASELINE,
+            ],
+            2,
+        ),
+        (
+            lambda tmp_path: ["acceptability", str(data_path("acceptability_anchors.csv"))],
+            1,
+        ),
+        (lambda tmp_path: ["simulate", _config_path(tmp_path)], 1),
+        (lambda tmp_path: ["simulate", "--preset", "paint1-baseline"], 0),
+        (lambda tmp_path: ["sweep", _config_path(tmp_path), "--fractions", "0.1"], 1),
+        (lambda tmp_path: ["sweep", "--preset", "paint1-5pct", "--horizon", "30"], 0),
+    ],
+    ids=[
+        "calibrate", "rate", "acceptability", "simulate-config", "simulate-preset",
+        "sweep-config", "sweep-preset",
+    ],
+)
+def test_manifest_inputs_are_the_input_files_named(tmp_path, capsys, argv, n_inputs):
+    # the manifest digests every input path on the command line, and nothing else
+    argv = argv(tmp_path)
+    named = [a for a in argv[1:] if Path(a).is_file()]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert len(named) == n_inputs
+    digests = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in named}
+    assert inputs == digests
 
 
 def test_only_simulate_and_sweep_default_to_cwd(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Property tests of the survey and config parsers and of the CLI on
+"""Property tests of the survey, windows and config parsers and of the CLI on
 arbitrary input bytes and arguments.
 
 Each parser either returns a result or raises its own typed error. Each
@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from heartfade.acceptability import FitError, SurveyPoint, load_survey
 from heartfade.cli import main
-from heartfade.ingest import PixelGrid, encode_p6
+from heartfade.ingest import PixelGrid
+from heartfade.rates import Window, load_windows
 from heartfade.simulate import ConfigError, SimConfig
+from ppm_codec import encode_p6
 
 FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -145,6 +147,19 @@ def test_load_survey_returns_points_or_fit_error(data):
     except FitError:
         return
     assert all(type(p) is SurveyPoint for p in points)
+
+
+@FUZZ
+@given(windows_bytes)
+def test_load_windows_returns_windows_or_value_error(data):
+    try:
+        windows = load_windows(data)
+    except ValueError as exc:
+        assert str(exc).startswith("invalid windows document: ")
+        return
+    for heart, w in windows.items():
+        assert type(heart) is str and type(w) is Window
+        assert type(w.start_day) is int and type(w.end_day) is int
 
 
 @FUZZ
