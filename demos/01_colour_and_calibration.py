@@ -8,16 +8,18 @@ import numpy as np
 
 from heartfade import (
     LabColor,
+    LabOffset,
     Region,
     SrgbColor,
     delta_e,
     derive_calibration,
+    lab_array_to_srgb,
     lab_to_srgb,
     mean_lab_of_region,
     parse_ppm,
+    srgb_array_to_lab,
     srgb_to_lab,
 )
-from heartfade.color import LabOffset, lab_array_to_srgb, srgb_array_to_lab
 
 # A freshly painted heart measures roughly RGB (194, 80, 85).
 fresh_rgb = SrgbColor(194, 80, 85)

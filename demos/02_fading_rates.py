@@ -13,9 +13,10 @@ from heartfade import (
     LabColor,
     aggregate_rates,
     build_series,
+    estimate_rates,
     load_observations,
+    load_windows,
 )
-from heartfade.rates import estimate_rates, load_windows
 
 data = resources.files("heartfade") / "data"
 observations = load_observations((data / "synthetic_observations.csv").read_bytes())

@@ -10,8 +10,12 @@ Run: python3 demos/03_acceptability.py
 
 from importlib import resources
 
-from heartfade import fit_acceptability, predict_agreement, threshold_for_agreement
-from heartfade.acceptability import load_survey
+from heartfade import (
+    fit_acceptability,
+    load_survey,
+    predict_agreement,
+    threshold_for_agreement,
+)
 
 data = resources.files("heartfade") / "data"
 points = load_survey((data / "acceptability_anchors.csv").read_bytes())

@@ -6,8 +6,13 @@ Run: python3 demos/04_repainting_strategies.py
 
 from dataclasses import replace
 
-from heartfade import Strategy, paint2_config, run_simulation, sweep_fractions
-from heartfade.simulate import paint1_config
+from heartfade import (
+    Strategy,
+    paint1_config,
+    paint2_config,
+    run_simulation,
+    sweep_fractions,
+)
 
 # --- no intervention with the original fast-fading paint ----------------
 baseline = replace(paint1_config(), horizon_days=600, replicates=50)

@@ -1,48 +1,13 @@
 """heartfade: fading-rate estimation and repainting-strategy simulation
-for painted memorial hearts."""
+for painted memorial hearts.
+
+The root exports each module's `__all__`, where every public name is listed
+once, next to its definition."""
 
 __version__ = "0.2.0"
 
-from .acceptability import (
-    AcceptabilityCurve,
-    SurveyPoint,
-    fit_acceptability,
-    predict_agreement,
-    threshold_for_agreement,
-)
-from .color import (
-    LabColor,
-    LabOffset,
-    SrgbColor,
-    apply_calibration,
-    delta_e,
-    derive_calibration,
-    lab_to_srgb,
-    srgb_to_lab,
-)
-from .ingest import (
-    PixelGrid,
-    Region,
-    build_series,
-    load_observations,
-    mean_lab_of_region,
-    parse_ppm,
-)
-from .rates import (
-    AggregateRate,
-    LineFit,
-    Window,
-    aggregate_rates,
-    estimate_heart_rate,
-    fit_line,
-)
-from .simulate import (
-    SimConfig,
-    SimResult,
-    Strategy,
-    SweepRow,
-    paint1_config,
-    paint2_config,
-    run_simulation,
-    sweep_fractions,
-)
+from .acceptability import *
+from .color import *
+from .ingest import *
+from .rates import *
+from .simulate import *

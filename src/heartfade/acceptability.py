@@ -81,14 +81,16 @@ def threshold_for_agreement(curve: AcceptabilityCurve, frac: float) -> float:
     return curve.m + curve.s * math.log(frac / (1.0 - frac))
 
 
-def fit_objective(
-    curve: AcceptabilityCurve, points: list[SurveyPoint]
-) -> float:
+def fit_objective(curve: AcceptabilityCurve, points: list[SurveyPoint]) -> float:
     """Weighted sum of squared residuals of the curve against the points."""
-    de = np.array([p.delta_e for p in points], dtype=np.float64)
-    frac = np.array([p.frac_agree for p in points], dtype=np.float64)
-    w = np.array([p.n_respondents for p in points], dtype=np.float64)
-    return float(_grid_objective(np.array(curve.m), np.array(curve.s), de, frac, w))
+    m, s = np.array(curve.m), np.array(curve.s)
+    return float(_grid_objective(m, s, *_survey_arrays(points)))
+
+
+def _survey_arrays(points: list[SurveyPoint]) -> np.ndarray:
+    """The points' delta E, agreement fractions and weights, as float64 rows."""
+    rows = [(p.delta_e, p.frac_agree, p.n_respondents) for p in points]
+    return np.array(rows, dtype=np.float64).reshape(-1, 3).T
 
 
 def _grid_objective(
@@ -108,9 +110,7 @@ def fit_acceptability(points: list[SurveyPoint]) -> AcceptabilityCurve:
     """
     if len(points) < 3:
         raise FitError(f"need >= 3 survey points, got {len(points)}")
-    de = np.array([p.delta_e for p in points], dtype=np.float64)
-    frac = np.array([p.frac_agree for p in points], dtype=np.float64)
-    w = np.array([p.n_respondents for p in points], dtype=np.float64)
+    de, frac, w = _survey_arrays(points)
     if np.unique(de).size < 2:
         raise FitError("need at least two distinct delta_e values")
     if np.all(frac == frac[0]):

@@ -142,24 +142,22 @@ def _load(inputs: dict[str, bytes], path: str, parse):
         raise CliError(f"{path}: {exc}") from None
 
 
-def _parse_lab(text: str) -> LabColor:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"expected L,a,b triple, got {text!r}")
-    try:
-        return LabColor(*(float(v) for v in parts))
-    except ValueError as exc:
-        raise CliError(f"bad LAB triple {text!r}: {exc}") from None
+# each comma-separated option type: (field type, expected form, error name)
+_TUPLES = {
+    LabColor: (float, "L,a,b triple", "LAB triple"),
+    Region: (int, "x,y,w,h region", "region"),
+}
 
 
-def _parse_region(text: str) -> Region:
+def _parse_tuple(text: str, cls: type):
+    convert, form, name = _TUPLES[cls]
     parts = text.split(",")
-    if len(parts) != 4:
-        raise CliError(f"expected x,y,w,h region, got {text!r}")
+    if len(parts) != form.count(",") + 1:
+        raise CliError(f"expected {form}, got {text!r}")
     try:
-        return Region(*(int(v) for v in parts))
+        return cls(*map(convert, parts))
     except ValueError as exc:
-        raise CliError(f"bad region {text!r}: {exc}") from None
+        raise CliError(f"bad {name} {text!r}: {exc}") from None
 
 
 def _csv_text(rows) -> str:
@@ -191,8 +189,8 @@ def _manifest(
 
 def cmd_calibrate(args, inputs: dict[str, bytes]) -> tuple:
     grid = _load(inputs, args.image, parse_ppm)
-    board = _parse_region(args.board_region)
-    reference = _parse_lab(args.reference_lab)
+    board = _parse_tuple(args.board_region, Region)
+    reference = _parse_tuple(args.reference_lab, LabColor)
 
     try:
         observed = mean_lab_of_region(grid, board, LabOffset(0, 0, 0))
@@ -203,7 +201,7 @@ def cmd_calibrate(args, inputs: dict[str, bytes]) -> tuple:
             region_id, _, coords = spec.partition(":")
             if not coords:
                 raise CliError(f"expected ID:x,y,w,h heart region, got {spec!r}")
-            lab = mean_lab_of_region(grid, _parse_region(coords), offset)
+            lab = mean_lab_of_region(grid, _parse_tuple(coords, Region), offset)
             # round(v, 4) is the float that f"{v:.4f}" prints, and prints alike
             L, a, b = (round(v, 4) for v in (lab.L, lab.a, lab.b))
             rows.append([region_id, f"{L:.4f}", f"{a:.4f}", f"{b:.4f}"])
@@ -224,7 +222,7 @@ def cmd_calibrate(args, inputs: dict[str, bytes]) -> tuple:
 
 
 def cmd_rate(args, inputs: dict[str, bytes]) -> tuple:
-    baseline = _parse_lab(args.baseline_lab)
+    baseline = _parse_tuple(args.baseline_lab, LabColor)
 
     def series(data: bytes) -> tuple:
         cols = load_observations(data)

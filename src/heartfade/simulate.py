@@ -40,6 +40,7 @@ __all__ = [
     "repaint_event",
     "run_simulation",
     "sweep_fractions",
+    "paint1_config",
     "paint2_config",
     "weekly_capacity",
 ]
@@ -71,14 +72,15 @@ _MAX_OUTPUT_CELLS = 1 << 24
 _MAX_AGENT_DAYS = 1 << 40
 
 # one row per numeric field, checked in this order: (name, integer or else
-# a finite real, low bound or None, low bound excluded, high bound or None)
+# a finite real, low bound or None, low bound excluded, high bound or None);
+# a field with an excluded low bound has a high bound
 _FIELD_RULES = (
     ("n_agents", True, 1, False, _MAX_AGENTS),
     ("horizon_days", True, 1, False, None),
     ("replicates", True, 1, False, None),
     ("master_seed", True, None, False, None),
-    ("k_mean", False, 0, True, None),
-    ("k_sd", False, 0, False, None),
+    ("k_mean", False, 0, True, 1000),  # delta E per day, so k·days stays finite
+    ("k_sd", False, 0, False, 1000),
     ("initial_spread_max", False, 0, False, None),
     ("perception_threshold", False, None, False, None),
     ("repaint_fraction_weekly", False, 0, False, 1),
@@ -135,11 +137,11 @@ class SimConfig:
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
             if out_of_range or low is None:
                 continue
-            if high is not None and not low <= value <= high:
-                out_of_range = f"{name} must be in [{low}, {high}], got {value}"
-            elif value < low or (low_open and value == low):
-                sign = ">" if low_open else ">="
-                out_of_range = f"{name} must be {sign} {low}, got {value}"
+            above_low = low < value if low_open else low <= value
+            if not above_low or (high is not None and value > high):
+                bracket = "(" if low_open else "["
+                bound = f">= {low}" if high is None else f"in {bracket}{low}, {high}]"
+                out_of_range = f"{name} must be {bound}, got {value}"
         if out_of_range:
             raise ConfigError(out_of_range)
         work = (self.replicates, self.n_agents, self.horizon_days)

@@ -366,6 +366,24 @@ class TestSimulateCommand:
         assert err.count("\n") == 1 and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rates,message",
+        [
+            ({"k_mean": 1e308}, "k_mean must be in (0, 1000], got 1e+308"),
+            ({"k_mean": 0.041, "k_sd": 1e308}, "k_sd must be in [0, 1000], got 1e+308"),
+        ],
+    )
+    def test_rate_near_the_float_limit_exit_2(self, tmp_path, capsys, rates, message):
+        # a week's fading, k·7, would overflow to inf
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            json.dumps({**rates, "n_agents": 5, "horizon_days": 20, "replicates": 2})
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"heartfade simulate: {cfg}: {message}\n"
+        assert not out.exists()
+
     def test_work_over_the_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         # 2**9 x 2**20 x 2**12 agent-days, over the cap of 2**40: rejected
         # before it runs, and never run should the check be lost

@@ -354,14 +354,17 @@ JUNK = st.sampled_from(
 )
 
 
-def field_for(name):
-    if name == "date":
-        return st.dates(datetime.date(1990, 1, 1), datetime.date(2030, 12, 31)).map(
-            datetime.date.isoformat
-        )
-    if name in ("L", "a", "b"):
-        return st.floats(-200, 200).map(repr)
-    return st.sampled_from(["h1", "h2", "heart_3", "photo", "survey", ""])
+# one field's values by column name, built once; any other column, OTHER
+LAB_VALUE = st.floats(-200, 200).map(repr)
+FIELDS = {
+    "date": st.dates(datetime.date(1990, 1, 1), datetime.date(2030, 12, 31)).map(
+        datetime.date.isoformat
+    ),
+    "L": LAB_VALUE,
+    "a": LAB_VALUE,
+    "b": LAB_VALUE,
+}
+OTHER = st.sampled_from(["h1", "h2", "heart_3", "photo", "survey", ""])
 
 
 @st.composite
@@ -377,7 +380,7 @@ def observation_csv(draw):
         if kind == 0:
             rows.append([])  # blank line
             continue
-        row = [draw(field_for(name)) for name in header]
+        row = [draw(FIELDS.get(name, OTHER)) for name in header]
         if kind == 1:
             row = row[: draw(st.integers(1, len(row)))]
         elif kind == 2:

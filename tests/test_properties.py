@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from heartfade.acceptability import FitError, SurveyPoint, load_survey
 from heartfade.cli import main
 from heartfade.ingest import PixelGrid
 from heartfade.rates import Window, load_windows
-from heartfade.simulate import ConfigError, SimConfig
+from heartfade.simulate import ConfigError, SimConfig, Strategy, run_simulation
 from ppm_codec import encode_p6
 
 FUZZ = settings(
@@ -170,6 +171,38 @@ def test_config_from_json_returns_config_or_config_error(data):
     except ConfigError:
         return
     cfg.validate()
+
+
+def finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# small runs whose other fields take any value validate accepts, the float
+# limits included
+small_configs = st.builds(
+    SimConfig,
+    k_mean=finite(min_value=0, max_value=1000, exclude_min=True),
+    k_sd=finite(min_value=0, max_value=1000),
+    n_agents=st.integers(1, 8),
+    horizon_days=st.integers(1, 40),
+    initial_spread_max=finite(min_value=0),
+    perception_threshold=finite(),
+    strategy=st.sampled_from(Strategy),
+    repaint_fraction_weekly=finite(min_value=0, max_value=1),
+    replicates=st.integers(1, 3),
+    master_seed=st.integers(),
+    uncertainty_mode=st.sampled_from(["montecarlo", "envelope"]),
+)
+
+
+@FUZZ
+@given(small_configs)
+@example(SimConfig(k_mean=1000, k_sd=1000, horizon_days=40, replicates=2))
+def test_every_valid_config_simulates_without_warnings(cfg):
+    cfg.validate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_simulation(cfg)
 
 
 def run_cli(command, inputs, extra=()):

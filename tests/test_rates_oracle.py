@@ -241,20 +241,19 @@ BAD_DATES = ["0000-01-01", "2021-02-30", "2021-13-01", "٢٠٢١-01-05", "2021-1
 BAD_VALUES = ["inf", "-inf", "nan", "x", ""]
 
 
-def field_for(name, ids):
-    if name == "heart_id":
-        return st.sampled_from(ids)
-    if name == "date":
-        # few distinct dates, so same-date repeats are common
-        return st.integers(0, 12).map(
-            lambda d: (datetime.date(2021, 1, 1) + datetime.timedelta(days=d)).isoformat()
-        )
-    if name in ("L", "a", "b"):
-        return st.one_of(
-            st.floats(0, 100).map(repr),
-            st.integers(-50, 150).map(str),
-        )
-    return st.sampled_from(["photo", "survey", ""])
+# one field's values by column name, built once; heart_id draws from its
+# table's ids, any other column from OTHER
+LAB_VALUE = st.one_of(st.floats(0, 100).map(repr), st.integers(-50, 150).map(str))
+FIELDS = {
+    # few distinct dates, so same-date repeats are common
+    "date": st.integers(0, 12).map(
+        lambda d: (datetime.date(2021, 1, 1) + datetime.timedelta(days=d)).isoformat()
+    ),
+    "L": LAB_VALUE,
+    "a": LAB_VALUE,
+    "b": LAB_VALUE,
+}
+OTHER = st.sampled_from(["photo", "survey", ""])
 
 
 def columns(header, *names):
@@ -273,13 +272,14 @@ def observation_table(draw):
     bad = draw(st.integers(0, 3)) == 0
     # a few hearts each, so most have points enough to fit
     ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True))
+    fields = {**FIELDS, "heart_id": st.sampled_from(ids)}  # built once per table
     rows = [header]
     for _ in range(draw(st.integers(6, 24))):
         kind = draw(st.integers(0, 15))
         if kind == 0:
             rows.append([])  # blank line
             continue
-        row = [draw(field_for(name, ids)) for name in header]
+        row = [draw(fields.get(name, OTHER)) for name in header]
         if kind == 1:
             row += ["x", "y"][: draw(st.integers(1, 2))]  # extra fields
         elif kind == 2:
