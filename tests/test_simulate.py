@@ -7,6 +7,7 @@ from heartfade.simulate import (
     Population,
     SimConfig,
     Strategy,
+    _choice_replay,
     _simulate_block,
     _stream,
     derive_stream_seed,
@@ -226,6 +227,55 @@ class TestRepaintEvent:
     def test_capacity_above_population(self):
         pop = self.pop([5.0, 6.0])
         assert repaint_event(pop, Strategy.RANDOM_A, 99, 10.0, _stream(42, 0)) == 2
+
+    def test_capacity_may_be_a_numpy_integer(self):
+        pop = self.pop(list(range(20)))
+        count = repaint_event(pop, Strategy.RANDOM_A, np.int64(8), 10.0, _stream(42, 0))
+        assert count == 8
+
+    @pytest.mark.parametrize("capacity", [2.0, True, np.float64(2.0), np.True_, "2"])
+    def test_capacity_must_be_an_integer(self, capacity):
+        pop = self.pop(list(range(20)))
+        with pytest.raises(ValueError) as info:
+            repaint_event(pop, Strategy.RANDOM_A, capacity, 10.0, _stream(42, 0))
+        assert str(info.value) == f"capacity must be an integer, got {capacity!r}"
+        assert pop.repaint_count.sum() == 0
+
+
+# (agents, capacity) pairs covering both branches of numpy's choice without
+# replacement and their boundary: Floyd's algorithm, or a shuffle of the
+# tail when agents > 10000 and capacity > agents // 50
+REPLAY_CASES = [
+    (2, 1),
+    (1000, 1),
+    (1000, 200),
+    (1000, 999),
+    (10000, 300),
+    (10001, 200),
+    (10001, 201),
+    (20000, 401),
+    (12000, 11999),
+]
+
+
+@pytest.mark.parametrize("n,c", REPLAY_CASES)
+def test_choice_replay_draws_what_choice_draws(monkeypatch, n, c):
+    """Over several weeks, chunked, each row picks the set one
+    Generator.choice(n, c, replace=False) per week picks and leaves its
+    stream where those calls leave it."""
+    rows, weeks = 3, 5
+    monkeypatch.setattr(simulate, "_DRAW_BYTES", 2 * rows * n)  # 2 + 2 + 1 weeks
+    replayed = [_stream(9, i) for i in range(rows)]
+    direct = [_stream(9, i) for i in range(rows)]
+    for rng in replayed + direct:
+        rng.integers(0, 7)  # leaves half a 64-bit word for the next draw
+    picks = list(_choice_replay(replayed, n, c, weeks))
+    assert len(picks) == weeks
+    for week in picks:
+        want = [r.choice(n, c, replace=False) + i * n for i, r in enumerate(direct)]
+        assert np.array_equal(np.sort(week), np.sort(np.concatenate(want)))
+    for a, b in zip(replayed, direct):
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
 
 class TestRunSimulation:

@@ -266,6 +266,28 @@ def test_block_budget_does_not_change_results(monkeypatch, budget):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
 
 
+@pytest.mark.parametrize("mode", ["montecarlo", "envelope"])
+@pytest.mark.parametrize("weeks", [1, 3, 100])
+def test_draw_chunks_do_not_change_results(monkeypatch, weeks, mode):
+    """RANDOM_A draws a chunk of weeks at a time; 1-week chunks, 3-week
+    chunks with a last partial one (13 repaint weeks, horizon off the weekly
+    grid) and chunks longer than the horizon all match the oracle, which
+    calls choice once per row-week, in blocks of 3, 3 and 1 replicates."""
+    cfg = SimConfig(
+        **FAST,
+        n_agents=23,
+        horizon_days=94,
+        strategy=Strategy.RANDOM_A,
+        repaint_fraction_weekly=0.2,
+        replicates=7,
+        uncertainty_mode=mode,
+    )
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * cfg.n_agents)
+    # `weeks` per chunk in the blocks of 3 rows; one-row blocks (the last
+    # one and the envelope runs) take three times as many
+    monkeypatch.setattr(simulate, "_DRAW_BYTES", weeks * 3 * cfg.n_agents)
+    assert_bit_equal(run_simulation(cfg), oracle_run(cfg))
+
 
 # runs that cannot repaint stop stepping once every agent of every row is
 # above the threshold; these cases reach that point at different times
@@ -403,16 +425,17 @@ def test_repainting_run_steps_every_day(monkeypatch):
 
 
 class NoDraws:
-    """Stands in for a row's Generator where no draw may happen."""
+    """Stands in for a row's Generator where no draw may happen: touching
+    any of its attributes (`choice`, `integers`, ...) fails."""
 
-    def choice(self, *args, **kwargs):
-        raise AssertionError("a forced pick drew from its stream")
+    def __getattr__(self, name):
+        raise AssertionError(f"a forced pick reached its stream's {name}")
 
 
 @pytest.mark.parametrize("strategy", [Strategy.RANDOM_A, Strategy.THRESHOLD_C])
 def test_forced_picks_draw_nothing(strategy):
     """Rows with no more candidates than capacity repaint every candidate
-    and never call choice."""
+    and never touch their stream."""
     rng = np.random.default_rng(13)
     delta_e = np.round(rng.uniform(0.0, 12.0, size=(5, 8)))
     delta_e[0] = 0.0  # no candidate
