@@ -10,12 +10,13 @@ consumes its own random stream derived deterministically from
 (master_seed, replicate index), so results do not depend on how
 replicates are grouped or ordered. A row draws from its stream only when
 it has more candidates than capacity; a forced pick (every candidate fits)
-takes all of them and draws nothing. RANDOM_A takes a chunk of weeks'
-draws at once through `integers`: the same numbers in the same order as
-one `Generator.choice` per row-week, so the stream contract (0.2.0) is
-unchanged. A run that cannot repaint stops stepping once every agent is
-above the threshold (rates are positive, so none can fall back below it);
-the outputs are the same as stepping on to the horizon.
+takes all of them and draws nothing. The engine takes RANDOM_A's draws a
+chunk of weeks at once through `integers` where that is faster: the same
+numbers in the same order as one `Generator.choice` per row-week, so the
+stream contract (0.2.0) is unchanged. A run that cannot repaint stops
+stepping once every agent is above the threshold (rates are positive, so
+none can fall back below it); the outputs are the same as stepping on to
+the horizon.
 """
 
 from __future__ import annotations
@@ -326,7 +327,7 @@ def repaint_event(
     threshold: float,
     rng: np.random.Generator | Sequence[np.random.Generator],
     *,
-    picked: np.ndarray | None = None,
+    _picked: np.ndarray | None = None,
 ) -> int:
     """Apply one weekly repainting event; returns the number repainted,
     summed over all rows.
@@ -339,15 +340,13 @@ def repaint_event(
     `threshold`. A row's candidates are all its agents for RANDOM_A and its
     agents above `threshold` for THRESHOLD_C. A forced row, with m <=
     `capacity` candidates, repaints all m and draws nothing. A row with
-    m > `capacity` draws what `Generator.choice(m, capacity, replace=False)`
-    would from its own stream and repaints the candidates at those
-    positions in its ascending candidate list: THRESHOLD_C calls `choice`,
-    RANDOM_A replays it through one `integers` call per row. The engine
-    draws RANDOM_A's picks a chunk of weeks ahead and passes this week's,
-    as row-major positions in the (rows, agents) view, in `picked`; a
-    forced RANDOM_A row ignores it. `capacity` must be an integer. Selected
-    agents are reset to delta_e 0 and their repaint_count incremented, in
-    place, whatever the arrays' strides.
+    m > `capacity` draws one `Generator.choice(m, capacity, replace=False)`
+    from its own stream and repaints the candidates at those positions in
+    its ascending candidate list. The engine may take RANDOM_A's draws a
+    chunk of weeks ahead through `integers` instead: the same numbers in
+    the same order. `capacity` must be an integer. Selected agents are
+    reset to delta_e 0 and their repaint_count incremented, in place,
+    whatever the arrays' strides.
     """
     try:
         if isinstance(capacity, bool):
@@ -370,8 +369,11 @@ def repaint_event(
     elif strategy is Strategy.RANDOM_A:
         if n <= capacity:
             picked = np.arange(rows * n)
-        elif picked is None:
-            picked = next(_choice_replay(rngs, n, capacity, 1))
+        elif _picked is not None:  # this week's, drawn ahead by the engine
+            picked = _picked
+        else:
+            draws = [r.choice(n, size=capacity, replace=False) for r in rngs]
+            picked = (np.stack(draws) + np.arange(0, rows * n, n)[:, None]).ravel()
     elif strategy is Strategy.THRESHOLD_C:
         picked = np.flatnonzero(delta_e > threshold)
         if not picked.size:
@@ -390,38 +392,47 @@ def repaint_event(
             picked = picked[keep]
     else:  # pragma: no cover
         raise ValueError(f"unknown strategy {strategy!r}")
-    counts = np.atleast_2d(pop.repaint_count)
-    if delta_e.flags.c_contiguous and counts.flags.c_contiguous:
-        # the positions index the flat views directly, 3x faster than pairs
-        at, delta_e, counts = picked, delta_e.reshape(-1), counts.reshape(-1)
-    else:
-        at = np.divmod(picked, n)
+    at = np.divmod(picked, n)
     delta_e[at] = 0.0
-    counts[at] += 1
+    np.atleast_2d(pop.repaint_count)[at] += 1
     return int(picked.size)
 
 
-def _choice_replay(rngs: Sequence[np.random.Generator], n: int, c: int, weeks: int):
+def _replay_chunk(rows: int, n: int, c: int, weeks: int) -> int:
+    """Weeks of RANDOM_A's picks that `_choice_replay` draws at once for
+    `rows` rows of `n` agents, capacity `c` and `weeks` repaint weeks, or 0
+    where one `Generator.choice` per row-week is faster or is not replayed.
+
+    Each row's `integers` call costs about what one `choice` call does, so
+    a chunk's first week gains nothing; the replay pays for its one Python
+    step per slot and chunk with the calls of the other weeks, and runs
+    only where those are at least as many as the slots. It replays Floyd's
+    algorithm only; numpy shuffles the tail of arange(n) instead when
+    n > 10000 and c > n // 50.
+    """
+    if n > 10000 and c > n // 50:
+        return 0
+    chunk = max(1, min(weeks, _DRAW_BYTES // (rows * n)))
+    return chunk if c <= (chunk - 1) * rows else 0
+
+
+def _choice_replay(
+    rngs: Sequence[np.random.Generator], n: int, c: int, weeks: int, chunk: int
+):
     """Yield each of `weeks` weeks' picks of `Generator.choice(n, c,
     replace=False)` for every row, as row-major positions in the (rows, n)
-    view, replayed from the same draws in the same order. `0 < c < n`.
+    view, replayed from the same draws in the same order, `chunk` weeks at
+    a time. `0 < c < n`, on Floyd's side of numpy's cutoff (_replay_chunk).
 
     numpy's choice takes Floyd's c draws, then the c-1 draws of a shuffle
-    that only orders the picks; when n > 10000 and c > n // 50 it instead
-    shuffles the last c places of arange(n). Weeks are drawn a chunk at a
-    time, as many as _DRAW_BYTES allows: each row takes the chunk's bounds
-    in one `integers` call, and each of the c slots then runs over every
-    row-week of the chunk at once.
+    that only orders the picks. Each row takes a chunk's bounds in one
+    `integers` call, and each of the c slots then runs over every row-week
+    of the chunk at once.
     """
     rows = len(rngs)
-    chunk = max(1, min(weeks, _DRAW_BYTES // (rows * n)))
-    tail = n > 10000 and c > n // 50
-    if tail:
-        bounds = np.arange(n, n - c, -1)
-    else:
-        bounds = np.concatenate([np.arange(n - c + 1, n + 1), np.arange(c, 1, -1)])
-        mask = np.zeros(chunk * rows * n, dtype=bool)
+    bounds = np.concatenate([np.arange(n - c + 1, n + 1), np.arange(c, 1, -1)])
     tiled = np.tile(bounds, chunk)
+    mask = np.zeros(chunk * rows * n, dtype=bool)
     # intp positions: fancy indexing converts any other index dtype first
     buffer = np.empty(chunk * rows * c, dtype=np.intp)
     for start in range(0, weeks, chunk):
@@ -435,23 +446,13 @@ def _choice_replay(rngs: Sequence[np.random.Generator], n: int, c: int, weeks: i
             picks[:, i] = drawn.reshape(size, -1)[:, :c]
         picks = picks.reshape(cells, c)
         picks += base[:, None]
-        if tail:
-            # a partial Fisher-Yates: slot s swaps place n-1-s with its
-            # draw, and the picks are the values left in the last c places
-            perm = np.tile(np.arange(n, dtype=np.int32), cells)
-            top = base + (n - 1)
-            for f in picks.T:
-                perm[top], perm[f] = perm[f], perm[top]
-                top -= 1
-            picks = perm.reshape(cells, n)[:, n - c :] + base[:, None]
-        else:
-            # Floyd: slot s takes its draw, or place n-c+s if that is taken
-            top = base + (n - c)
-            for f in picks.T:
-                np.copyto(f, top, where=mask.take(f))
-                mask[f] = True
-                top += 1
-            mask[picks] = False
+        # Floyd: slot s takes its draw, or place n-c+s if that is taken
+        top = base + (n - c)
+        for f in picks.T:
+            np.copyto(f, top, where=mask.take(f))
+            mask[f] = True
+            top += 1
+        mask[picks] = False
         for week in range(size):
             yield picks[week * rows : (week + 1) * rows].ravel() - base[week * rows]
 
@@ -503,11 +504,14 @@ def _simulate_block(
         pop.k[:] = max(k_override, cfg.k_mean / 100.0)
     capacity = weekly_capacity(cfg)
     threshold = cfg.perception_threshold
-    # RANDOM_A's picks do not depend on the population, so they are drawn
-    # ahead, a chunk of weeks at a time
+    # RANDOM_A's picks do not depend on the population, so they may be
+    # drawn ahead, a chunk of weeks at a time
     chosen = None
     if cfg.strategy is Strategy.RANDOM_A and 0 < capacity < n:
-        chosen = _choice_replay(rngs, n, capacity, cfg.horizon_days // 7)
+        weeks = cfg.horizon_days // 7
+        chunk = _replay_chunk(rows, n, capacity, weeks)
+        if chunk:
+            chosen = _choice_replay(rngs, n, capacity, weeks, chunk)
 
     # a run that cannot repaint is settled once every agent is above the
     # threshold: rates are positive, so delta_e never falls again
@@ -526,7 +530,7 @@ def _simulate_block(
         if day > 0 and day % 7 == 0:
             picked = None if chosen is None else next(chosen)
             if repaint_event(
-                pop, cfg.strategy, capacity, threshold, rngs, picked=picked
+                pop, cfg.strategy, capacity, threshold, rngs, _picked=picked
             ):
                 cum = pop.repaint_count.sum(axis=1)
         above = np.add.reduce(

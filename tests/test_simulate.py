@@ -8,6 +8,7 @@ from heartfade.simulate import (
     SimConfig,
     Strategy,
     _choice_replay,
+    _replay_chunk,
     _simulate_block,
     _stream,
     derive_stream_seed,
@@ -242,9 +243,9 @@ class TestRepaintEvent:
         assert pop.repaint_count.sum() == 0
 
 
-# (agents, capacity) pairs covering both branches of numpy's choice without
-# replacement and their boundary: Floyd's algorithm, or a shuffle of the
-# tail when agents > 10000 and capacity > agents // 50
+# (agents, capacity) pairs on Floyd's side of numpy's choice without
+# replacement, up to its cutoff: past 10000 agents, capacity > agents // 50
+# shuffles the tail instead, which is not replayed
 REPLAY_CASES = [
     (2, 1),
     (1000, 1),
@@ -252,30 +253,42 @@ REPLAY_CASES = [
     (1000, 999),
     (10000, 300),
     (10001, 200),
-    (10001, 201),
-    (20000, 401),
-    (12000, 11999),
+    (20000, 400),
 ]
 
 
 @pytest.mark.parametrize("n,c", REPLAY_CASES)
-def test_choice_replay_draws_what_choice_draws(monkeypatch, n, c):
+def test_choice_replay_draws_what_choice_draws(n, c):
     """Over several weeks, chunked, each row picks the set one
     Generator.choice(n, c, replace=False) per week picks and leaves its
     stream where those calls leave it."""
     rows, weeks = 3, 5
-    monkeypatch.setattr(simulate, "_DRAW_BYTES", 2 * rows * n)  # 2 + 2 + 1 weeks
     replayed = [_stream(9, i) for i in range(rows)]
     direct = [_stream(9, i) for i in range(rows)]
     for rng in replayed + direct:
         rng.integers(0, 7)  # leaves half a 64-bit word for the next draw
-    picks = list(_choice_replay(replayed, n, c, weeks))
+    picks = list(_choice_replay(replayed, n, c, weeks, 2))  # 2 + 2 + 1 weeks
     assert len(picks) == weeks
     for week in picks:
         want = [r.choice(n, c, replace=False) + i * n for i, r in enumerate(direct)]
         assert np.array_equal(np.sort(week), np.sort(np.concatenate(want)))
     for a, b in zip(replayed, direct):
         assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+
+def test_replay_chunk(monkeypatch):
+    """The replay runs where a chunk's weeks after its first hold at least
+    as many row-weeks as slots, on Floyd's side of numpy's cutoff."""
+    monkeypatch.setattr(simulate, "_DRAW_BYTES", 10 * 4 * 100)  # 10 weeks
+    assert _replay_chunk(4, 100, 36, 52) == 10
+    assert _replay_chunk(4, 100, 37, 52) == 0
+    assert _replay_chunk(4, 100, 4, 2) == 2  # capped at the weeks there are
+    assert _replay_chunk(4, 100, 5, 2) == 0
+    assert _replay_chunk(40, 100, 1, 52) == 0  # one week per chunk
+    monkeypatch.setattr(simulate, "_DRAW_BYTES", 1 << 40)
+    assert _replay_chunk(1, 10001, 200, 10**4) > 0
+    assert _replay_chunk(1, 10001, 201, 10**4) == 0  # numpy's tail shuffle
+    assert _replay_chunk(1, 12000, 11999, 10**5) == 0
 
 
 class TestRunSimulation:

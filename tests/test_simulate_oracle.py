@@ -266,10 +266,28 @@ def test_block_budget_does_not_change_results(monkeypatch, budget):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
 
 
+class ChoiceForbidden:
+    """Wraps a row's Generator whose RANDOM_A picks must come through the
+    replay: every other draw goes through, `choice` fails."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        if name == "choice":
+            raise AssertionError("a replayed row called choice")
+        return getattr(self.rng, name)
+
+
 @pytest.mark.parametrize("mode", ["montecarlo", "envelope"])
 @pytest.mark.parametrize("weeks", [1, 3, 100])
-def test_draw_chunks_do_not_change_results(monkeypatch, weeks, mode):
-    """RANDOM_A draws a chunk of weeks at a time; 1-week chunks, 3-week
+# capacity 3 is replayed in 3-week and longer chunks, capacity 9 only in
+# chunks longer than the horizon; the other runs call choice
+@pytest.mark.parametrize("fraction,replayed", [(0.13, (3, 100)), (0.4, (100,))])
+def test_draw_chunks_do_not_change_results(
+    monkeypatch, fraction, replayed, weeks, mode
+):
+    """RANDOM_A may draw a chunk of weeks at a time; 1-week chunks, 3-week
     chunks with a last partial one (13 repaint weeks, horizon off the weekly
     grid) and chunks longer than the horizon all match the oracle, which
     calls choice once per row-week, in blocks of 3, 3 and 1 replicates."""
@@ -278,7 +296,7 @@ def test_draw_chunks_do_not_change_results(monkeypatch, weeks, mode):
         n_agents=23,
         horizon_days=94,
         strategy=Strategy.RANDOM_A,
-        repaint_fraction_weekly=0.2,
+        repaint_fraction_weekly=fraction,
         replicates=7,
         uncertainty_mode=mode,
     )
@@ -286,6 +304,9 @@ def test_draw_chunks_do_not_change_results(monkeypatch, weeks, mode):
     # `weeks` per chunk in the blocks of 3 rows; one-row blocks (the last
     # one and the envelope runs) take three times as many
     monkeypatch.setattr(simulate, "_DRAW_BYTES", weeks * 3 * cfg.n_agents)
+    if weeks in replayed:
+        stream = simulate._stream
+        monkeypatch.setattr(simulate, "_stream", lambda *a: ChoiceForbidden(stream(*a)))
     assert_bit_equal(run_simulation(cfg), oracle_run(cfg))
 
 
