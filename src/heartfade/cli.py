@@ -419,19 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand: print what it returns, then, given an --out
-    directory, write its files and manifest.json there as one set."""
+    """Run one subcommand: write its files and manifest.json into any --out
+    as one set, then print what it returns. Bad input, or an --out that
+    cannot take the files, prints one line instead, with exit code 2."""
     args = build_parser().parse_args(argv)
     inputs: dict[str, bytes] = {}  # path -> bytes, filled by _load
     try:
         printed, files, config = args.func(args, inputs)
-    except (CliError, ConfigError) as exc:
+        if args.out is not None:
+            files["manifest.json"] = _manifest(args.command, config, inputs, args.seed)
+            _emit(Path(args.out), files)
+    except (CliError, ConfigError, OSError) as exc:
         print(f"heartfade {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     sys.stdout.write(printed)
-    if args.out is not None:
-        files["manifest.json"] = _manifest(args.command, config, inputs, args.seed)
-        _emit(Path(args.out), files)
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Each agent carries a fading value (delta E) that grows linearly at an
 agent-specific rate k drawn from a normal distribution. Weekly repainting
-events reset selected agents to zero under one of four strategies.
+events reset selected agents to zero under one of four strategies, and
+each replicate keeps one running total of its repaints, not one per agent.
 All replicates advance together as one (replicates, agents) population,
 a week at a time: delta E is read only on the weekly grid and on the
 horizon day, so each recorded interval adds k·days once. Each replicate
@@ -61,7 +62,7 @@ WALL_HEART_COUNT = 240_000
 
 # replicates are simulated in blocks of at most this many agent cells
 # (replicates x agents), which bounds memory for large populations; the
-# presets fit in one block
+# presets fit in one block, and the envelope's two rows in one of up to 2x
 _BLOCK_CELLS = 1 << 20
 # and of at most this many replicates: each row also holds its own
 # Generator (~1.2 KiB), which the cell budget does not count
@@ -109,7 +110,8 @@ class Strategy(str, Enum):
 @dataclass
 class Population:
     """Vectorised agent state: (agents,) arrays for one population, or
-    (replicates, agents) arrays for several advanced together."""
+    (replicates, agents) arrays for several advanced together, whose
+    repaint totals `repaint_count` holds: shape () or (replicates,)."""
 
     delta_e: np.ndarray
     k: np.ndarray
@@ -290,7 +292,8 @@ def _stream(master_seed: int, stream_index: int) -> np.random.Generator:
 
 def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
     """Draw a fresh population: rates Normal(k_mean, k_sd) truncated to
-    k >= k_mean/100 by redrawing, initial fading Uniform[0, spread]."""
+    k >= k_mean/100 by redrawing, initial fading Uniform[0, spread], and a
+    0-d repaint total of 0."""
     n = cfg.n_agents
     k_min = cfg.k_mean / 100.0
     k = rng.normal(cfg.k_mean, cfg.k_sd, size=n)
@@ -300,7 +303,7 @@ def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
             break
         k[bad] = rng.normal(cfg.k_mean, cfg.k_sd, size=int(bad.sum()))
     delta_e = rng.uniform(0.0, cfg.initial_spread_max, size=n)
-    return Population(delta_e, k, np.zeros(n, dtype=np.int64))
+    return Population(delta_e, k, np.zeros((), dtype=np.int64))
 
 
 def advance_day(
@@ -345,8 +348,8 @@ def repaint_event(
     its ascending candidate list. The engine may take RANDOM_A's draws a
     chunk of weeks ahead through `integers` instead: the same numbers in
     the same order. `capacity` must be an integer. Selected agents are
-    reset to delta_e 0 and their repaint_count incremented, in place,
-    whatever the arrays' strides.
+    reset to delta_e 0, in place whatever the arrays' strides, and each
+    row's picks are added to its total in `repaint_count`.
     """
     try:
         if isinstance(capacity, bool):
@@ -356,6 +359,9 @@ def repaint_event(
         raise ValueError(f"capacity must be an integer, got {capacity!r}") from None
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
+    rows_shape, got = np.shape(pop.delta_e)[:-1], np.shape(pop.repaint_count)
+    if got != rows_shape:
+        raise ValueError(f"repaint_count must have shape {rows_shape}, got {got}")
     if strategy is Strategy.BASELINE or capacity == 0:
         return 0
     delta_e = np.atleast_2d(pop.delta_e)
@@ -394,7 +400,7 @@ def repaint_event(
         raise ValueError(f"unknown strategy {strategy!r}")
     at = np.divmod(picked, n)
     delta_e[at] = 0.0
-    np.atleast_2d(pop.repaint_count)[at] += 1
+    pop.repaint_count += np.bincount(at[0], minlength=rows).reshape(rows_shape)
     return int(picked.size)
 
 
@@ -485,23 +491,23 @@ def _recorded_days(horizon_days: int) -> np.ndarray:
 
 
 def _simulate_block(
-    cfg: SimConfig, stream_indices: Sequence[int], k_override: float | None = None
+    cfg: SimConfig,
+    stream_indices: Sequence[int],
+    k_override: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectories of the given streams advanced together as one
     (rows, agents) population: fractions above threshold and cumulative
-    repaints, each (rows, recorded days). k_override pins every agent's
-    rate (envelope bounding runs)."""
+    repaints, each (rows, recorded days). k_override, one rate per row,
+    pins every agent's rate in that row (envelope bounding runs)."""
     rows, n = len(stream_indices), cfg.n_agents
     rngs = [_stream(cfg.master_seed, i) for i in stream_indices]
-    pop = Population(
-        np.empty((rows, n)), np.empty((rows, n)), np.zeros((rows, n), dtype=np.int64)
-    )
+    pop = Population(np.empty((rows, n)), np.empty((rows, n)), np.zeros(rows, np.int64))
     for i, rng in enumerate(rngs):
         drawn = init_population(cfg, rng)
         pop.delta_e[i] = drawn.delta_e
         pop.k[i] = drawn.k
     if k_override is not None:
-        pop.k[:] = max(k_override, cfg.k_mean / 100.0)
+        pop.k[:] = np.maximum(k_override, cfg.k_mean / 100.0)[:, None]
     capacity = weekly_capacity(cfg)
     threshold = cfg.perception_threshold
     # RANDOM_A's picks do not depend on the population, so they may be
@@ -521,7 +527,6 @@ def _simulate_block(
     cums = np.zeros((rows, len(days)))
     step = pop.k * 7  # one week's fading, reused every week
     gaps = np.diff(days, prepend=0).tolist()  # days since the last recorded day
-    cum = 0
     for col, (day, gap) in enumerate(zip(days.tolist(), gaps)):
         if gap:
             if gap != 7:  # the last interval, up to an off-grid horizon
@@ -529,16 +534,13 @@ def _simulate_block(
             advance_day(pop, gap, step)
         if day > 0 and day % 7 == 0:
             picked = None if chosen is None else next(chosen)
-            if repaint_event(
-                pop, cfg.strategy, capacity, threshold, rngs, _picked=picked
-            ):
-                cum = pop.repaint_count.sum(axis=1)
+            repaint_event(pop, cfg.strategy, capacity, threshold, rngs, _picked=picked)
         above = np.add.reduce(
             (pop.delta_e > threshold).view(np.int8), axis=1, dtype=np.int32
         )
         # count / n is bit-equal to the mean of the boolean array
         fracs[:, col] = above / n
-        cums[:, col] = cum
+        cums[:, col] = pop.repaint_count
         if settles and above.min() == n:
             break  # the later columns keep fraction 1.0 and no repaints
     return fracs, cums
@@ -555,11 +557,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     repaints on every seventh day; a row draws only when it has more
     candidates than the weekly capacity (see repaint_event). Monte Carlo
     mode takes the 2.5th/97.5th percentile across replicates; envelope
-    mode takes two deterministic bounding runs with every k fixed at
-    k_mean -/+ 2 k_sd. A block of a run that cannot repaint (BASELINE, or
-    weekly capacity 0) stops stepping once every agent in it is above the
-    threshold and records fraction 1.0 and no repaints for the remaining
-    days, exactly what stepping on would give.
+    mode takes two deterministic bounding runs as one two-row block, every
+    k of a row fixed at k_mean -/+ 2 k_sd. A block of a run that cannot
+    repaint (BASELINE, or weekly capacity 0) stops stepping once every
+    agent in it is above the threshold and records fraction 1.0 and no
+    repaints for the remaining days, exactly what stepping on would give.
     """
     cfg.validate()
     per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
@@ -576,14 +578,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         lo = np.percentile(frac_by_rep, 2.5, axis=0)
         hi = np.percentile(frac_by_rep, 97.5, axis=0)
     else:
-        lo_run, _ = _simulate_block(
-            cfg, [_ENVELOPE_LO_STREAM], k_override=cfg.k_mean - 2 * cfg.k_sd
-        )
-        hi_run, _ = _simulate_block(
-            cfg, [_ENVELOPE_HI_STREAM], k_override=cfg.k_mean + 2 * cfg.k_sd
-        )
-        lo = np.minimum(lo_run[0], hi_run[0])
-        hi = np.maximum(lo_run[0], hi_run[0])
+        ks = (cfg.k_mean - 2 * cfg.k_sd, cfg.k_mean + 2 * cfg.k_sd)  # one per row
+        runs, _ = _simulate_block(cfg, [_ENVELOPE_LO_STREAM, _ENVELOPE_HI_STREAM], ks)
+        lo, hi = runs.min(axis=0), runs.max(axis=0)
 
     return SimResult(
         config=cfg,

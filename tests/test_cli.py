@@ -320,11 +320,12 @@ class TestSimulateCommand:
             )
         assert outs[0] == outs[1]
 
-    def test_failed_write_leaves_previous_outputs(self, tmp_path, monkeypatch):
+    def test_failed_write_leaves_previous_outputs(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(self.CONFIG))
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        capsys.readouterr()
         before = [(p.name, p.read_bytes()) for p in sorted(out.iterdir())]
         write_text = heartfade.cli.OutputSet.write_text
 
@@ -334,8 +335,8 @@ class TestSimulateCommand:
             return write_text(self, name, text)
 
         monkeypatch.setattr(heartfade.cli.OutputSet, "write_text", fail_on_manifest)
-        with pytest.raises(OSError, match="disk full"):
-            main(["simulate", str(cfg), "--out", str(out), "--seed", "2"])
+        assert main(["simulate", str(cfg), "--out", str(out), "--seed", "2"]) == 2
+        assert capsys.readouterr() == ("", "heartfade simulate: disk full\n")
         assert [(p.name, p.read_bytes()) for p in sorted(out.iterdir())] == before
 
     def test_invalid_config_field_message(self, tmp_path, capsys):
@@ -581,6 +582,39 @@ def test_manifest_inputs_are_the_input_files_named(tmp_path, capsys, argv, n_inp
     assert len(named) == n_inputs
     digests = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in named}
     assert inputs == digests
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [_calibrate_argv, lambda tmp_path: ["simulate", _config_path(tmp_path)]],
+    ids=["calibrate", "simulate"],
+)
+def test_out_that_is_a_file_exit_2(tmp_path, capsys, argv, below):
+    argv = argv(tmp_path)
+    blocker = tmp_path / "f"
+    blocker.write_bytes(b"not a directory")
+    before = sorted(tmp_path.iterdir())
+    out = blocker / "sub" if below else blocker
+    assert main([*argv, "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith(f"heartfade {argv[0]}: ") and err.count("\n") == 1, err
+    assert str(blocker) in err
+    assert blocker.read_bytes() == b"not a directory"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_out_file_name_taken_by_a_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["simulate", _config_path(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heartfade simulate: ") and err.count("\n") == 1, err
+    # the staging directory is gone; the files moved in before the failure
+    # stay (a manifest-last output set is not done yet)
+    assert not list(out.glob(".heartfade-*"))
+    assert (out / "summary.json").is_dir()
 
 
 def test_only_simulate_and_sweep_default_to_cwd(tmp_path, monkeypatch, capsys):

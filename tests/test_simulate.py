@@ -133,7 +133,7 @@ class TestInitPopulation:
         cfg = small_cfg(k_sd=0.0)
         pop = init_population(cfg, _stream(42, 0))
         assert np.all(pop.k == 0.041)
-        assert np.all(pop.repaint_count == 0)
+        assert pop.repaint_count.shape == () and pop.repaint_count == 0
         assert np.all((pop.delta_e >= 0) & (pop.delta_e <= 5.0))
 
     def test_deterministic_per_stream(self):
@@ -197,7 +197,7 @@ class TestAdvanceDay:
 class TestRepaintEvent:
     def pop(self, delta_e):
         d = np.array(delta_e, dtype=float)
-        return Population(d, np.full(len(d), 0.04), np.zeros(len(d), dtype=np.int64))
+        return Population(d, np.full(len(d), 0.04), np.zeros((), dtype=np.int64))
 
     def test_baseline_never_repaints(self):
         pop = self.pop([1, 12, 7, 12])
@@ -210,7 +210,7 @@ class TestRepaintEvent:
         count = repaint_event(pop, Strategy.GREEDY_B, 2, 10.0, _stream(42, 0))
         assert count == 2
         assert list(pop.delta_e) == [1, 0, 7, 0]
-        assert list(pop.repaint_count) == [0, 1, 0, 1]
+        assert pop.repaint_count == 2
 
     def test_threshold_limited_by_eligible(self):
         pop = self.pop([1, 12, 7, 12, 11, 2])
@@ -219,11 +219,11 @@ class TestRepaintEvent:
         assert np.all(pop.delta_e <= 10.0)
 
     def test_random_exact_count_and_reset(self):
-        pop = self.pop(list(range(20)))
+        pop = self.pop(list(range(1, 21)))  # no agent starts at 0
         count = repaint_event(pop, Strategy.RANDOM_A, 8, 10.0, _stream(42, 0))
         assert count == 8
-        assert int((pop.delta_e == 0).sum()) >= 8
-        assert int(pop.repaint_count.sum()) == 8
+        assert int((pop.delta_e == 0).sum()) == 8
+        assert pop.repaint_count == 8
 
     def test_capacity_above_population(self):
         pop = self.pop([5.0, 6.0])
@@ -240,7 +240,27 @@ class TestRepaintEvent:
         with pytest.raises(ValueError) as info:
             repaint_event(pop, Strategy.RANDOM_A, capacity, 10.0, _stream(42, 0))
         assert str(info.value) == f"capacity must be an integer, got {capacity!r}"
-        assert pop.repaint_count.sum() == 0
+        assert pop.repaint_count == 0
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_repaint_count_holds_one_total_per_row(self, rows):
+        delta_e = np.array([[1.0, 12, 7, 12], [12, 1, 12, 12]])
+        if rows is None:
+            delta_e = delta_e[0]
+        k = np.full(delta_e.shape, 0.04)
+        streams = _stream(42, 0) if rows is None else [_stream(42, i) for i in range(2)]
+        # a per-agent counter, as before, would be broadcast into every agent
+        per_agent = Population(delta_e.copy(), k, np.zeros(delta_e.shape, np.int64))
+        with pytest.raises(ValueError) as info:
+            repaint_event(per_agent, Strategy.GREEDY_B, 2, 10.0, streams)
+        want = delta_e.shape[:-1]
+        assert str(info.value) == (
+            f"repaint_count must have shape {want}, got {delta_e.shape}"
+        )
+        assert np.array_equal(per_agent.delta_e, delta_e)
+        totals = Population(delta_e.copy(), k, np.zeros(want, np.int64))
+        assert repaint_event(totals, Strategy.GREEDY_B, 2, 10.0, streams) == 2 * (rows or 1)
+        assert np.array_equal(totals.repaint_count, np.full(want, 2))
 
 
 # (agents, capacity) pairs on Floyd's side of numpy's choice without

@@ -45,7 +45,6 @@ def oracle_repaint(pop, strategy, capacity, threshold, rng, candidate_counts=Non
         else:
             chosen = rng.choice(candidates, size=capacity, replace=False)
     pop.delta_e[chosen] = 0.0
-    pop.repaint_count[chosen] += 1
     return len(chosen)
 
 
@@ -229,12 +228,11 @@ def test_engine_matches_oracle_seeded_grid(cfg):
 @pytest.mark.parametrize("capacity", [1, 3, 8, 12, 50])
 def test_batched_repaint_equals_row_by_row(strategy, capacity):
     rng = np.random.default_rng(7)
-    # rounded values force many ties at the capacity boundary
-    delta_e = np.round(rng.uniform(0.0, 12.0, size=(6, 12)))
-    delta_e[2] = 0.0  # a row with nothing above the threshold
-    batched = Population(
-        delta_e.copy(), np.zeros_like(delta_e), np.zeros(delta_e.shape, np.int64)
-    )
+    # rounded values force many ties at the capacity boundary; none is 0,
+    # so the picked agents are those at 0 afterwards
+    delta_e = np.round(rng.uniform(1.0, 12.0, size=(6, 12)))
+    delta_e[2] = 1.0  # a row with nothing above the threshold
+    batched = Population(delta_e.copy(), np.zeros_like(delta_e), np.zeros(6, np.int64))
     count = repaint_event(
         batched, strategy, capacity, 9.5, [_stream(3, i) for i in range(len(delta_e))]
     )
@@ -242,10 +240,11 @@ def test_batched_repaint_equals_row_by_row(strategy, capacity):
 
     expected = 0
     for i, row in enumerate(delta_e):
-        pop = Population(row.copy(), np.zeros_like(row), np.zeros(len(row), np.int64))
-        expected += oracle_repaint(pop, strategy, capacity, 9.5, _stream(3, i))
+        pop = Population(row.copy(), np.zeros_like(row), np.zeros((), np.int64))
+        picked = oracle_repaint(pop, strategy, capacity, 9.5, _stream(3, i))
+        expected += picked
         assert np.array_equal(batched.delta_e[i], pop.delta_e)
-        assert np.array_equal(batched.repaint_count[i], pop.repaint_count)
+        assert batched.repaint_count[i] == picked == np.count_nonzero(pop.delta_e == 0)
     assert count == expected
 
 
@@ -458,20 +457,21 @@ def test_forced_picks_draw_nothing(strategy):
     """Rows with no more candidates than capacity repaint every candidate
     and never touch their stream."""
     rng = np.random.default_rng(13)
-    delta_e = np.round(rng.uniform(0.0, 12.0, size=(5, 8)))
-    delta_e[0] = 0.0  # no candidate
+    # none is 0, so the picked agents are those at 0 afterwards
+    delta_e = np.round(rng.uniform(1.0, 12.0, size=(5, 8)))
+    delta_e[0] = 1.0  # no candidate
     delta_e[1, :3] = 11.0  # three candidates, all repainted
     delta_e[1, 3:] = 1.0
     eligible = delta_e > 9.5
     capacity = 8 if strategy is Strategy.RANDOM_A else int(eligible.sum(axis=1).max())
     assert eligible.sum(axis=1).max() >= 2
-    pop = Population(delta_e.copy(), np.zeros_like(delta_e), np.zeros((5, 8), np.int64))
+    pop = Population(delta_e.copy(), np.zeros_like(delta_e), np.zeros(5, np.int64))
 
     count = repaint_event(pop, strategy, capacity, 9.5, [NoDraws()] * 5)
 
     picked = eligible if strategy is Strategy.THRESHOLD_C else np.ones_like(eligible)
     assert count == picked.sum()
-    assert np.array_equal(pop.repaint_count, picked.astype(np.int64))
+    assert np.array_equal(pop.repaint_count, picked.sum(axis=1))
     assert np.array_equal(pop.delta_e, np.where(picked, 0.0, delta_e))
 
 
@@ -487,8 +487,10 @@ def test_repaint_event_writes_into_strided_views(strategy, rows):
     cols = slice(3, 27, 2)  # 12 agents; rows of the view are not evenly spaced
     at = (slice(None, rows), cols) if rows else cols
     delta_e = np.round(rng.uniform(0.0, 12.0, size=shape))
-    counts = np.zeros(shape, dtype=np.int64)
-    view = Population(delta_e[at], np.zeros(delta_e[at].shape), counts[at])
+    # every other total belongs to the view's rows
+    totals = np.zeros(16 if rows else (), dtype=np.int64)
+    view_totals = totals[: 2 * rows : 2] if rows else totals[...]
+    view = Population(delta_e[at], np.zeros(delta_e[at].shape), view_totals)
     if rows:
         # no flat view of these rows exists: reshape(-1) would copy
         assert not np.shares_memory(view.delta_e.reshape(-1), delta_e)
@@ -505,7 +507,7 @@ def test_repaint_event_writes_into_strided_views(strategy, rows):
     assert got == want > 0
     assert np.array_equal(view.delta_e, copy.delta_e)
     assert np.array_equal(view.repaint_count, copy.repaint_count)
-    assert np.count_nonzero(counts) == got
+    assert totals.sum() == got
     untouched = np.ones(shape, dtype=bool)
     untouched[at] = False
     assert np.array_equal(delta_e[untouched], before[untouched])
