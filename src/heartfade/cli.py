@@ -6,8 +6,10 @@ file: it keeps the bytes and hands them to the format's loader, whose
 ValueError becomes one line prefixed with the path. A subcommand only
 computes and returns (printed, files, config); `main` prints, then writes
 the files under --out with a manifest recording the sha256 digest of
-every input, the resolved configuration and the seed, as one set: a
-command that fails leaves the files already under --out as they were.
+every input and every file written, the resolved configuration and the
+seed, as one set: a command that fails leaves the files already under
+--out as they were. The manifest is moved in last, so one whose output
+digests match the files beside it marks a complete set.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def fnv1a64(data: bytes) -> str:
 
 
 def sha256_hex(data: bytes) -> str:
-    """sha256 digest, hex-encoded: the manifest's digest of each input."""
+    """sha256 digest, hex-encoded: the manifest's digest of each input
+    and output."""
     # imported here, not at the top: hashlib loads OpenSSL (+3.4 MiB RSS,
-    # ~5 ms), which commands with no input file, such as the presets, skip
+    # ~5 ms), which a command that writes no manifest skips
     import hashlib
 
     return hashlib.sha256(data).hexdigest()
@@ -104,18 +107,20 @@ class OutputSet:
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
-        path.write_text(text)
+        path.write_bytes(text.encode())  # the UTF-8 bytes the manifest digests
         return path
 
 
 def _emit(out_dir: Path, files: dict[str, str]) -> None:
-    """Write `files` (name -> text) into `out_dir` as one set.
+    """Write `files` (name -> text) into `out_dir` as one set, in order.
 
     Every file is first written into a temporary directory inside
-    `out_dir` (the same file system, so each move is a rename), then all
-    are moved in with os.replace. A failure while writing leaves the files
-    already in `out_dir` as they were; the temporary directory is removed
-    either way.
+    `out_dir` (the same file system, so each move is a rename), then each
+    is moved in with os.replace. A failure while writing leaves the files
+    already in `out_dir` as they were; a failed move names its file under
+    `out_dir`. The temporary directory is removed either way. `main`
+    puts manifest.json last, so it is moved in only once every file it
+    digests is in place.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     staged = OutputSet(Path(tempfile.mkdtemp(prefix=".heartfade-", dir=out_dir)))
@@ -123,7 +128,10 @@ def _emit(out_dir: Path, files: dict[str, str]) -> None:
         for name, text in files.items():
             staged.write_text(name, text)
         for name in files:
-            os.replace(staged.out_dir / name, out_dir / name)
+            try:
+                os.replace(staged.out_dir / name, out_dir / name)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(out_dir / name)) from None
     finally:
         shutil.rmtree(staged.out_dir, ignore_errors=True)
 
@@ -174,7 +182,7 @@ def _csv_text(rows) -> str:
 
 
 def _manifest(
-    command: str, config: dict, inputs: dict[str, bytes], seed: int
+    command: str, config: dict, inputs: dict[str, bytes], seed: int, files: dict
 ) -> str:
     doc = {
         "command": command,
@@ -182,6 +190,7 @@ def _manifest(
         "digest": "sha256",
         "inputs": {name: sha256_hex(data) for name, data in inputs.items()},
         "master_seed": seed,
+        "outputs": {name: sha256_hex(text.encode()) for name, text in files.items()},
         "tool_version": __version__,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -427,7 +436,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         printed, files, config = args.func(args, inputs)
         if args.out is not None:
-            files["manifest.json"] = _manifest(args.command, config, inputs, args.seed)
+            manifest = _manifest(args.command, config, inputs, args.seed, files)
+            files["manifest.json"] = manifest  # last: moved in after the files
             _emit(Path(args.out), files)
     except (CliError, ConfigError, OSError) as exc:
         print(f"heartfade {args.command}: {exc}", file=sys.stderr)

@@ -11,9 +11,10 @@ consumes its own random stream derived deterministically from
 (master_seed, replicate index), so results do not depend on how
 replicates are grouped or ordered. A row draws from its stream only when
 it has more candidates than capacity; a forced pick (every candidate fits)
-takes all of them and draws nothing. The engine takes RANDOM_A's draws a
-chunk of weeks at once through `integers` where that is faster: the same
-numbers in the same order as one `Generator.choice` per row-week, so the
+takes all of them and draws nothing. Where it is faster, the engine
+computes RANDOM_A's and THRESHOLD_C's draws from each stream's raw words
+(RANDOM_A's a chunk of weeks at once): the same numbers in the same order
+as one `Generator.choice` per row-week, consuming the same words, so the
 stream contract (0.2.0) is unchanged. A run that cannot repaint stops
 stepping once every agent is above the threshold (rates are positive, so
 none can fall back below it); the outputs are the same as stepping on to
@@ -22,6 +23,7 @@ the horizon.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -68,8 +70,8 @@ _BLOCK_CELLS = 1 << 20
 # Generator (~1.2 KiB), which the cell budget does not count
 _BLOCK_ROWS = 4096
 # RANDOM_A draws as many weeks at once as keep its (row-weeks x agents)
-# bool mask within this many bytes, about 5 weeks of 50 x 1000 agents; its
-# draws take 8 bytes per row-week and slot
+# bool mask within this many bytes, about 5 weeks of 50 x 1000 agents; a
+# block's streams are read ahead into a buffer of about this many bytes
 _DRAW_BYTES = 1 << 18
 # one replicate's row must fit in a block
 _MAX_AGENTS = _BLOCK_CELLS
@@ -330,7 +332,7 @@ def repaint_event(
     threshold: float,
     rng: np.random.Generator | Sequence[np.random.Generator],
     *,
-    _picked: np.ndarray | None = None,
+    _choose=None,
 ) -> int:
     """Apply one weekly repainting event; returns the number repainted,
     summed over all rows.
@@ -345,11 +347,13 @@ def repaint_event(
     `capacity` candidates, repaints all m and draws nothing. A row with
     m > `capacity` draws one `Generator.choice(m, capacity, replace=False)`
     from its own stream and repaints the candidates at those positions in
-    its ascending candidate list. The engine may take RANDOM_A's draws a
-    chunk of weeks ahead through `integers` instead: the same numbers in
-    the same order. `capacity` must be an integer. Selected agents are
-    reset to delta_e 0, in place whatever the arrays' strides, and each
-    row's picks are added to its total in `repaint_count`.
+    its ascending candidate list. The engine computes the same draws from
+    each stream's raw words instead, passing them through the private
+    `_choose(rows, start, m)`: for each listed row, `start` plus the
+    positions its `choice(m, capacity, replace=False)` picks. `capacity`
+    must be an integer. Selected agents are reset to delta_e 0, in place
+    whatever the arrays' strides, and each row's count is added to its
+    total in `repaint_count`.
     """
     try:
         if isinstance(capacity, bool):
@@ -369,17 +373,23 @@ def repaint_event(
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     if len(rngs) != rows:
         raise ValueError(f"{rows} rows need {rows} generators, got {len(rngs)}")
+    if _choose is None:
+
+        def _choose(over, start, m):  # one Generator.choice per row
+            rows_drawn = zip(over.tolist(), start.tolist(), m.tolist())
+            draw = [s + rngs[i].choice(k, capacity, False) for i, s, k in rows_drawn]
+            return np.stack(draw)
+
     # picked agents as row-major positions in the (rows, agents) view
+    counts = min(capacity, n)  # each row's repaints
     if strategy is Strategy.GREEDY_B:
-        picked = np.flatnonzero(_most_faded(delta_e, min(capacity, n)))
+        picked = np.flatnonzero(_most_faded(delta_e, counts))
     elif strategy is Strategy.RANDOM_A:
         if n <= capacity:
             picked = np.arange(rows * n)
-        elif _picked is not None:  # this week's, drawn ahead by the engine
-            picked = _picked
         else:
-            draws = [r.choice(n, size=capacity, replace=False) for r in rngs]
-            picked = (np.stack(draws) + np.arange(0, rows * n, n)[:, None]).ravel()
+            every = np.arange(rows)
+            picked = _choose(every, every * n, np.full(rows, n)).ravel()
     elif strategy is Strategy.THRESHOLD_C:
         picked = np.flatnonzero(delta_e > threshold)
         if not picked.size:
@@ -387,21 +397,104 @@ def repaint_event(
         # row i's m[i] candidates start at picked[start[i]]
         start = np.searchsorted(picked, np.arange(0, rows * n, n))
         m = np.diff(start, append=picked.size)
-        over = np.flatnonzero(m > capacity).tolist()
-        if over:
+        counts = np.minimum(m, capacity).reshape(rows_shape)
+        over = np.flatnonzero(m > capacity)
+        if over.size:
             # forced rows keep every candidate, the others what they draw
             keep = np.repeat(m <= capacity, m)
-            draws = [
-                start[i] + rngs[i].choice(m[i], capacity, replace=False) for i in over
-            ]
-            keep[np.concatenate(draws)] = True
+            keep[_choose(over, start[over], m[over])] = True
             picked = picked[keep]
     else:  # pragma: no cover
         raise ValueError(f"unknown strategy {strategy!r}")
-    at = np.divmod(picked, n)
-    delta_e[at] = 0.0
-    pop.repaint_count += np.bincount(at[0], minlength=rows).reshape(rows_shape)
+    delta_e.put(picked, 0.0)  # flat positions, whatever the strides
+    pop.repaint_count += counts
     return int(picked.size)
+
+
+class _Words:
+    """Each row's stream read ahead as the 32-bit words numpy's bounded
+    draws take (PCG64: each 64-bit output's low half first), and those
+    draws computed from them. A refill makes one `random_raw` call per
+    row, into a buffer allocated on first use: _DRAW_BYTES, or one word
+    wider than a call needs. A stream read ahead must not draw again."""
+
+    def __init__(self, rngs: Sequence[np.random.Generator]):
+        self.rngs, self.fresh = rngs, np.ones(len(rngs), dtype=bool)
+        self.buf = np.empty((len(rngs), 0), dtype=np.uint32)
+        self.pos = np.zeros(len(rngs), dtype=np.intp)  # each row's next word
+
+    def bounded(self, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """`Generator.integers(0, bounds)` from each of the distinct `rows`:
+        (len(rows), L) draws for bounds of shape (L,) or (len(rows), L),
+        each in [2, 2^32]. Lemire's method, as numpy's
+        `random_bounded_uint64` runs it: the high half of word * b, unless
+        the low half is below (2^32 - b) % b, about once in 10^7 draws at
+        the engine's bounds; the word is then skipped."""
+        size = np.shape(bounds)[-1]
+        bounds = np.broadcast_to(np.asarray(bounds, dtype=np.uint64), (len(rows), size))
+        short = rows[self.buf.shape[1] - self.pos[rows] < size]
+        if short.size:
+            self._refill(short, size)
+        start = self.pos[rows]
+        rows_read, width = self.buf.shape  # each row's runs of `size` 4-byte words
+        runs = np.lib.stride_tricks.as_strided(
+            self.buf, (rows_read, width - size + 1, size), self.buf.strides + (4,)
+        )
+        prod = runs[rows, start] * bounds
+        low = prod.view(np.uint32)[:, 1 - np.little_endian :: 2]  # the low halves
+        # the limit (2^32 - b) % b is below b: only those words can fail
+        near = np.flatnonzero(low < bounds)
+        b = bounds.flat[near]
+        failed = near[low.flat[near] < (2**32 - b) % b]
+        self.pos[rows] = start + size
+        draws = np.right_shift(prod, 32, out=prod).view(np.int64)
+        if failed.size:  # a row's draws from its first rejected word on
+            failed_rows, first = np.unique(failed // size, return_index=True)
+            for j, f in zip(failed_rows.tolist(), (failed[first] % size).tolist()):
+                self.pos[rows[j]] = start[j] + f + 1
+                draws[j, f:] = self.bounded(rows[j : j + 1], bounds[j, f:])[0]
+        return draws
+
+    def _refill(self, rows, size: int) -> None:
+        """Fill `rows` up, to at least `size` unread words each."""
+        width = self.buf.shape[1]
+        if width <= size:  # widened at the front
+            wide = max(size + 1, _DRAW_BYTES // (4 * len(self.rngs)))
+            self.buf = np.pad(self.buf, ((0, 0), (wide - width, 0)))
+            self.pos += wide - width
+            width = wide
+        for i in rows:
+            bits = self.rngs[i].bit_generator
+            unread = self.buf[i, self.pos[i] :]
+            if self.fresh[i]:  # the half its stream has cached, if any
+                self.fresh[i], state = False, bits.state
+                unread = np.array([state["uinteger"]][: state["has_uint32"]], np.uint32)
+            raw = bits.random_raw((width - unread.size) // 2)
+            words = np.concatenate([unread, raw.astype("<u8", copy=False).view("<u4")])
+            self.pos[i] = width - words.size
+            self.buf[i, self.pos[i] :] = words
+
+
+def _floyd(
+    words: _Words, c: int, rows: np.ndarray, start, m, weeks: int = 1
+) -> np.ndarray:
+    """The picks of `choice(m, c, replace=False)` for each of `rows` over
+    `weeks` weeks, drawn from `words`, as positions `start` + pick:
+    (len(start), c), one row per row-week, each row's weeks in turn. On
+    Floyd's side of numpy's cutoff (_replay_chunk), a row-week draws
+    Floyd's m-c+1 ... m, then c ... 2 for a shuffle that only orders the
+    picks; slot s takes its draw, or m-c+s if an earlier slot took that."""
+    j = np.arange(2 * c - 1)
+    bounds = np.where(j < c, np.asarray(m)[..., None] - c + 1 + j, 2 * c - j)
+    picks = words.bounded(rows, np.tile(bounds, weeks)).reshape(len(start), -1)[:, :c]
+    picks += start[:, None]
+    taken = np.zeros(int(np.max(start + m)), dtype=bool)
+    top = start + (m - c)
+    for f in picks.T:
+        np.copyto(f, top, where=taken.take(f))
+        taken[f] = True
+        top += 1
+    return picks
 
 
 def _replay_chunk(rows: int, n: int, c: int, weeks: int) -> int:
@@ -409,58 +502,35 @@ def _replay_chunk(rows: int, n: int, c: int, weeks: int) -> int:
     `rows` rows of `n` agents, capacity `c` and `weeks` repaint weeks, or 0
     where one `Generator.choice` per row-week is faster or is not replayed.
 
-    Each row's `integers` call costs about what one `choice` call does, so
-    a chunk's first week gains nothing; the replay pays for its one Python
-    step per slot and chunk with the calls of the other weeks, and runs
-    only where those are at least as many as the slots. It replays Floyd's
+    The replay takes one Python step per slot and chunk, and one
+    `choice` call per row-week costs about two of them, so it runs where a
+    chunk holds at least as many row-weeks as slots. It replays Floyd's
     algorithm only; numpy shuffles the tail of arange(n) instead when
     n > 10000 and c > n // 50.
     """
     if n > 10000 and c > n // 50:
         return 0
     chunk = max(1, min(weeks, _DRAW_BYTES // (rows * n)))
-    return chunk if c <= (chunk - 1) * rows else 0
+    return chunk if c <= chunk * rows else 0
 
 
-def _choice_replay(
-    rngs: Sequence[np.random.Generator], n: int, c: int, weeks: int, chunk: int
-):
+def _choice_replay(words: _Words, n: int, c: int, weeks: int, chunk: int):
     """Yield each of `weeks` weeks' picks of `Generator.choice(n, c,
-    replace=False)` for every row, as row-major positions in the (rows, n)
-    view, replayed from the same draws in the same order, `chunk` weeks at
-    a time. `0 < c < n`, on Floyd's side of numpy's cutoff (_replay_chunk).
-
-    numpy's choice takes Floyd's c draws, then the c-1 draws of a shuffle
-    that only orders the picks. Each row takes a chunk's bounds in one
-    `integers` call, and each of the c slots then runs over every row-week
-    of the chunk at once.
-    """
-    rows = len(rngs)
-    bounds = np.concatenate([np.arange(n - c + 1, n + 1), np.arange(c, 1, -1)])
-    tiled = np.tile(bounds, chunk)
-    mask = np.zeros(chunk * rows * n, dtype=bool)
-    # intp positions: fancy indexing converts any other index dtype first
-    buffer = np.empty(chunk * rows * c, dtype=np.intp)
-    for start in range(0, weeks, chunk):
-        size = min(chunk, weeks - start)
-        cells = size * rows  # row-weeks, week-major
-        base = np.arange(0, cells * n, n)  # where each row-week starts
-        # picks[:, s] holds slot s's draw for every row-week, as a position
-        picks = buffer[: cells * c].reshape(size, rows, c)
-        for i, rng in enumerate(rngs):
-            drawn = rng.integers(0, tiled[: size * bounds.size])
-            picks[:, i] = drawn.reshape(size, -1)[:, :c]
-        picks = picks.reshape(cells, c)
-        picks += base[:, None]
-        # Floyd: slot s takes its draw, or place n-c+s if that is taken
-        top = base + (n - c)
-        for f in picks.T:
-            np.copyto(f, top, where=mask.take(f))
-            mask[f] = True
-            top += 1
-        mask[picks] = False
-        for week in range(size):
-            yield picks[week * rows : (week + 1) * rows].ravel() - base[week * rows]
+    replace=False)` for every row of `words`, as (rows, c) row-major
+    positions in the (rows, n) view, computed from the same draws in the
+    same order, `chunk` weeks at a time: each of the c slots runs over
+    every row-week of a chunk at once. `0 < c < n`, on Floyd's side of
+    numpy's cutoff (_replay_chunk)."""
+    rows = len(words.rngs)
+    every = np.arange(rows)
+    for first in range(0, weeks, chunk):
+        size = min(chunk, weeks - first)
+        # row i's week w takes row i of week w's (rows, n) block
+        base = (every[:, None] + np.arange(size) * rows).ravel() * n
+        picks = _floyd(words, c, every, base, n, size)
+        for week, picked in enumerate(picks.reshape(rows, size, c).swapaxes(0, 1)):
+            yield picked - week * rows * n
+        del picks, picked  # before the next chunk's draws
 
 
 def _most_faded(delta_e: np.ndarray, take: int) -> np.ndarray:
@@ -510,15 +580,25 @@ def _simulate_block(
         pop.k[:] = np.maximum(k_override, cfg.k_mean / 100.0)[:, None]
     capacity = weekly_capacity(cfg)
     threshold = cfg.perception_threshold
-    # RANDOM_A's picks do not depend on the population, so they may be
-    # drawn ahead, a chunk of weeks at a time
-    chosen = None
+    # the selecting strategies' draws are computed from each stream's raw
+    # words; RANDOM_A's picks do not depend on the population, so they are
+    # drawn a chunk of weeks ahead
+    choose = None
     if cfg.strategy is Strategy.RANDOM_A and 0 < capacity < n:
         weeks = cfg.horizon_days // 7
         chunk = _replay_chunk(rows, n, capacity, weeks)
         if chunk:
-            chosen = _choice_replay(rngs, n, capacity, weeks, chunk)
+            weekly = _choice_replay(_Words(rngs), n, capacity, weeks, chunk)
 
+            def choose(*_):  # this week's picks, drawn ahead
+                return next(weekly)
+
+    # THRESHOLD_C draws only for rows over capacity: from words where the
+    # capacity is at most half the rows. That keeps every candidate count m
+    # on Floyd's side of numpy's cutoff (_replay_chunk): past 10000 agents a
+    # block holds at most 104 rows, so capacity <= 52 <= m // 50
+    elif cfg.strategy is Strategy.THRESHOLD_C and 2 * capacity <= rows:
+        choose = functools.partial(_floyd, _Words(rngs), capacity)
     # a run that cannot repaint is settled once every agent is above the
     # threshold: rates are positive, so delta_e never falls again
     settles = cfg.strategy is Strategy.BASELINE or capacity == 0
@@ -533,8 +613,7 @@ def _simulate_block(
                 np.multiply(pop.k, gap, out=step)
             advance_day(pop, gap, step)
         if day > 0 and day % 7 == 0:
-            picked = None if chosen is None else next(chosen)
-            repaint_event(pop, cfg.strategy, capacity, threshold, rngs, _picked=picked)
+            repaint_event(pop, cfg.strategy, capacity, threshold, rngs, _choose=choose)
         above = np.add.reduce(
             (pop.delta_e > threshold).view(np.int8), axis=1, dtype=np.int32
         )

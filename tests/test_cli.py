@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -23,6 +24,14 @@ BASELINE = "49.3,46.3,20.5"
 
 def data_path(name):
     return resources.files("heartfade").joinpath(f"data/{name}")
+
+
+def vouches(out):
+    """Whether out/manifest.json digests exactly the other files in `out`."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = {p.name: p for p in out.iterdir() if p.name != "manifest.json"}
+    digests = {name: sha256_hex(p.read_bytes()) for name, p in files.items()}
+    return manifest["outputs"] == digests
 
 
 def write_test_image(path, shift=0):
@@ -307,6 +316,8 @@ class TestSimulateCommand:
         assert manifest["inputs"][str(cfg)] == hashlib.sha256(cfg.read_bytes()).hexdigest()
         header = (out / "result.csv").read_text().splitlines()[0]
         assert header == "day,mean_frac_above,lo_frac_above,hi_frac_above,cum_repaints"
+        assert sorted(manifest["outputs"]) == ["result.csv", "summary.json"]
+        assert vouches(out)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -338,6 +349,40 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfg), "--out", str(out), "--seed", "2"]) == 2
         assert capsys.readouterr() == ("", "heartfade simulate: disk full\n")
         assert [(p.name, p.read_bytes()) for p in sorted(out.iterdir())] == before
+
+    def test_failed_move_leaves_no_vouching_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A move that fails after the first leaves a new result.csv beside
+        the old files; the old manifest then no longer matches them, and
+        the line names the file under --out."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert vouches(out)
+        manifest = (out / "manifest.json").read_bytes()
+        replace = os.replace
+        moves = []
+
+        def fail_after_first(src, dst):
+            moves.append(Path(dst).name)
+            if len(moves) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_after_first)
+        assert main(["simulate", str(cfg), "--out", str(out), "--seed", "2"]) == 2
+        assert moves == ["result.csv", "summary.json"]
+        assert capsys.readouterr() == (
+            "",
+            "heartfade simulate: [Errno 28] No space left on device: "
+            f"'{out / 'summary.json'}'\n",
+        )
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert not vouches(out)
+        assert not list(out.glob(".heartfade-*"))
 
     def test_invalid_config_field_message(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -610,11 +655,14 @@ def test_out_file_name_taken_by_a_directory_exit_2(tmp_path, capsys):
     (out / "summary.json").mkdir(parents=True)
     assert main(["simulate", _config_path(tmp_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("heartfade simulate: ") and err.count("\n") == 1, err
-    # the staging directory is gone; the files moved in before the failure
-    # stay (a manifest-last output set is not done yet)
+    assert err == (
+        f"heartfade simulate: [Errno 21] Is a directory: '{out / 'summary.json'}'\n"
+    )
+    # the staging directory is gone; result.csv, moved in before the
+    # failure, stays, and no manifest vouches for it
     assert not list(out.glob(".heartfade-*"))
     assert (out / "summary.json").is_dir()
+    assert sorted(p.name for p in out.iterdir()) == ["result.csv", "summary.json"]
 
 
 def test_only_simulate_and_sweep_default_to_cwd(tmp_path, monkeypatch, capsys):

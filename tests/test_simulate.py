@@ -7,6 +7,7 @@ from heartfade.simulate import (
     Population,
     SimConfig,
     Strategy,
+    _Words,
     _choice_replay,
     _replay_chunk,
     _simulate_block,
@@ -277,38 +278,92 @@ REPLAY_CASES = [
 ]
 
 
+def assert_consumed_alike(words, row, direct):
+    """`words` has consumed from `row`'s stream exactly the 32-bit words
+    `direct`, a twin stream, has: the row's unread words, then its stream's
+    next raw outputs, are the next words `direct` hands out."""
+    assert not words.fresh[row]  # its stream's cached half is in the buffer
+    held = words.buf[row, words.pos[row] :]
+    raw = words.rngs[row].bit_generator.random_raw(4).view(np.uint32)
+    count = held.size + 8
+    expected = np.concatenate([held, raw])[:count]
+    assert np.array_equal(direct.integers(0, 2**32, count, dtype=np.uint32), expected)
+
+
 @pytest.mark.parametrize("n,c", REPLAY_CASES)
 def test_choice_replay_draws_what_choice_draws(n, c):
     """Over several weeks, chunked, each row picks the set one
-    Generator.choice(n, c, replace=False) per week picks and leaves its
-    stream where those calls leave it."""
+    Generator.choice(n, c, replace=False) per week picks and consumes
+    exactly the 32-bit words those calls consume."""
     rows, weeks = 3, 5
     replayed = [_stream(9, i) for i in range(rows)]
     direct = [_stream(9, i) for i in range(rows)]
     for rng in replayed + direct:
         rng.integers(0, 7)  # leaves half a 64-bit word for the next draw
-    picks = list(_choice_replay(replayed, n, c, weeks, 2))  # 2 + 2 + 1 weeks
+    words = _Words(replayed)
+    picks = list(_choice_replay(words, n, c, weeks, 2))  # 2 + 2 + 1 weeks
     assert len(picks) == weeks
     for week in picks:
         want = [r.choice(n, c, replace=False) + i * n for i, r in enumerate(direct)]
-        assert np.array_equal(np.sort(week), np.sort(np.concatenate(want)))
-    for a, b in zip(replayed, direct):
-        assert a.integers(0, 2**62) == b.integers(0, 2**62)
+        assert np.array_equal(np.sort(week, axis=None), np.sort(np.concatenate(want)))
+    for i, rng in enumerate(direct):
+        assert_consumed_alike(words, i, rng)
+
+
+# 2^31 + 1 rejects about half its words, so rows are drawn again word by word
+@pytest.mark.parametrize("bound", [2, 1000, 2**31 + 1, 2**32])
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("narrow", [False, True])
+def test_bounded_draws_what_integers_draws(monkeypatch, bound, cached, narrow):
+    """`_Words.bounded` gives Generator.integers(0, bounds) on each row's
+    stream, over calls on all rows and on some rows with bounds of their
+    own, from fresh streams and from streams holding a cached half; a
+    narrow buffer refills inside a call."""
+    if narrow:  # one word wider than a call needs
+        monkeypatch.setattr(simulate, "_DRAW_BYTES", 0)
+    rows = 3
+    read = [_stream(4, i) for i in range(rows)]
+    direct = [_stream(4, i) for i in range(rows)]
+    if cached:
+        for rng in read + direct:
+            rng.integers(0, 7)
+    words = _Words(read)
+    every = np.arange(rows)
+    bounds = np.array([bound, 2, 3, bound, 2**32, bound, 1000] * 3)
+    some = np.array([2, 0])  # rows 2 and 0, each with its own bounds
+    own = np.stack([bounds[::-1], np.roll(bounds, 5)])
+    for _ in range(3):
+        got = words.bounded(every, bounds)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, [r.integers(0, bounds) for r in direct])
+        got = words.bounded(some, own)
+        want = [direct[i].integers(0, b) for i, b in zip(some, own)]
+        assert np.array_equal(got, want)
+    for i, rng in enumerate(direct):
+        assert_consumed_alike(words, i, rng)
 
 
 def test_replay_chunk(monkeypatch):
-    """The replay runs where a chunk's weeks after its first hold at least
-    as many row-weeks as slots, on Floyd's side of numpy's cutoff."""
+    """The replay runs where a chunk holds at least as many row-weeks as
+    slots, on Floyd's side of numpy's cutoff."""
     monkeypatch.setattr(simulate, "_DRAW_BYTES", 10 * 4 * 100)  # 10 weeks
-    assert _replay_chunk(4, 100, 36, 52) == 10
-    assert _replay_chunk(4, 100, 37, 52) == 0
-    assert _replay_chunk(4, 100, 4, 2) == 2  # capped at the weeks there are
-    assert _replay_chunk(4, 100, 5, 2) == 0
-    assert _replay_chunk(40, 100, 1, 52) == 0  # one week per chunk
+    assert _replay_chunk(4, 100, 40, 52) == 10
+    assert _replay_chunk(4, 100, 41, 52) == 0
+    assert _replay_chunk(4, 100, 8, 2) == 2  # capped at the weeks there are
+    assert _replay_chunk(4, 100, 9, 2) == 0
+    assert _replay_chunk(40, 100, 40, 52) == 1  # one week per chunk
+    assert _replay_chunk(40, 100, 41, 52) == 0
     monkeypatch.setattr(simulate, "_DRAW_BYTES", 1 << 40)
     assert _replay_chunk(1, 10001, 200, 10**4) > 0
     assert _replay_chunk(1, 10001, 201, 10**4) == 0  # numpy's tail shuffle
     assert _replay_chunk(1, 12000, 11999, 10**5) == 0
+
+
+def test_threshold_words_stay_on_floyds_side():
+    """THRESHOLD_C draws from words only where capacity is at most half a
+    block's rows. Past 10000 agents a block holds too few rows for that
+    capacity to exceed m // 50 >= 200, where numpy shuffles the tail."""
+    assert simulate._BLOCK_CELLS // 10001 // 2 <= 10001 // 50
 
 
 class TestRunSimulation:

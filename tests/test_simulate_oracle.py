@@ -266,8 +266,8 @@ def test_block_budget_does_not_change_results(monkeypatch, budget):
 
 
 class ChoiceForbidden:
-    """Wraps a row's Generator whose RANDOM_A picks must come through the
-    replay: every other draw goes through, `choice` fails."""
+    """Wraps a row's Generator whose picks must be computed from its raw
+    words: every other draw goes through, `choice` fails."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -280,8 +280,9 @@ class ChoiceForbidden:
 
 @pytest.mark.parametrize("mode", ["montecarlo", "envelope"])
 @pytest.mark.parametrize("weeks", [1, 3, 100])
-# capacity 3 is replayed in 3-week and longer chunks, capacity 9 only in
-# chunks longer than the horizon; the other runs call choice
+# capacity 3 is replayed in every block, the envelope's too, in 3-week and
+# longer chunks, capacity 9 only in chunks longer than the horizon; in the
+# other runs some block may call choice
 @pytest.mark.parametrize("fraction,replayed", [(0.13, (3, 100)), (0.4, (100,))])
 def test_draw_chunks_do_not_change_results(
     monkeypatch, fraction, replayed, weeks, mode
@@ -304,8 +305,59 @@ def test_draw_chunks_do_not_change_results(
     # one and the envelope runs) take three times as many
     monkeypatch.setattr(simulate, "_DRAW_BYTES", weeks * 3 * cfg.n_agents)
     if weeks in replayed:
-        stream = simulate._stream
-        monkeypatch.setattr(simulate, "_stream", lambda *a: ChoiceForbidden(stream(*a)))
+        forbid_choice(monkeypatch)
+    assert_bit_equal(run_simulation(cfg), oracle_run(cfg))
+
+
+def forbid_choice(monkeypatch):
+    stream = simulate._stream
+    monkeypatch.setattr(simulate, "_stream", lambda *a: ChoiceForbidden(stream(*a)))
+
+
+# capacity at most half the rows: 4 in blocks of 8 rows, and 1 in blocks of
+# 3 rows and in the envelope's block of 2 (Floyd's draws, no shuffle)
+@pytest.mark.parametrize(
+    "agents,fraction,replicates,mode",
+    [(40, 0.1, 8, "montecarlo"), (20, 0.05, 3, "envelope")],
+)
+def test_threshold_draws_come_from_raw_words(
+    monkeypatch, agents, fraction, replicates, mode
+):
+    """THRESHOLD_C's rows with more candidates than capacity take their
+    draws from their streams' raw words, never through choice, and match
+    the oracle, which calls choice once per such row-week."""
+    cfg = replace(
+        NAMED["threshold_c-forced-then-over"],
+        n_agents=agents,
+        repaint_fraction_weekly=fraction,
+        replicates=replicates,
+        uncertainty_mode=mode,
+    )
+    counts = []
+    oracle_replicate(cfg, 0, candidate_counts=counts)
+    assert sum(m > weekly_capacity(cfg) for m in counts) > 3
+    forbid_choice(monkeypatch)
+    assert_bit_equal(run_simulation(cfg), oracle_run(cfg))
+
+
+def test_threshold_past_numpy_cutoff_calls_choice():
+    """Where a row may hold more than 10000 candidates with capacity above
+    a fiftieth of them, numpy shuffles the tail instead of Floyd's draws:
+    THRESHOLD_C then calls choice, and its weeks on both sides of the
+    cutoff match the oracle."""
+    cfg = SimConfig(
+        **FAST,
+        n_agents=13000,
+        horizon_days=120,
+        strategy=Strategy.THRESHOLD_C,
+        repaint_fraction_weekly=0.02,
+        replicates=2,
+    )
+    capacity = weekly_capacity(cfg)
+    counts = []
+    oracle_replicate(cfg, 0, candidate_counts=counts)
+    assert any(m > 10000 and capacity > m // 50 for m in counts)  # tail shuffle
+    assert any(capacity < m <= 10000 for m in counts)  # Floyd
     assert_bit_equal(run_simulation(cfg), oracle_run(cfg))
 
 
