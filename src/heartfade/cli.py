@@ -118,11 +118,14 @@ def _emit(out_dir: Path, files: dict[str, str]) -> None:
     `out_dir` (the same file system, so each move is a rename), then each
     is moved in with os.replace. A failure while writing leaves the files
     already in `out_dir` as they were; a failed move names its file under
-    `out_dir`. The temporary directory is removed either way. `main`
-    puts manifest.json last, so it is moved in only once every file it
-    digests is in place.
+    `out_dir`. The temporary directory is removed either way, and so is
+    any left in `out_dir` by a command killed before it could remove its
+    own. `main` puts manifest.json last, so it is moved in only once every
+    file it digests is in place.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob(".heartfade-*"):
+        shutil.rmtree(stale, ignore_errors=True)
     staged = OutputSet(Path(tempfile.mkdtemp(prefix=".heartfade-", dir=out_dir)))
     try:
         for name, text in files.items():

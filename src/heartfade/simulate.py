@@ -11,19 +11,18 @@ consumes its own random stream derived deterministically from
 (master_seed, replicate index), so results do not depend on how
 replicates are grouped or ordered. A row draws from its stream only when
 it has more candidates than capacity; a forced pick (every candidate fits)
-takes all of them and draws nothing. Where it is faster, the engine
-computes RANDOM_A's and THRESHOLD_C's draws from each stream's raw words
-(RANDOM_A's a chunk of weeks at once): the same numbers in the same order
-as one `Generator.choice` per row-week, consuming the same words, so the
-stream contract (0.2.0) is unchanged. A run that cannot repaint stops
-stepping once every agent is above the threshold (rates are positive, so
-none can fall back below it); the outputs are the same as stepping on to
-the horizon.
+takes all of them and draws nothing. Where `_draws` finds it exact and
+faster, the engine computes RANDOM_A's and THRESHOLD_C's draws from each
+stream's raw words (RANDOM_A's a chunk of weeks at once): the same
+numbers in the same order as one `Generator.choice` per row-week,
+consuming the same words, so the stream contract (0.2.0) is unchanged. A
+run that cannot repaint stops stepping once every agent is above the
+threshold (rates are positive, so none can fall back below it); the
+outputs are the same as stepping on to the horizon.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -347,8 +346,9 @@ def repaint_event(
     `capacity` candidates, repaints all m and draws nothing. A row with
     m > `capacity` draws one `Generator.choice(m, capacity, replace=False)`
     from its own stream and repaints the candidates at those positions in
-    its ascending candidate list. The engine computes the same draws from
-    each stream's raw words instead, passing them through the private
+    its ascending candidate list. Where `_draws` finds it exact and
+    faster, the engine computes the same draws from each stream's raw
+    words instead and passes them through the private
     `_choose(rows, start, m)`: for each listed row, `start` plus the
     positions its `choice(m, capacity, replace=False)` picks. `capacity`
     must be an integer. Selected agents are reset to delta_e 0, in place
@@ -475,17 +475,16 @@ class _Words:
             self.buf[i, self.pos[i] :] = words
 
 
-def _floyd(
-    words: _Words, c: int, rows: np.ndarray, start, m, weeks: int = 1
-) -> np.ndarray:
+def _floyd(words: _Words, c: int, rows: np.ndarray, start, m) -> np.ndarray:
     """The picks of `choice(m, c, replace=False)` for each of `rows` over
-    `weeks` weeks, drawn from `words`, as positions `start` + pick:
-    (len(start), c), one row per row-week, each row's weeks in turn. On
-    Floyd's side of numpy's cutoff (_replay_chunk), a row-week draws
+    len(start) // len(rows) weeks, drawn from `words`, as positions `start`
+    + pick: (len(start), c), one row per row-week, each row's weeks in
+    turn. On Floyd's side of numpy's cutoff (_draws), a row-week draws
     Floyd's m-c+1 ... m, then c ... 2 for a shuffle that only orders the
     picks; slot s takes its draw, or m-c+s if an earlier slot took that."""
     j = np.arange(2 * c - 1)
     bounds = np.where(j < c, np.asarray(m)[..., None] - c + 1 + j, 2 * c - j)
+    weeks = len(start) // len(rows)
     picks = words.bounded(rows, np.tile(bounds, weeks)).reshape(len(start), -1)[:, :c]
     picks += start[:, None]
     taken = np.zeros(int(np.max(start + m)), dtype=bool)
@@ -497,40 +496,44 @@ def _floyd(
     return picks
 
 
-def _replay_chunk(rows: int, n: int, c: int, weeks: int) -> int:
-    """Weeks of RANDOM_A's picks that `_choice_replay` draws at once for
-    `rows` rows of `n` agents, capacity `c` and `weeks` repaint weeks, or 0
-    where one `Generator.choice` per row-week is faster or is not replayed.
+def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
+    """`repaint_event`'s `_choose` for a block of `words`' rows of `n`
+    agents at capacity `c` over `weeks` repaint weeks, or None where the
+    block calls one `Generator.choice` per row-week instead.
 
-    The replay takes one Python step per slot and chunk, and one
-    `choice` call per row-week costs about two of them, so it runs where a
-    chunk holds at least as many row-weeks as slots. It replays Floyd's
-    algorithm only; numpy shuffles the tail of arange(n) instead when
-    n > 10000 and c > n // 50.
+    The picks come from words only on Floyd's side of numpy's cutoff:
+    past 10000 candidates, `choice` shuffles the tail of arange(m) instead
+    when c > m // 50. A THRESHOLD_C row that draws has c < m <= n
+    candidates, so m = 10001 is its worst case. Words take one Python step
+    per slot, and one `choice` call per row-week costs about two, so they
+    are used where each step covers enough row-weeks. RANDOM_A's picks do
+    not depend on the population, so they are drawn a chunk of weeks
+    ahead, where a chunk holds at least as many row-weeks as slots.
+    THRESHOLD_C draws each week, only for its rows over capacity (some
+    weeks few), where the capacity is at most half the rows.
     """
-    if n > 10000 and c > n // 50:
-        return 0
-    chunk = max(1, min(weeks, _DRAW_BYTES // (rows * n)))
-    return chunk if c <= chunk * rows else 0
-
-
-def _choice_replay(words: _Words, n: int, c: int, weeks: int, chunk: int):
-    """Yield each of `weeks` weeks' picks of `Generator.choice(n, c,
-    replace=False)` for every row of `words`, as (rows, c) row-major
-    positions in the (rows, n) view, computed from the same draws in the
-    same order, `chunk` weeks at a time: each of the c slots runs over
-    every row-week of a chunk at once. `0 < c < n`, on Floyd's side of
-    numpy's cutoff (_replay_chunk)."""
     rows = len(words.rngs)
-    every = np.arange(rows)
-    for first in range(0, weeks, chunk):
-        size = min(chunk, weeks - first)
-        # row i's week w takes row i of week w's (rows, n) block
-        base = (every[:, None] + np.arange(size) * rows).ravel() * n
-        picks = _floyd(words, c, every, base, n, size)
-        for week, picked in enumerate(picks.reshape(rows, size, c).swapaxes(0, 1)):
-            yield picked - week * rows * n
-        del picks, picked  # before the next chunk's draws
+    if strategy is Strategy.RANDOM_A and (n <= 10000 or c <= n // 50):
+        chunk = max(1, min(weeks, _DRAW_BYTES // (rows * n)))
+        if c <= chunk * rows:
+            every = np.arange(rows)
+
+            def weekly():  # each week's (rows, c) flat positions, in turn
+                for first in range(0, weeks, chunk):
+                    size = min(chunk, weeks - first)
+                    # row i's week w takes row i of week w's (rows, n) block
+                    base = (every[:, None] + np.arange(size) * rows).ravel() * n
+                    picks = _floyd(words, c, every, base, n).reshape(rows, size, c)
+                    for week in range(size):
+                        yield picks[:, week] - week * rows * n
+                    del picks  # before the next chunk's draws
+
+            picked = weekly()
+            return lambda *_: next(picked)
+    elif strategy is Strategy.THRESHOLD_C and (n <= 10000 or c <= 200):
+        if 2 * c <= rows:
+            return lambda over, start, m: _floyd(words, c, over, start, m)
+    return None
 
 
 def _most_faded(delta_e: np.ndarray, take: int) -> np.ndarray:
@@ -580,25 +583,7 @@ def _simulate_block(
         pop.k[:] = np.maximum(k_override, cfg.k_mean / 100.0)[:, None]
     capacity = weekly_capacity(cfg)
     threshold = cfg.perception_threshold
-    # the selecting strategies' draws are computed from each stream's raw
-    # words; RANDOM_A's picks do not depend on the population, so they are
-    # drawn a chunk of weeks ahead
-    choose = None
-    if cfg.strategy is Strategy.RANDOM_A and 0 < capacity < n:
-        weeks = cfg.horizon_days // 7
-        chunk = _replay_chunk(rows, n, capacity, weeks)
-        if chunk:
-            weekly = _choice_replay(_Words(rngs), n, capacity, weeks, chunk)
-
-            def choose(*_):  # this week's picks, drawn ahead
-                return next(weekly)
-
-    # THRESHOLD_C draws only for rows over capacity: from words where the
-    # capacity is at most half the rows. That keeps every candidate count m
-    # on Floyd's side of numpy's cutoff (_replay_chunk): past 10000 agents a
-    # block holds at most 104 rows, so capacity <= 52 <= m // 50
-    elif cfg.strategy is Strategy.THRESHOLD_C and 2 * capacity <= rows:
-        choose = functools.partial(_floyd, _Words(rngs), capacity)
+    choose = _draws(cfg.strategy, _Words(rngs), n, capacity, cfg.horizon_days // 7)
     # a run that cannot repaint is settled once every agent is above the
     # threshold: rates are positive, so delta_e never falls again
     settles = cfg.strategy is Strategy.BASELINE or capacity == 0

@@ -384,6 +384,21 @@ class TestSimulateCommand:
         assert not vouches(out)
         assert not list(out.glob(".heartfade-*"))
 
+    def test_stale_staging_directory_is_removed(self, tmp_path):
+        """A staging directory left by a killed command is removed by the
+        next command writing the same --out."""
+        out = tmp_path / "out"
+        (out / ".heartfade-old").mkdir(parents=True)
+        (out / ".heartfade-old" / "summary.json").write_text("{}")
+        assert main(["simulate", "--preset", "paint1-baseline", "--out", str(out)]) == 0
+        assert not list(out.glob(".heartfade-*"))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json",
+            "result.csv",
+            "summary.json",
+        ]
+        assert vouches(out)
+
     def test_invalid_config_field_message(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"k_mean": -1}')

@@ -8,8 +8,7 @@ from heartfade.simulate import (
     SimConfig,
     Strategy,
     _Words,
-    _choice_replay,
-    _replay_chunk,
+    _draws,
     _simulate_block,
     _stream,
     derive_stream_seed,
@@ -291,21 +290,24 @@ def assert_consumed_alike(words, row, direct):
 
 
 @pytest.mark.parametrize("n,c", REPLAY_CASES)
-def test_choice_replay_draws_what_choice_draws(n, c):
-    """Over several weeks, chunked, each row picks the set one
-    Generator.choice(n, c, replace=False) per week picks and consumes
-    exactly the 32-bit words those calls consume."""
-    rows, weeks = 3, 5
+def test_choice_replay_draws_what_choice_draws(monkeypatch, n, c):
+    """Over several weeks, in 2-week chunks, RANDOM_A's plan gives each row
+    the set one Generator.choice(n, c, replace=False) per week picks, and
+    consumes exactly the 32-bit words those calls consume."""
+    rows, weeks = max(3, -(-c // 2)), 5  # enough rows for c slots a chunk
+    monkeypatch.setattr(simulate, "_DRAW_BYTES", 2 * rows * n)  # 2 + 2 + 1 weeks
     replayed = [_stream(9, i) for i in range(rows)]
     direct = [_stream(9, i) for i in range(rows)]
     for rng in replayed + direct:
         rng.integers(0, 7)  # leaves half a 64-bit word for the next draw
     words = _Words(replayed)
-    picks = list(_choice_replay(words, n, c, weeks, 2))  # 2 + 2 + 1 weeks
-    assert len(picks) == weeks
-    for week in picks:
+    choose = _draws(Strategy.RANDOM_A, words, n, c, weeks)
+    for _ in range(weeks):
+        week = choose()
         want = [r.choice(n, c, replace=False) + i * n for i, r in enumerate(direct)]
         assert np.array_equal(np.sort(week, axis=None), np.sort(np.concatenate(want)))
+    with pytest.raises(StopIteration):
+        choose()
     for i, rng in enumerate(direct):
         assert_consumed_alike(words, i, rng)
 
@@ -343,27 +345,59 @@ def test_bounded_draws_what_integers_draws(monkeypatch, bound, cached, narrow):
         assert_consumed_alike(words, i, rng)
 
 
-def test_replay_chunk(monkeypatch):
-    """The replay runs where a chunk holds at least as many row-weeks as
-    slots, on Floyd's side of numpy's cutoff."""
-    monkeypatch.setattr(simulate, "_DRAW_BYTES", 10 * 4 * 100)  # 10 weeks
-    assert _replay_chunk(4, 100, 40, 52) == 10
-    assert _replay_chunk(4, 100, 41, 52) == 0
-    assert _replay_chunk(4, 100, 8, 2) == 2  # capped at the weeks there are
-    assert _replay_chunk(4, 100, 9, 2) == 0
-    assert _replay_chunk(40, 100, 40, 52) == 1  # one week per chunk
-    assert _replay_chunk(40, 100, 41, 52) == 0
-    monkeypatch.setattr(simulate, "_DRAW_BYTES", 1 << 40)
-    assert _replay_chunk(1, 10001, 200, 10**4) > 0
-    assert _replay_chunk(1, 10001, 201, 10**4) == 0  # numpy's tail shuffle
-    assert _replay_chunk(1, 12000, 11999, 10**5) == 0
+RANDOM_A, THRESHOLD_C = Strategy.RANDOM_A, Strategy.THRESHOLD_C
+TEN_WEEKS = 10 * 4 * 100  # _DRAW_BYTES for 10-week chunks of 4 rows of 100
+BYTES = simulate._DRAW_BYTES  # the default
+
+# (strategy, rows, agents, capacity, repaint weeks, _DRAW_BYTES, the weeks
+# each _floyd call draws, or None where the block calls choice per row-week)
+DRAW_PLANS = [
+    # RANDOM_A: where a chunk holds at least as many row-weeks as slots
+    (RANDOM_A, 4, 100, 40, 52, TEN_WEEKS, [10] * 5 + [2]),
+    (RANDOM_A, 4, 100, 41, 52, TEN_WEEKS, None),
+    (RANDOM_A, 4, 100, 8, 2, TEN_WEEKS, [2]),  # capped at the weeks there are
+    (RANDOM_A, 4, 100, 9, 2, TEN_WEEKS, None),
+    (RANDOM_A, 40, 100, 40, 52, TEN_WEEKS, [1] * 52),  # one week per chunk
+    (RANDOM_A, 40, 100, 41, 52, TEN_WEEKS, None),
+    # past 10000 agents, numpy shuffles the tail above capacity agents // 50
+    (RANDOM_A, 1, 10001, 200, 201, 201 * 10001, [201]),  # 201-week chunks
+    (RANDOM_A, 1, 10001, 201, 201, 201 * 10001, None),
+    (RANDOM_A, 1, 12000, 11999, 10**5, 1 << 40, None),
+    # THRESHOLD_C: where the capacity is at most half the rows
+    (THRESHOLD_C, 4, 100, 2, 1, BYTES, [1]),
+    (THRESHOLD_C, 4, 100, 3, 1, BYTES, None),
+    # its m = 10001 candidates reach the tail shuffle above capacity 200
+    (THRESHOLD_C, 402, 12000, 200, 1, BYTES, [1]),
+    (THRESHOLD_C, 402, 12000, 201, 1, BYTES, None),
+    (Strategy.GREEDY_B, 4, 100, 2, 52, BYTES, None),
+]
 
 
-def test_threshold_words_stay_on_floyds_side():
-    """THRESHOLD_C draws from words only where capacity is at most half a
-    block's rows. Past 10000 agents a block holds too few rows for that
-    capacity to exceed m // 50 >= 200, where numpy shuffles the tail."""
-    assert simulate._BLOCK_CELLS // 10001 // 2 <= 10001 // 50
+@pytest.mark.parametrize("strategy,rows,n,c,weeks,draw_bytes,drawn", DRAW_PLANS)
+def test_draws(monkeypatch, strategy, rows, n, c, weeks, draw_bytes, drawn):
+    """A block's picks come from raw words on Floyd's side of numpy's
+    cutoff and where that is faster than choice: RANDOM_A's a chunk of
+    weeks per _floyd call, THRESHOLD_C's one week per call."""
+    monkeypatch.setattr(simulate, "_DRAW_BYTES", draw_bytes)
+    calls = []
+    floyd = simulate._floyd
+
+    def counted(words, c, rows, start, m):
+        calls.append(len(start) // len(rows))
+        return floyd(words, c, rows, start, m)
+
+    monkeypatch.setattr(simulate, "_floyd", counted)
+    choose = _draws(strategy, _Words([_stream(3, i) for i in range(rows)]), n, c, weeks)
+    if drawn is None:
+        assert choose is None
+        return
+    if strategy is RANDOM_A:
+        for _ in range(weeks):
+            assert choose().shape == (rows, c)
+    else:  # the last row, over capacity: n candidates, or 10001 past 10000 agents
+        m = min(n, 10001)
+        assert choose(np.array([rows - 1]), np.array([0]), np.array([m])).shape == (1, c)
+    assert calls == drawn
 
 
 class TestRunSimulation:
