@@ -4,21 +4,24 @@ Each agent carries a fading value (delta E) that grows linearly at an
 agent-specific rate k drawn from a normal distribution. Weekly repainting
 events reset selected agents to zero under one of four strategies, and
 each replicate keeps one running total of its repaints, not one per agent.
-All replicates advance together as one (replicates, agents) population,
-a week at a time: delta E is read only on the weekly grid and on the
-horizon day, so each recorded interval adds k·days once. Each replicate
-consumes its own random stream derived deterministically from
+Replicates advance together in blocks, each one (replicates, agents)
+population, a week at a time: delta E is read only on the weekly grid and
+on the horizon day, so each recorded interval adds k·days once. Each
+replicate consumes its own random stream derived deterministically from
 (master_seed, replicate index), so results do not depend on how
 replicates are grouped or ordered. A row draws from its stream only when
 it has more candidates than capacity; a forced pick (every candidate fits)
-takes all of them and draws nothing. Where `_draws` finds it exact and
-faster, the engine computes RANDOM_A's and THRESHOLD_C's draws from each
-stream's raw words (RANDOM_A's a chunk of weeks at once): the same
-numbers in the same order as one `Generator.choice` per row-week,
-consuming the same words, so the stream contract (0.2.0) is unchanged. A
-run that cannot repaint stops stepping once every agent is above the
-threshold (rates are positive, so none can fall back below it); the
-outputs are the same as stepping on to the horizon.
+takes all of them and draws nothing. A block takes its draws from the one
+chooser `_draws` builds for it: RANDOM_A's and THRESHOLD_C's draws computed
+from each stream's raw words where that is exact and faster (RANDOM_A's a
+chunk of weeks at once), or else one `Generator.choice` per row-week. Both
+give the same numbers in the same order and consume the same words, so
+the stream contract (0.2.0) is unchanged. A run that cannot repaint stops
+stepping once every agent is above the threshold (rates are positive, so
+none can fall back below it); the outputs are the same as stepping on to
+the horizon. The step functions (`init_population`, `advance_day`,
+`repaint_event`) are internal; they stay module-level, one call per row,
+interval or repaint week, so a tracer can wrap them by name.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -37,18 +39,12 @@ __all__ = [
     "Strategy",
     "SimConfig",
     "ConfigError",
-    "Population",
     "SimResult",
     "SweepRow",
-    "derive_stream_seed",
-    "init_population",
-    "advance_day",
-    "repaint_event",
     "run_simulation",
     "sweep_fractions",
     "paint1_config",
     "paint2_config",
-    "weekly_capacity",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -110,9 +106,8 @@ class Strategy(str, Enum):
 
 @dataclass
 class Population:
-    """Vectorised agent state: (agents,) arrays for one population, or
-    (replicates, agents) arrays for several advanced together, whose
-    repaint totals `repaint_count` holds: shape () or (replicates,)."""
+    """A block's agent state: (replicates, agents) arrays, and each
+    replicate's repaint total in `repaint_count`, shape (replicates,)."""
 
     delta_e: np.ndarray
     k: np.ndarray
@@ -291,10 +286,12 @@ def _stream(master_seed: int, stream_index: int) -> np.random.Generator:
     )
 
 
-def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
-    """Draw a fresh population: rates Normal(k_mean, k_sd) truncated to
-    k >= k_mean/100 by redrawing, initial fading Uniform[0, spread], and a
-    0-d repaint total of 0."""
+def init_population(
+    cfg: SimConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One stream's fresh agents as (delta_e, k), each (agents,): rates
+    Normal(k_mean, k_sd) truncated to k >= k_mean/100 by redrawing, then
+    initial fading Uniform[0, spread]."""
     n = cfg.n_agents
     k_min = cfg.k_mean / 100.0
     k = rng.normal(cfg.k_mean, cfg.k_sd, size=n)
@@ -303,8 +300,7 @@ def init_population(cfg: SimConfig, rng: np.random.Generator) -> Population:
         if not bad.any():
             break
         k[bad] = rng.normal(cfg.k_mean, cfg.k_sd, size=int(bad.sum()))
-    delta_e = rng.uniform(0.0, cfg.initial_spread_max, size=n)
-    return Population(delta_e, k, np.zeros((), dtype=np.int64))
+    return rng.uniform(0.0, cfg.initial_spread_max, size=n), k
 
 
 def advance_day(
@@ -325,61 +321,29 @@ def weekly_capacity(cfg: SimConfig) -> int:
 
 
 def repaint_event(
-    pop: Population,
-    strategy: Strategy,
-    capacity: int,
-    threshold: float,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    *,
-    _choose=None,
+    pop: Population, strategy: Strategy, capacity: int, threshold: float, choose
 ) -> int:
-    """Apply one weekly repainting event; returns the number repainted,
-    summed over all rows.
+    """Apply one weekly repainting event to a block; returns the number
+    repainted, summed over its rows.
 
-    `pop` holds (agents,) arrays with one Generator in `rng`, or
-    (replicates, agents) arrays with one Generator per row, in row order.
     Each row repaints up to `capacity` agents: RANDOM_A uniformly at
     random, GREEDY_B the most faded (ties to the lowest index, as a stable
     sort would order them), THRESHOLD_C uniformly among the agents above
     `threshold`. A row's candidates are all its agents for RANDOM_A and its
     agents above `threshold` for THRESHOLD_C. A forced row, with m <=
     `capacity` candidates, repaints all m and draws nothing. A row with
-    m > `capacity` draws one `Generator.choice(m, capacity, replace=False)`
-    from its own stream and repaints the candidates at those positions in
-    its ascending candidate list. Where `_draws` finds it exact and
-    faster, the engine computes the same draws from each stream's raw
-    words instead and passes them through the private
-    `_choose(rows, start, m)`: for each listed row, `start` plus the
-    positions its `choice(m, capacity, replace=False)` picks. `capacity`
-    must be an integer. Selected agents are reset to delta_e 0, in place
-    whatever the arrays' strides, and each row's count is added to its
-    total in `repaint_count`.
+    m > `capacity` repaints the candidates at the positions that its
+    stream's `choice(m, capacity, replace=False)` picks in its ascending
+    candidate list. `choose(rows, start, m)`, the block's chooser from
+    `_draws`, gives those positions, offset by `start`, for each listed
+    row. Selected agents are reset to delta_e 0, in place whatever the
+    arrays' strides, and each row's count is added to its total in
+    `repaint_count`.
     """
-    try:
-        if isinstance(capacity, bool):
-            raise TypeError
-        capacity = operator.index(capacity)
-    except TypeError:
-        raise ValueError(f"capacity must be an integer, got {capacity!r}") from None
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    rows_shape, got = np.shape(pop.delta_e)[:-1], np.shape(pop.repaint_count)
-    if got != rows_shape:
-        raise ValueError(f"repaint_count must have shape {rows_shape}, got {got}")
     if strategy is Strategy.BASELINE or capacity == 0:
         return 0
-    delta_e = np.atleast_2d(pop.delta_e)
+    delta_e = pop.delta_e
     rows, n = delta_e.shape
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
-    if len(rngs) != rows:
-        raise ValueError(f"{rows} rows need {rows} generators, got {len(rngs)}")
-    if _choose is None:
-
-        def _choose(over, start, m):  # one Generator.choice per row
-            rows_drawn = zip(over.tolist(), start.tolist(), m.tolist())
-            draw = [s + rngs[i].choice(k, capacity, False) for i, s, k in rows_drawn]
-            return np.stack(draw)
-
     # picked agents as row-major positions in the (rows, agents) view
     counts = min(capacity, n)  # each row's repaints
     if strategy is Strategy.GREEDY_B:
@@ -389,23 +353,21 @@ def repaint_event(
             picked = np.arange(rows * n)
         else:
             every = np.arange(rows)
-            picked = _choose(every, every * n, np.full(rows, n)).ravel()
-    elif strategy is Strategy.THRESHOLD_C:
+            picked = choose(every, every * n, np.full(rows, n)).ravel()
+    else:  # THRESHOLD_C
         picked = np.flatnonzero(delta_e > threshold)
         if not picked.size:
             return 0
         # row i's m[i] candidates start at picked[start[i]]
         start = np.searchsorted(picked, np.arange(0, rows * n, n))
         m = np.diff(start, append=picked.size)
-        counts = np.minimum(m, capacity).reshape(rows_shape)
+        counts = np.minimum(m, capacity)
         over = np.flatnonzero(m > capacity)
         if over.size:
             # forced rows keep every candidate, the others what they draw
             keep = np.repeat(m <= capacity, m)
-            keep[_choose(over, start[over], m[over])] = True
+            keep[choose(over, start[over], m[over])] = True
             picked = picked[keep]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown strategy {strategy!r}")
     delta_e.put(picked, 0.0)  # flat positions, whatever the strides
     pop.repaint_count += counts
     return int(picked.size)
@@ -497,11 +459,12 @@ def _floyd(words: _Words, c: int, rows: np.ndarray, start, m) -> np.ndarray:
 
 
 def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
-    """`repaint_event`'s `_choose` for a block of `words`' rows of `n`
-    agents at capacity `c` over `weeks` repaint weeks, or None where the
-    block calls one `Generator.choice` per row-week instead.
+    """The chooser `repaint_event` takes its picks from, for a block of
+    `words`' rows of `n` agents at capacity `c` over `weeks` repaint weeks:
+    `choose(rows, start, m)` gives, for each of the listed rows, `start`
+    plus the picks of `choice(m, c, replace=False)` from its stream.
 
-    The picks come from words only on Floyd's side of numpy's cutoff:
+    It computes them from words only on Floyd's side of numpy's cutoff:
     past 10000 candidates, `choice` shuffles the tail of arange(m) instead
     when c > m // 50. A THRESHOLD_C row that draws has c < m <= n
     candidates, so m = 10001 is its worst case. Words take one Python step
@@ -510,7 +473,8 @@ def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
     not depend on the population, so they are drawn a chunk of weeks
     ahead, where a chunk holds at least as many row-weeks as slots.
     THRESHOLD_C draws each week, only for its rows over capacity (some
-    weeks few), where the capacity is at most half the rows.
+    weeks few), where the capacity is at most half the rows. Every other
+    block calls one `Generator.choice` per row-week of `words.rngs`.
     """
     rows = len(words.rngs)
     if strategy is Strategy.RANDOM_A and (n <= 10000 or c <= n // 50):
@@ -533,7 +497,12 @@ def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
     elif strategy is Strategy.THRESHOLD_C and (n <= 10000 or c <= 200):
         if 2 * c <= rows:
             return lambda over, start, m: _floyd(words, c, over, start, m)
-    return None
+
+    def choice(over, start, m):  # one Generator.choice per row-week
+        drawn = zip(over.tolist(), start.tolist(), m.tolist())
+        return np.stack([s + words.rngs[i].choice(k, c, False) for i, s, k in drawn])
+
+    return choice
 
 
 def _most_faded(delta_e: np.ndarray, take: int) -> np.ndarray:
@@ -576,9 +545,7 @@ def _simulate_block(
     rngs = [_stream(cfg.master_seed, i) for i in stream_indices]
     pop = Population(np.empty((rows, n)), np.empty((rows, n)), np.zeros(rows, np.int64))
     for i, rng in enumerate(rngs):
-        drawn = init_population(cfg, rng)
-        pop.delta_e[i] = drawn.delta_e
-        pop.k[i] = drawn.k
+        pop.delta_e[i], pop.k[i] = init_population(cfg, rng)
     if k_override is not None:
         pop.k[:] = np.maximum(k_override, cfg.k_mean / 100.0)[:, None]
     capacity = weekly_capacity(cfg)
@@ -598,7 +565,7 @@ def _simulate_block(
                 np.multiply(pop.k, gap, out=step)
             advance_day(pop, gap, step)
         if day > 0 and day % 7 == 0:
-            repaint_event(pop, cfg.strategy, capacity, threshold, rngs, _choose=choose)
+            repaint_event(pop, cfg.strategy, capacity, threshold, choose)
         above = np.add.reduce(
             (pop.delta_e > threshold).view(np.int8), axis=1, dtype=np.int32
         )
@@ -663,30 +630,28 @@ def sweep_fractions(
 ) -> list[SweepRow]:
     """Decision sweep: each repaint fraction crossed with the three active
     strategies, summarised at the horizon: `horizon_days`, or the config's
-    own `horizon_days` when it is None."""
-    if horizon_days is None:
-        horizon_days = cfg_base.horizon_days
-    for f in fractions:
-        if not 0.0 <= f <= 1.0:
-            raise ConfigError(f"sweep fraction {f} outside [0, 1]")
+    own `horizon_days` when it is None. Every cell's config is validated
+    before the first cell runs."""
+    if horizon_days is not None:
+        cfg_base = replace(cfg_base, horizon_days=horizon_days)
+    cells = [
+        replace(cfg_base, strategy=s, repaint_fraction_weekly=f)
+        for f in fractions
+        for s in (Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C)
+    ]
+    for cfg in cells:
+        cfg.validate()
     rows = []
-    for f in fractions:
-        for strategy in (Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C):
-            cfg = replace(
-                cfg_base,
-                strategy=strategy,
-                repaint_fraction_weekly=f,
-                horizon_days=horizon_days,
+    for cfg in cells:
+        result = run_simulation(cfg)
+        rows.append(
+            SweepRow(
+                repaint_fraction_weekly=cfg.repaint_fraction_weekly,
+                strategy=cfg.strategy,
+                frac_needing_repaint_at_horizon=float(result.mean_frac[-1]),
+                total_repaints_at_horizon=float(result.mean_cum_repaints[-1]),
             )
-            result = run_simulation(cfg)
-            rows.append(
-                SweepRow(
-                    repaint_fraction_weekly=f,
-                    strategy=strategy,
-                    frac_needing_repaint_at_horizon=float(result.mean_frac[-1]),
-                    total_repaints_at_horizon=float(result.mean_cum_repaints[-1]),
-                )
-            )
+        )
     return rows
 
 

@@ -38,3 +38,26 @@ def test_root_exports_exactly_the_union_of_the_lists():
         for name in module.__all__:
             assert getattr(heartfade, name) is getattr(module, name), name
     assert isinstance(heartfade.__version__, str)
+
+
+# the engine's step functions and their helpers: internal, not exported
+ENGINE = (
+    "Population",
+    "init_population",
+    "advance_day",
+    "repaint_event",
+    "derive_stream_seed",
+    "weekly_capacity",
+)
+
+
+def test_engine_step_functions_are_not_exported():
+    assert [n for n in ENGINE if hasattr(heartfade, n)] == []
+    assert [n for module in MODULES for n in module.__all__ if n in ENGINE] == []
+
+
+def test_engine_step_functions_stay_module_level():
+    """bench/tracing.py wraps these by name in heartfade.simulate."""
+    simulate = importlib.import_module("heartfade.simulate")
+    for name in ("init_population", "advance_day", "repaint_event"):
+        assert callable(getattr(simulate, name)), name

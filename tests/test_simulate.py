@@ -128,55 +128,61 @@ class TestConfig:
             SimConfig.from_json(text, horizon_days=0)
 
 
+def one_row(delta_e, k):
+    """A block of one replicate with the given (agents,) state."""
+    delta_e, k = np.array([delta_e], float), np.array([k], float)
+    return Population(delta_e, k, np.zeros(1, np.int64))
+
+
 class TestInitPopulation:
     def test_zero_sd_all_equal(self):
         cfg = small_cfg(k_sd=0.0)
-        pop = init_population(cfg, _stream(42, 0))
-        assert np.all(pop.k == 0.041)
-        assert pop.repaint_count.shape == () and pop.repaint_count == 0
-        assert np.all((pop.delta_e >= 0) & (pop.delta_e <= 5.0))
+        delta_e, k = init_population(cfg, _stream(42, 0))
+        assert delta_e.shape == k.shape == (50,)
+        assert np.all(k == 0.041)
+        assert np.all((delta_e >= 0) & (delta_e <= 5.0))
 
     def test_deterministic_per_stream(self):
         cfg = small_cfg()
-        a = init_population(cfg, _stream(42, 3))
-        b = init_population(cfg, _stream(42, 3))
-        assert np.array_equal(a.k, b.k)
-        assert np.array_equal(a.delta_e, b.delta_e)
-        c = init_population(cfg, _stream(42, 4))
-        assert not np.array_equal(a.k, c.k)
+        delta_a, k_a = init_population(cfg, _stream(42, 3))
+        delta_b, k_b = init_population(cfg, _stream(42, 3))
+        assert np.array_equal(k_a, k_b)
+        assert np.array_equal(delta_a, delta_b)
+        _, k_c = init_population(cfg, _stream(42, 4))
+        assert not np.array_equal(k_a, k_c)
 
     def test_sample_mean_within_standard_error(self):
         cfg = SimConfig(n_agents=1000, **PAINT1)
-        pop = init_population(cfg, _stream(42, 0))
+        _, k = init_population(cfg, _stream(42, 0))
         se = 0.0052 / np.sqrt(1000)
-        assert abs(pop.k.mean() - 0.041) < 3 * se
+        assert abs(k.mean() - 0.041) < 3 * se
 
     def test_truncation_floor(self):
         cfg = small_cfg(k_mean=0.01, k_sd=0.05, n_agents=2000)
-        pop = init_population(cfg, _stream(1, 0))
-        assert np.all(pop.k >= 0.01 / 100)
+        _, k = init_population(cfg, _stream(1, 0))
+        assert np.all(k >= 0.01 / 100)
 
 
 class TestAdvanceDay:
     def test_single_step(self):
-        pop = Population(np.zeros(1), np.array([0.041]), np.zeros(1, dtype=np.int64))
+        pop = one_row([0.0], [0.041])
         advance_day(pop)
-        assert pop.delta_e[0] == pytest.approx(0.041)
+        assert pop.delta_e[0, 0] == pytest.approx(0.041)
 
     def test_crosses_threshold_at_244_days(self):
-        pop = Population(np.zeros(1), np.array([0.041]), np.zeros(1, dtype=np.int64))
+        pop = one_row([0.0], [0.041])
         for _ in range(243):
             advance_day(pop)
-        assert pop.delta_e[0] < 10.0
+        assert pop.delta_e[0, 0] < 10.0
         advance_day(pop)
-        assert pop.delta_e[0] == pytest.approx(10.004, abs=1e-9)
+        assert pop.delta_e[0, 0] == pytest.approx(10.004, abs=1e-9)
 
     def test_days_add_k_times_days_once(self):
-        k = _stream(1, 0).uniform(0.01, 0.5, size=1000)
-        pop = Population(np.full(1000, 3.0), k.copy(), np.zeros(1000, dtype=np.int64))
+        k = _stream(1, 0).uniform(0.01, 0.5, size=(1, 1000))
+        pop = Population(np.full((1, 1000), 3.0), k.copy(), np.zeros(1, np.int64))
         advance_day(pop, 7)
         assert np.array_equal(pop.delta_e, 3.0 + k * 7)
-        daily = np.full(1000, 3.0)
+        daily = np.full((1, 1000), 3.0)
         for _ in range(7):
             daily += k
         assert not np.array_equal(daily, pop.delta_e)  # roundings differ somewhere
@@ -185,7 +191,7 @@ class TestAdvanceDay:
 
     def test_uniform_population_steps_as_one(self):
         cfg = small_cfg(k_sd=0.0, initial_spread_max=0.0)
-        pop = init_population(cfg, _stream(42, 0))
+        pop = one_row(*init_population(cfg, _stream(42, 0)))
         fractions = []
         for _ in range(300):
             advance_day(pop)
@@ -195,72 +201,39 @@ class TestAdvanceDay:
 
 
 class TestRepaintEvent:
-    def pop(self, delta_e):
-        d = np.array(delta_e, dtype=float)
-        return Population(d, np.full(len(d), 0.04), np.zeros((), dtype=np.int64))
+    """One-row blocks, each repainted with its chooser from `_draws`."""
+
+    def repaint(self, delta_e, strategy, capacity):
+        pop = one_row(delta_e, np.full(len(delta_e), 0.04))
+        words = _Words([_stream(42, 0)])
+        choose = _draws(strategy, words, len(delta_e), capacity, 1)
+        return pop, repaint_event(pop, strategy, capacity, 10.0, choose)
 
     def test_baseline_never_repaints(self):
-        pop = self.pop([1, 12, 7, 12])
-        count = repaint_event(pop, Strategy.BASELINE, 4, 10.0, _stream(42, 0))
+        pop, count = self.repaint([1, 12, 7, 12], Strategy.BASELINE, 4)
         assert count == 0
-        assert list(pop.delta_e) == [1, 12, 7, 12]
+        assert pop.delta_e.tolist() == [[1, 12, 7, 12]]
 
     def test_greedy_top2_with_index_tiebreak(self):
-        pop = self.pop([1, 12, 7, 12])
-        count = repaint_event(pop, Strategy.GREEDY_B, 2, 10.0, _stream(42, 0))
+        pop, count = self.repaint([1, 12, 7, 12], Strategy.GREEDY_B, 2)
         assert count == 2
-        assert list(pop.delta_e) == [1, 0, 7, 0]
-        assert pop.repaint_count == 2
+        assert pop.delta_e.tolist() == [[1, 0, 7, 0]]
+        assert pop.repaint_count.tolist() == [2]
 
     def test_threshold_limited_by_eligible(self):
-        pop = self.pop([1, 12, 7, 12, 11, 2])
-        count = repaint_event(pop, Strategy.THRESHOLD_C, 50, 10.0, _stream(42, 0))
+        pop, count = self.repaint([1, 12, 7, 12, 11, 2], Strategy.THRESHOLD_C, 50)
         assert count == 3
         assert np.all(pop.delta_e <= 10.0)
 
     def test_random_exact_count_and_reset(self):
-        pop = self.pop(list(range(1, 21)))  # no agent starts at 0
-        count = repaint_event(pop, Strategy.RANDOM_A, 8, 10.0, _stream(42, 0))
+        # no agent starts at 0
+        pop, count = self.repaint(list(range(1, 21)), Strategy.RANDOM_A, 8)
         assert count == 8
         assert int((pop.delta_e == 0).sum()) == 8
-        assert pop.repaint_count == 8
+        assert pop.repaint_count.tolist() == [8]
 
     def test_capacity_above_population(self):
-        pop = self.pop([5.0, 6.0])
-        assert repaint_event(pop, Strategy.RANDOM_A, 99, 10.0, _stream(42, 0)) == 2
-
-    def test_capacity_may_be_a_numpy_integer(self):
-        pop = self.pop(list(range(20)))
-        count = repaint_event(pop, Strategy.RANDOM_A, np.int64(8), 10.0, _stream(42, 0))
-        assert count == 8
-
-    @pytest.mark.parametrize("capacity", [2.0, True, np.float64(2.0), np.True_, "2"])
-    def test_capacity_must_be_an_integer(self, capacity):
-        pop = self.pop(list(range(20)))
-        with pytest.raises(ValueError) as info:
-            repaint_event(pop, Strategy.RANDOM_A, capacity, 10.0, _stream(42, 0))
-        assert str(info.value) == f"capacity must be an integer, got {capacity!r}"
-        assert pop.repaint_count == 0
-
-    @pytest.mark.parametrize("rows", [None, 2])
-    def test_repaint_count_holds_one_total_per_row(self, rows):
-        delta_e = np.array([[1.0, 12, 7, 12], [12, 1, 12, 12]])
-        if rows is None:
-            delta_e = delta_e[0]
-        k = np.full(delta_e.shape, 0.04)
-        streams = _stream(42, 0) if rows is None else [_stream(42, i) for i in range(2)]
-        # a per-agent counter, as before, would be broadcast into every agent
-        per_agent = Population(delta_e.copy(), k, np.zeros(delta_e.shape, np.int64))
-        with pytest.raises(ValueError) as info:
-            repaint_event(per_agent, Strategy.GREEDY_B, 2, 10.0, streams)
-        want = delta_e.shape[:-1]
-        assert str(info.value) == (
-            f"repaint_count must have shape {want}, got {delta_e.shape}"
-        )
-        assert np.array_equal(per_agent.delta_e, delta_e)
-        totals = Population(delta_e.copy(), k, np.zeros(want, np.int64))
-        assert repaint_event(totals, Strategy.GREEDY_B, 2, 10.0, streams) == 2 * (rows or 1)
-        assert np.array_equal(totals.repaint_count, np.full(want, 2))
+        assert self.repaint([5.0, 6.0], Strategy.RANDOM_A, 99)[1] == 2
 
 
 # (agents, capacity) pairs on Floyd's side of numpy's choice without
@@ -373,11 +346,24 @@ DRAW_PLANS = [
 ]
 
 
+class Choosing(np.random.Generator):
+    """A row's stream that records each of its `choice` calls."""
+
+    def __init__(self, seed, row, calls):
+        super().__init__(np.random.PCG64(seed))
+        self.row, self.calls = row, calls
+
+    def choice(self, *args):
+        self.calls.append((self.row, *args))
+        return super().choice(*args)
+
+
 @pytest.mark.parametrize("strategy,rows,n,c,weeks,draw_bytes,drawn", DRAW_PLANS)
 def test_draws(monkeypatch, strategy, rows, n, c, weeks, draw_bytes, drawn):
     """A block's picks come from raw words on Floyd's side of numpy's
     cutoff and where that is faster than choice: RANDOM_A's a chunk of
-    weeks per _floyd call, THRESHOLD_C's one week per call."""
+    weeks per _floyd call, THRESHOLD_C's one week per call. Every other
+    block's chooser calls Generator.choice once per row-week."""
     monkeypatch.setattr(simulate, "_DRAW_BYTES", draw_bytes)
     calls = []
     floyd = simulate._floyd
@@ -387,17 +373,23 @@ def test_draws(monkeypatch, strategy, rows, n, c, weeks, draw_bytes, drawn):
         return floyd(words, c, rows, start, m)
 
     monkeypatch.setattr(simulate, "_floyd", counted)
-    choose = _draws(strategy, _Words([_stream(3, i) for i in range(rows)]), n, c, weeks)
-    if drawn is None:
-        assert choose is None
-        return
-    if strategy is RANDOM_A:
-        for _ in range(weeks):
-            assert choose().shape == (rows, c)
+    chosen = []
+    streams = [Choosing(derive_stream_seed(3, i), i, chosen) for i in range(rows)]
+    choose = _draws(strategy, _Words(streams), n, c, weeks)
+    if strategy is RANDOM_A:  # every row, all n agents
+        every = np.arange(rows)
+        over, start, m = every, every * n, np.full(rows, n)
     else:  # the last row, over capacity: n candidates, or 10001 past 10000 agents
-        m = min(n, 10001)
-        assert choose(np.array([rows - 1]), np.array([0]), np.array([m])).shape == (1, c)
+        over, start, m = np.array([rows - 1]), np.array([0]), np.array([min(n, 10001)])
+    if drawn is None:
+        assert choose(over, start, m).shape == (len(over), c)
+        assert chosen == [(i, k, c, False) for i, k in zip(over, m)]
+        assert calls == []
+        return
+    for _ in range(weeks if strategy is RANDOM_A else 1):
+        assert choose(over, start, m).shape == (len(over), c)
     assert calls == drawn
+    assert chosen == []
 
 
 class TestRunSimulation:
@@ -547,9 +539,13 @@ class TestSweep:
         assert by_strategy[Strategy.RANDOM_A].total_repaints_at_horizon == expected
         assert by_strategy[Strategy.GREEDY_B].total_repaints_at_horizon == expected
 
-    def test_fraction_out_of_range(self):
-        with pytest.raises(ConfigError):
-            sweep_fractions(small_cfg(), [1.2])
+    def test_fraction_out_of_range(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(simulate, "run_simulation", runs.append)
+        for fractions in ([1.2], [0.1, 1.2]):
+            with pytest.raises(ConfigError, match="^repaint_fraction_weekly must be"):
+                sweep_fractions(small_cfg(), fractions)
+        assert runs == []  # every cell is checked before the first runs
 
     def test_horizon_defaults_to_the_config(self, monkeypatch):
         horizons = []

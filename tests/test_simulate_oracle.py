@@ -17,7 +17,9 @@ from heartfade.simulate import (
     Population,
     SimConfig,
     Strategy,
+    _draws,
     _stream,
+    _Words,
     init_population,
     repaint_event,
     run_simulation,
@@ -25,37 +27,37 @@ from heartfade.simulate import (
 )
 
 
-def oracle_repaint(pop, strategy, capacity, threshold, rng, candidate_counts=None):
-    """One repainting event on a single (agents,) population; appends the
-    number of candidates to `candidate_counts` when given."""
+def oracle_repaint(delta_e, strategy, capacity, threshold, rng, candidate_counts=None):
+    """One repainting event on a single replicate's (agents,) delta E;
+    appends the number of candidates to `candidate_counts` when given."""
     if strategy is Strategy.BASELINE or capacity == 0:
         return 0
     if strategy is Strategy.GREEDY_B:
-        order = np.argsort(-pop.delta_e, kind="stable")
+        order = np.argsort(-delta_e, kind="stable")
         chosen = order[:capacity]
     else:
         if strategy is Strategy.RANDOM_A:
-            candidates = np.arange(len(pop.delta_e))
+            candidates = np.arange(len(delta_e))
         else:
-            candidates = np.flatnonzero(pop.delta_e > threshold)
+            candidates = np.flatnonzero(delta_e > threshold)
         if candidate_counts is not None:
             candidate_counts.append(len(candidates))
         if len(candidates) <= capacity:
             chosen = candidates  # forced: no draw
         else:
             chosen = rng.choice(candidates, size=capacity, replace=False)
-    pop.delta_e[chosen] = 0.0
+    delta_e[chosen] = 0.0
     return len(chosen)
 
 
 def oracle_replicate(cfg, stream_index, k_override=None, candidate_counts=None):
     rng = _stream(cfg.master_seed, stream_index)
-    pop = init_population(cfg, rng)
+    delta_e, k = init_population(cfg, rng)
     if k_override is not None:
-        pop.k[:] = max(k_override, cfg.k_mean / 100.0)
+        k[:] = max(k_override, cfg.k_mean / 100.0)
     capacity = weekly_capacity(cfg)
     threshold = cfg.perception_threshold
-    fracs = [float(np.mean(pop.delta_e > threshold))]
+    fracs = [float(np.mean(delta_e > threshold))]
     cums = [0]
     total = 0
     days = list(range(7, cfg.horizon_days + 1, 7))
@@ -63,13 +65,13 @@ def oracle_replicate(cfg, stream_index, k_override=None, candidate_counts=None):
         days.append(cfg.horizon_days)
     last = 0
     for day in days:
-        pop.delta_e += pop.k * (day - last)
+        delta_e += k * (day - last)
         last = day
         if day % 7 == 0:
             total += oracle_repaint(
-                pop, cfg.strategy, capacity, threshold, rng, candidate_counts
+                delta_e, cfg.strategy, capacity, threshold, rng, candidate_counts
             )
-        fracs.append(float(np.mean(pop.delta_e > threshold)))
+        fracs.append(float(np.mean(delta_e > threshold)))
         cums.append(total)
     return np.array(fracs), np.array(cums, dtype=np.float64)
 
@@ -233,18 +235,17 @@ def test_batched_repaint_equals_row_by_row(strategy, capacity):
     delta_e = np.round(rng.uniform(1.0, 12.0, size=(6, 12)))
     delta_e[2] = 1.0  # a row with nothing above the threshold
     batched = Population(delta_e.copy(), np.zeros_like(delta_e), np.zeros(6, np.int64))
-    count = repaint_event(
-        batched, strategy, capacity, 9.5, [_stream(3, i) for i in range(len(delta_e))]
-    )
+    words = _Words([_stream(3, i) for i in range(len(delta_e))])
+    choose = _draws(strategy, words, delta_e.shape[1], capacity, 1)
+    count = repaint_event(batched, strategy, capacity, 9.5, choose)
     assert type(count) is int
 
     expected = 0
-    for i, row in enumerate(delta_e):
-        pop = Population(row.copy(), np.zeros_like(row), np.zeros((), np.int64))
-        picked = oracle_repaint(pop, strategy, capacity, 9.5, _stream(3, i))
+    for i, row in enumerate(delta_e.copy()):
+        picked = oracle_repaint(row, strategy, capacity, 9.5, _stream(3, i))
         expected += picked
-        assert np.array_equal(batched.delta_e[i], pop.delta_e)
-        assert batched.repaint_count[i] == picked == np.count_nonzero(pop.delta_e == 0)
+        assert np.array_equal(batched.delta_e[i], row)
+        assert batched.repaint_count[i] == picked == np.count_nonzero(row == 0)
     assert count == expected
 
 
@@ -496,12 +497,9 @@ def test_repainting_run_steps_every_day(monkeypatch):
     assert sum(steps) == cfg.horizon_days
 
 
-class NoDraws:
-    """Stands in for a row's Generator where no draw may happen: touching
-    any of its attributes (`choice`, `integers`, ...) fails."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"a forced pick reached its stream's {name}")
+def no_draws(rows, start, m):
+    """Stands in for a block's chooser where no draw may happen."""
+    raise AssertionError(f"forced rows {rows} reached the chooser")
 
 
 @pytest.mark.parametrize("strategy", [Strategy.RANDOM_A, Strategy.THRESHOLD_C])
@@ -519,7 +517,7 @@ def test_forced_picks_draw_nothing(strategy):
     assert eligible.sum(axis=1).max() >= 2
     pop = Population(delta_e.copy(), np.zeros_like(delta_e), np.zeros(5, np.int64))
 
-    count = repaint_event(pop, strategy, capacity, 9.5, [NoDraws()] * 5)
+    count = repaint_event(pop, strategy, capacity, 9.5, no_draws)
 
     picked = eligible if strategy is Strategy.THRESHOLD_C else np.ones_like(eligible)
     assert count == picked.sum()
@@ -530,31 +528,26 @@ def test_forced_picks_draw_nothing(strategy):
 @pytest.mark.parametrize(
     "strategy", [Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C]
 )
-@pytest.mark.parametrize("rows", [None, 5])
-def test_repaint_event_writes_into_strided_views(strategy, rows):
+def test_repaint_event_writes_into_strided_views(strategy):
     """Picks land in place in a population of strided views, the same
     agents as in a contiguous copy, and nothing else changes."""
     rng = np.random.default_rng(11)
-    shape = (8, 30) if rows else (30,)
-    cols = slice(3, 27, 2)  # 12 agents; rows of the view are not evenly spaced
-    at = (slice(None, rows), cols) if rows else cols
+    rows, shape = 5, (8, 30)
+    at = (slice(None, rows), slice(3, 27, 2))  # 12 agents a row, rows not evenly spaced
     delta_e = np.round(rng.uniform(0.0, 12.0, size=shape))
     # every other total belongs to the view's rows
-    totals = np.zeros(16 if rows else (), dtype=np.int64)
-    view_totals = totals[: 2 * rows : 2] if rows else totals[...]
-    view = Population(delta_e[at], np.zeros(delta_e[at].shape), view_totals)
-    if rows:
-        # no flat view of these rows exists: reshape(-1) would copy
-        assert not np.shares_memory(view.delta_e.reshape(-1), delta_e)
-        streams = [_stream(5, i) for i in range(rows)]
-        copy_streams = [_stream(5, i) for i in range(rows)]
-    else:
-        streams, copy_streams = _stream(5, 0), _stream(5, 0)
+    totals = np.zeros(16, dtype=np.int64)
+    view = Population(delta_e[at], np.zeros(delta_e[at].shape), totals[: 2 * rows : 2])
+    # no flat view of these rows exists: reshape(-1) would copy
+    assert not np.shares_memory(view.delta_e.reshape(-1), delta_e)
     before = delta_e.copy()
     copy = Population(view.delta_e.copy(), view.k.copy(), view.repaint_count.copy())
 
-    got = repaint_event(view, strategy, 3, 9.5, streams)
-    want = repaint_event(copy, strategy, 3, 9.5, copy_streams)
+    def chooser():
+        return _draws(strategy, _Words([_stream(5, i) for i in range(rows)]), 12, 3, 1)
+
+    got = repaint_event(view, strategy, 3, 9.5, chooser())
+    want = repaint_event(copy, strategy, 3, 9.5, chooser())
 
     assert got == want > 0
     assert np.array_equal(view.delta_e, copy.delta_e)
