@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,38 @@ class TestRepaintEvent:
     def test_capacity_above_population(self):
         assert self.repaint([5.0, 6.0], Strategy.RANDOM_A, 99)[1] == 2
 
+    def test_capacity_may_be_a_numpy_integer(self):
+        pop, count = self.repaint(list(range(1, 21)), Strategy.RANDOM_A, np.int64(8))
+        assert type(count) is int and count == 8
+        assert pop.repaint_count.tolist() == [8]
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_repaint_count_holds_one_total_per_row(self, rows):
+        delta_e = np.array([[1.0, 12, 7, 12], [12, 1, 12, 12]])[:rows]
+        k = np.full(delta_e.shape, 0.04)
+        pop = Population(delta_e.copy(), k, np.zeros(rows, np.int64))
+        words = _Words([_stream(42, i) for i in range(rows)])
+        choose = _draws(Strategy.GREEDY_B, words, 4, 2, 2)
+        assert repaint_event(pop, Strategy.GREEDY_B, 2, 10.0, choose) == 2 * rows
+        assert pop.repaint_count.tolist() == [2] * rows
+        # a second week adds to each row's total
+        assert repaint_event(pop, Strategy.GREEDY_B, 2, 10.0, choose) == 2 * rows
+        assert pop.repaint_count.tolist() == [4] * rows
+        assert np.count_nonzero(pop.delta_e == 0) == 4 * rows
+
+    def test_takes_five_positional_parameters(self):
+        params = inspect.signature(repaint_event).parameters.values()
+        assert [p.name for p in params] == [
+            "pop",
+            "strategy",
+            "capacity",
+            "threshold",
+            "choose",
+        ]
+        assert all(
+            p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params
+        )
+
 
 # (agents, capacity) pairs on Floyd's side of numpy's choice without
 # replacement, up to its cutoff: past 10000 agents, capacity > agents // 50
@@ -458,6 +492,30 @@ class TestRunSimulation:
         run_simulation(SimConfig(k_mean=0.04, n_agents=1, horizon_days=7, replicates=5000))
         assert max(rows) <= simulate._BLOCK_ROWS
         assert sum(rows) == 5000
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C]
+    )
+    def test_one_chooser_per_block(self, monkeypatch, strategy):
+        # three agents a block: 7 replicates run as blocks of 3, 3 and 1
+        cfg = small_cfg(strategy=strategy, repaint_fraction_weekly=0.2, replicates=7)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * cfg.n_agents)
+        blocks, draws = [], []
+        simulate_block, draws_for = simulate._simulate_block, simulate._draws
+
+        def block(cfg, streams, k_override=None):
+            blocks.append(len(streams))
+            return simulate_block(cfg, streams, k_override)
+
+        def chooser(strategy, words, n, c, weeks):
+            draws.append((strategy, len(words.rngs), n, c, weeks))
+            return draws_for(strategy, words, n, c, weeks)
+
+        monkeypatch.setattr(simulate, "_simulate_block", block)
+        monkeypatch.setattr(simulate, "_draws", chooser)
+        run_simulation(cfg)
+        assert blocks == [3, 3, 1]
+        assert draws == [(strategy, rows, 50, 10, 200 // 7) for rows in blocks]
 
     def test_recorded_days_include_horizon(self):
         res = run_simulation(small_cfg(horizon_days=100))

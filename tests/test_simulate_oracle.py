@@ -528,18 +528,20 @@ def test_forced_picks_draw_nothing(strategy):
 @pytest.mark.parametrize(
     "strategy", [Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C]
 )
-def test_repaint_event_writes_into_strided_views(strategy):
+@pytest.mark.parametrize("rows", [1, 5])
+def test_repaint_event_writes_into_strided_views(strategy, rows):
     """Picks land in place in a population of strided views, the same
     agents as in a contiguous copy, and nothing else changes."""
     rng = np.random.default_rng(11)
-    rows, shape = 5, (8, 30)
+    shape = (8, 30)
     at = (slice(None, rows), slice(3, 27, 2))  # 12 agents a row, rows not evenly spaced
     delta_e = np.round(rng.uniform(0.0, 12.0, size=shape))
     # every other total belongs to the view's rows
     totals = np.zeros(16, dtype=np.int64)
     view = Population(delta_e[at], np.zeros(delta_e[at].shape), totals[: 2 * rows : 2])
-    # no flat view of these rows exists: reshape(-1) would copy
-    assert not np.shares_memory(view.delta_e.reshape(-1), delta_e)
+    assert not view.delta_e.flags.c_contiguous
+    # one row has a strided flat view; for more, reshape(-1) would copy
+    assert np.shares_memory(view.delta_e.reshape(-1), delta_e) == (rows == 1)
     before = delta_e.copy()
     copy = Population(view.delta_e.copy(), view.k.copy(), view.repaint_count.copy())
 
