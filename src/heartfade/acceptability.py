@@ -111,7 +111,7 @@ def fit_acceptability(points: list[SurveyPoint]) -> AcceptabilityCurve:
     if len(points) < 3:
         raise FitError(f"need >= 3 survey points, got {len(points)}")
     de, frac, w = _survey_arrays(points)
-    if np.unique(de).size < 2:
+    if np.all(de == de[0]):
         raise FitError("need at least two distinct delta_e values")
     if np.all(frac == frac[0]):
         raise FitError("all frac_agree values equal; curve is unidentified")

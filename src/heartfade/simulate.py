@@ -106,12 +106,13 @@ class Strategy(str, Enum):
 
 @dataclass
 class Population:
-    """A block's agent state: (replicates, agents) arrays, and each
-    replicate's repaint total in `repaint_count`, shape (replicates,)."""
+    """A block's agent state: (replicates, agents) arrays, and each row's
+    repaint total and last count above the threshold, (replicates,) each."""
 
     delta_e: np.ndarray
     k: np.ndarray
     repaint_count: np.ndarray
+    above: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,10 @@ def repaint_event(
     `_draws`, gives those positions, offset by `start`, for each listed
     row. Selected agents are reset to delta_e 0, in place whatever the
     arrays' strides, and each row's count is added to its total in
-    `repaint_count`.
+    `repaint_count`. THRESHOLD_C also sets `pop.above` to each row's count
+    above `threshold` after the repaint, from its own candidate pass: m
+    less the row's repaints, or m for a negative threshold, which a
+    repainted agent at 0 is still above.
     """
     if strategy is Strategy.BASELINE or capacity == 0:
         return 0
@@ -356,12 +360,11 @@ def repaint_event(
             picked = choose(every, every * n, np.full(rows, n)).ravel()
     else:  # THRESHOLD_C
         picked = np.flatnonzero(delta_e > threshold)
-        if not picked.size:
-            return 0
-        # row i's m[i] candidates start at picked[start[i]]
-        start = np.searchsorted(picked, np.arange(0, rows * n, n))
-        m = np.diff(start, append=picked.size)
+        # row i's m[i] candidates are picked[edges[i] : edges[i + 1]]
+        edges = np.searchsorted(picked, np.arange(0, rows * n + 1, n))
+        start, m = edges[:-1], edges[1:] - edges[:-1]
         counts = np.minimum(m, capacity)
+        pop.above = m - counts if threshold >= 0 else m
         over = np.flatnonzero(m > capacity)
         if over.size:
             # forced rows keep every candidate, the others what they draw
@@ -385,15 +388,17 @@ class _Words:
         self.buf = np.empty((len(rngs), 0), dtype=np.uint32)
         self.pos = np.zeros(len(rngs), dtype=np.intp)  # each row's next word
 
-    def bounded(self, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    def bounded(self, rows: np.ndarray, bounds: np.ndarray, keep=None) -> np.ndarray:
         """`Generator.integers(0, bounds)` from each of the distinct `rows`:
         (len(rows), L) draws for bounds of shape (L,) or (len(rows), L),
-        each in [2, 2^32]. Lemire's method, as numpy's
-        `random_bounded_uint64` runs it: the high half of word * b, unless
-        the low half is below (2^32 - b) % b, about once in 10^7 draws at
-        the engine's bounds; the word is then skipped."""
+        each in [2, 2^32], or only the columns `keep` (ascending) of them,
+        though every word is still drawn and tested. Lemire's method, as
+        numpy's `random_bounded_uint64` runs it: the high half of word * b,
+        unless the low half is below (2^32 - b) % b, about once in 10^7
+        draws at the engine's bounds; the word is then skipped."""
         size = np.shape(bounds)[-1]
-        bounds = np.broadcast_to(np.asarray(bounds, dtype=np.uint64), (len(rows), size))
+        keep = np.arange(size) if keep is None else keep
+        bounds = np.asarray(bounds, dtype=np.uint64)
         short = rows[self.buf.shape[1] - self.pos[rows] < size]
         if short.size:
             self._refill(short, size)
@@ -402,19 +407,24 @@ class _Words:
         runs = np.lib.stride_tricks.as_strided(
             self.buf, (rows_read, width - size + 1, size), self.buf.strides + (4,)
         )
-        prod = runs[rows, start] * bounds
-        low = prod.view(np.uint32)[:, 1 - np.little_endian :: 2]  # the low halves
-        # the limit (2^32 - b) % b is below b: only those words can fail
+        low = runs[rows, start]  # the words, then their products' low halves
+        kept = low[:, keep]
+        # a wrapping uint32 multiply gives the low halves (b = 2^32 wraps to 0,
+        # as its low half does); a word fails if that is below (2^32 - b) % b < b
+        low *= bounds.astype(np.uint32)
         near = np.flatnonzero(low < bounds)
-        b = bounds.flat[near]
+        each = np.broadcast_to(bounds, low.shape)  # each row's bounds
+        b = each.flat[near]
         failed = near[low.flat[near] < (2**32 - b) % b]
+        del low
         self.pos[rows] = start + size
+        prod = kept * bounds[..., keep]
         draws = np.right_shift(prod, 32, out=prod).view(np.int64)
-        if failed.size:  # a row's draws from its first rejected word on
-            failed_rows, first = np.unique(failed // size, return_index=True)
-            for j, f in zip(failed_rows.tolist(), (failed[first] % size).tolist()):
-                self.pos[rows[j]] = start[j] + f + 1
-                draws[j, f:] = self.bounded(rows[j : j + 1], bounds[j, f:])[0]
+        # a row's draws from its first rejected word on
+        for j, f in {x // size: x % size for x in failed[::-1].tolist()}.items():
+            self.pos[rows[j]] = start[j] + f + 1
+            rest = keep >= f
+            draws[j, rest] = self.bounded(rows[j : j + 1], each[j, f:], keep[rest] - f)
         return draws
 
     def _refill(self, rows, size: int) -> None:
@@ -447,7 +457,9 @@ def _floyd(words: _Words, c: int, rows: np.ndarray, start, m) -> np.ndarray:
     j = np.arange(2 * c - 1)
     bounds = np.where(j < c, np.asarray(m)[..., None] - c + 1 + j, 2 * c - j)
     weeks = len(start) // len(rows)
-    picks = words.bounded(rows, np.tile(bounds, weeks)).reshape(len(start), -1)[:, :c]
+    # only the Floyd draws are kept: the shuffle's words are drawn and dropped
+    floyd = (np.arange(weeks)[:, None] * j.size + j[:c]).ravel()
+    picks = words.bounded(rows, np.tile(bounds, weeks), floyd).reshape(len(start), c)
     picks += start[:, None]
     taken = np.zeros(int(np.max(start + m)), dtype=bool)
     top = start + (m - c)
@@ -554,6 +566,7 @@ def _simulate_block(
     # a run that cannot repaint is settled once every agent is above the
     # threshold: rates are positive, so delta_e never falls again
     settles = cfg.strategy is Strategy.BASELINE or capacity == 0
+    counted = cfg.strategy is Strategy.THRESHOLD_C and not settles  # see repaint_event
     days = _recorded_days(cfg.horizon_days)
     fracs = np.ones((rows, len(days)))
     cums = np.zeros((rows, len(days)))
@@ -564,17 +577,33 @@ def _simulate_block(
             if gap != 7:  # the last interval, up to an off-grid horizon
                 np.multiply(pop.k, gap, out=step)
             advance_day(pop, gap, step)
-        if day > 0 and day % 7 == 0:
+        repaints = day > 0 and day % 7 == 0
+        if repaints:
             repaint_event(pop, cfg.strategy, capacity, threshold, choose)
-        above = np.add.reduce(
-            (pop.delta_e > threshold).view(np.int8), axis=1, dtype=np.int32
-        )
+        if not (repaints and counted):
+            pop.above = np.add.reduce(
+                (pop.delta_e > threshold).view(np.int8), axis=1, dtype=np.int32
+            )
         # count / n is bit-equal to the mean of the boolean array
-        fracs[:, col] = above / n
+        fracs[:, col] = pop.above / n
         cums[:, col] = pop.repaint_count
-        if settles and above.min() == n:
+        if settles and pop.above.min() == n:
             break  # the later columns keep fraction 1.0 and no repaints
     return fracs, cums
+
+
+def _bands(frac: np.ndarray) -> list[np.ndarray]:
+    """`np.percentile(frac, (2.5, 97.5), axis=0)` bit for bit, for values
+    other than -0.0 and NaN: numpy's linear index, weight and two-sided
+    lerp, but without its `np.unique` call, which imports numpy.ma."""
+    ranked, top = np.sort(frac, axis=0), len(frac) - 1
+    bands = []
+    for v in (top * 0.025, top * 0.975):  # 2.5 / 100 and 97.5 / 100
+        i = math.floor(v)
+        a, b = ranked[i], ranked[min(i + 1, top)]
+        d, t = b - a, v - i
+        bands.append(a + d * t if t < 0.5 else b - d * (1 - t))
+    return bands
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -586,8 +615,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     The population steps from one recorded day to the next (a week, or the
     remainder up to the horizon), adding k·days once per interval, and
     repaints on every seventh day; a row draws only when it has more
-    candidates than the weekly capacity (see repaint_event). Monte Carlo
-    mode takes the 2.5th/97.5th percentile across replicates; envelope
+    candidates than the weekly capacity (see repaint_event), which counts
+    THRESHOLD_C's agents above the threshold; other days take one mask.
+    Monte Carlo mode takes the 2.5th/97.5th percentile across replicates,
+    bit for bit `np.percentile`'s linear method (_bands); envelope
     mode takes two deterministic bounding runs as one two-row block, every
     k of a row fixed at k_mean -/+ 2 k_sd. A block of a run that cannot
     repaint (BASELINE, or weekly capacity 0) stops stepping once every
@@ -606,8 +637,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     mean_cum = cum_by_rep.mean(axis=0)
 
     if cfg.uncertainty_mode == "montecarlo":
-        lo = np.percentile(frac_by_rep, 2.5, axis=0)
-        hi = np.percentile(frac_by_rep, 97.5, axis=0)
+        lo, hi = _bands(frac_by_rep)
     else:
         ks = (cfg.k_mean - 2 * cfg.k_sd, cfg.k_mean + 2 * cfg.k_sd)  # one per row
         runs, _ = _simulate_block(cfg, [_ENVELOPE_LO_STREAM, _ENVELOPE_HI_STREAM], ks)

@@ -748,6 +748,43 @@ def test_cli_import_does_not_load_hashlib():
     assert out.stdout.strip() == "False"
 
 
+def test_runs_do_not_load_numpy_ma(tmp_path):
+    # np.percentile and np.unique import numpy.ma on first use (about 1.3
+    # MiB); a Monte Carlo simulate, a sweep and acceptability call neither,
+    # unless numpy already loads it on import (numpy 1.x does)
+    cfg = tmp_path / "config.json"
+    config = dict(
+        k_mean=0.05,
+        n_agents=200,
+        horizon_days=200,
+        perception_threshold=5.0,
+        strategy="threshold_c",
+        repaint_fraction_weekly=0.05,
+        replicates=20,
+    )
+    cfg.write_text(json.dumps(config))
+    sweep = ["--fractions", "0.05,0.2", "--horizon", "200"]
+    argvs = [
+        ["simulate", str(cfg), "--out", str(tmp_path / "sim")],
+        ["sweep", str(cfg), *sweep, "--out", str(tmp_path / "sweep")],
+        ["acceptability", str(data_path("acceptability_anchors.csv"))],
+    ]
+    code = (
+        "import sys, numpy\n"
+        "on_import = 'numpy.ma' in sys.modules\n"
+        "from heartfade.cli import main\n"
+        f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0]\n"
+        "print('numpy.ma', on_import, 'numpy.ma' in sys.modules)"
+    )
+    src = str(Path(heartfade.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    _, on_import, loaded = out.stdout.splitlines()[-1].split()
+    assert on_import == "True" or loaded == "False"
+
+
 def test_fnv1a64_known_vectors():
     # reference values of the 64-bit FNV-1a test suite
     assert fnv1a64(b"") == "cbf29ce484222325"

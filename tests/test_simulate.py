@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import heartfade.simulate as simulate
 from heartfade.simulate import (
@@ -10,6 +12,7 @@ from heartfade.simulate import (
     SimConfig,
     Strategy,
     _Words,
+    _bands,
     _draws,
     _simulate_block,
     _stream,
@@ -256,6 +259,19 @@ class TestRepaintEvent:
         assert pop.repaint_count.tolist() == [4] * rows
         assert np.count_nonzero(pop.delta_e == 0) == 4 * rows
 
+    # 10.0 and 0.0: each row's count less its repaints; -1.0: every
+    # candidate, a repainted agent at 0 included
+    @pytest.mark.parametrize("threshold", [10.0, 0.0, -1.0])
+    @pytest.mark.parametrize("capacity", [1, 2, 50])
+    def test_threshold_leaves_each_rows_count_above(self, threshold, capacity):
+        delta_e = np.array([[1.0, 12, 7, 12, 11, 0], [3, 4, 5, 6, 0, 0], [0.0] * 6])
+        pop = Population(delta_e, np.full(delta_e.shape, 0.04), np.zeros(3, np.int64))
+        words = _Words([_stream(42, i) for i in range(3)])
+        choose = _draws(Strategy.THRESHOLD_C, words, 6, capacity, 1)
+        repaint_event(pop, Strategy.THRESHOLD_C, capacity, threshold, choose)
+        expected = np.count_nonzero(delta_e > threshold, axis=1)
+        assert pop.above.tolist() == expected.tolist()
+
     def test_takes_five_positional_parameters(self):
         params = inspect.signature(repaint_event).parameters.values()
         assert [p.name for p in params] == [
@@ -352,6 +368,21 @@ def test_bounded_draws_what_integers_draws(monkeypatch, bound, cached, narrow):
         assert_consumed_alike(words, i, rng)
 
 
+def test_bounded_keeps_the_columns_it_is_given(monkeypatch):
+    """`keep` selects columns of the draws and consumes every word, across
+    rejections (2^31 + 1 rejects about half its words) and refills."""
+    monkeypatch.setattr(simulate, "_DRAW_BYTES", 0)  # refills inside calls
+    every = np.arange(3)
+    bounds = np.array([2**31 + 1, 7, 2**31 + 1, 1000, 2**32, 2**31 + 1] * 4)
+    keep = np.array([0, 2, 3, 9, 10, 17, 23])
+    whole, some = (_Words([_stream(9, i) for i in range(3)]) for _ in "ab")
+    for own in (bounds, np.stack([bounds, bounds[::-1], np.roll(bounds, 1)])):
+        for _ in range(40):
+            want = whole.bounded(every, own)[:, keep]
+            assert np.array_equal(some.bounded(every, own, keep), want)
+            assert np.array_equal(some.pos, whole.pos)
+
+
 RANDOM_A, THRESHOLD_C = Strategy.RANDOM_A, Strategy.THRESHOLD_C
 TEN_WEEKS = 10 * 4 * 100  # _DRAW_BYTES for 10-week chunks of 4 rows of 100
 BYTES = simulate._DRAW_BYTES  # the default
@@ -424,6 +455,27 @@ def test_draws(monkeypatch, strategy, rows, n, c, weeks, draw_bytes, drawn):
         assert choose(over, start, m).shape == (len(over), c)
     assert calls == drawn
     assert chosen == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 20),
+    st.one_of(st.integers(1, 50), st.none()),  # values k / n with ties, or uniform
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 3, None, 0)
+@example(2, 3, 1, 0)
+@example(2, 3, None, 0)
+def test_bands_equal_numpys_percentile(rows, cols, n, seed):
+    rng = np.random.default_rng(seed)
+    if n is None:
+        frac = rng.random((rows, cols))
+    else:
+        frac = rng.integers(0, n + 1, (rows, cols)) / n
+    lo, hi = _bands(frac)
+    assert lo.tobytes() == np.percentile(frac, 2.5, axis=0).tobytes()
+    assert hi.tobytes() == np.percentile(frac, 97.5, axis=0).tobytes()
 
 
 class TestRunSimulation:

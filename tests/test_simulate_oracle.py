@@ -164,6 +164,23 @@ NAMED["threshold_c-forced-then-over"] = SimConfig(
     replicates=4,
 )
 
+# more candidates than capacity every week, so every row draws; at
+# threshold 0.0 a repainted agent (at 0) leaves the recorded count, at
+# -1.0 it stays in it
+NAMED.update(
+    {
+        f"threshold_c-threshold-{threshold}": SimConfig(
+            **{**FAST, "perception_threshold": threshold},
+            n_agents=40,
+            horizon_days=103,
+            strategy=Strategy.THRESHOLD_C,
+            repaint_fraction_weekly=0.1,
+            replicates=5,
+        )
+        for threshold in (-1.0, 0.0)
+    }
+)
+
 
 def random_configs(count, seed=2025):
     rng = np.random.default_rng(seed)
@@ -199,6 +216,16 @@ def test_forced_then_over_case_has_both_weeks():
         over = [w for w, m in enumerate(counts) if m > capacity]
         rows_with_both += bool(forced and over and forced[0] < over[-1])
     assert rows_with_both > 0
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 0.0])
+def test_threshold_cases_draw_every_week(threshold):
+    cfg = NAMED[f"threshold_c-threshold-{threshold}"]
+    for i in range(cfg.replicates):
+        counts = []
+        oracle_replicate(cfg, i, candidate_counts=counts)
+        assert len(counts) == cfg.horizon_days // 7
+        assert min(counts) > weekly_capacity(cfg) > 0
 
 
 def test_named_cases_cover_the_grid():
