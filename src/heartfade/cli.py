@@ -108,7 +108,18 @@ class OutputSet:
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
         path.write_bytes(text.encode())  # the UTF-8 bytes the manifest digests
+        _fsync(path)
         return path
+
+
+def _fsync(*paths: Path) -> None:
+    """fsync each file or directory in `paths` through a descriptor of its own."""
+    for p in paths:
+        fd = os.open(p, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def _emit(out_dir: Path, files: dict[str, str]) -> None:
@@ -121,7 +132,8 @@ def _emit(out_dir: Path, files: dict[str, str]) -> None:
     `out_dir`. The temporary directory is removed either way, and so is
     any left in `out_dir` by a command killed before it could remove its
     own. `main` puts manifest.json last, so it is moved in only once every
-    file it digests is in place.
+    file it digests is in place and on disk (fsync); `out_dir` is synced
+    again after it.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob(".heartfade-*"):
@@ -130,11 +142,15 @@ def _emit(out_dir: Path, files: dict[str, str]) -> None:
     try:
         for name, text in files.items():
             staged.write_text(name, text)
+        *_, last = files
         for name in files:
+            if name == last:  # what it vouches for reaches the disk first
+                _fsync(staged.out_dir, out_dir)
             try:
                 os.replace(staged.out_dir / name, out_dir / name)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, str(out_dir / name)) from None
+        _fsync(out_dir)
     finally:
         shutil.rmtree(staged.out_dir, ignore_errors=True)
 

@@ -1,15 +1,14 @@
 """Image and observation ingestion.
 
 Decodes PPM photographs (P3/P6, maxval 255), samples region-mean colours,
-parses the observation table into columns in one pass (rows are searched
-one by one only to report the first bad row), and builds every heart's
-delta-E series against a fresh-paint baseline. Every CSV table is read
-through one front, `csv_rows`.
+parses the observation table into columns in one checked pass (the first
+bad row raises as it is read), and builds every heart's delta-E series
+against a fresh-paint baseline. Every CSV table is read through one front,
+`csv_rows`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime
 import io
@@ -38,9 +37,6 @@ __all__ = [
 ]
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_ASCII_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-# numpy reads year 0000, which datetime.date rejects
-_FIRST_DATE = np.datetime64("0001-01-01", "D")
 _EPOCH = datetime.date(1970, 1, 1)
 # the columns a row must reach; source is required in the header, not read
 _READ = ("heart_id", "date", "L", "a", "b")
@@ -228,7 +224,8 @@ def csv_rows(
     """The fields `columns` of each data row of a CSV table, in file order:
     the front every CSV loader shares.
 
-    `data` is UTF-8 (if bytes); its first line is the header, where the last
+    `data` is UTF-8 (if bytes, a leading BOM is dropped and byte offsets
+    count from the first byte); its first line is the header, where the last
     of duplicate names wins, and which must hold `columns` and `required`.
     Blank lines are neither rows nor counted. The iterator raises `error`
     for bytes that do not decode, a missing column, a row too short for one
@@ -237,7 +234,7 @@ def csv_rows(
     text = data
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise error(
                 f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
@@ -260,63 +257,49 @@ def csv_rows(
 
 
 def load_observations(csv_bytes: bytes | str) -> ObservationColumns:
-    """Parse the observation table into columns in one streaming pass.
+    """Parse the observation table into columns in one pass, in file order.
 
     Header (the first line): heart_id,date,L,a,b,source; source is not
-    read. Dates are YYYY-MM-DD (a month without a day is rejected, not
-    guessed at), LAB values what float() reads as finite. Blank lines are
-    neither rows nor counted. Hearts are indexed by first occurrence.
+    read. Dates are YYYY-MM-DD, stripped (a month without a day is
+    rejected, not guessed at), LAB values what float() reads as finite.
+    Blank lines are neither rows nor counted. Hearts are indexed by first
+    occurrence, and each distinct date text is converted once.
 
-    The stream stops at a row too short for a column that is read, at LAB
-    values that are not finite numbers, or where csv cannot split the text.
-    Dates are checked in bulk (ASCII, read by numpy, year 0001 on); only if
-    the stream stopped or that check failed are they walked in file order,
-    stripped, one by one, so the first bad row raises its row-numbered
-    ObservationError, its date before its values. The walk also converts
-    dates the bulk check does not take (padded, non-ASCII digits).
+    The first bad row raises its row-numbered ObservationError as it is
+    read, its date checked before its values, as does a row too short for
+    a column that is read; text csv cannot split raises it unnumbered.
     """
     rows = csv_rows(csv_bytes, _READ, ObservationError, required=("source",))
     codes: dict[str, int] = {}
-    heart, dates, lab = [], [], []
-    stop = None  # what ended the stream early, raised if no row before it is bad
-    try:
-        for h, d, l_, a_, b_ in rows:
-            dates.append(d)
-            x, y, z = float(l_), float(a_), float(b_)
-            if not (isfinite(x) and isfinite(y) and isfinite(z)):
-                raise ValueError("LAB value not finite")
-            heart.append(codes.setdefault(h, len(codes)))
-            lab += x, y, z
-    except ObservationError as exc:  # from csv_rows: a header or row fault
-        stop = exc
-    except ValueError:
-        stop = ObservationError(
-            f"row {len(dates) + 1}: non-numeric LAB values ({l_!r}, {a_!r}, {b_!r})"
-        )
-
-    day = None
-    if stop is None and all(map(_ASCII_DATE.fullmatch, dates)):
-        with contextlib.suppress(ValueError):  # a date numpy cannot read
-            day = np.array(dates, dtype="datetime64[D]")
-    if day is None or (day < _FIRST_DATE).any():
-        days = []
-        for i, raw in enumerate(dates, start=2):
-            raw = raw.strip()
+    days: dict[str, int] = {}  # date text -> days since 1970-01-01
+    epoch = _EPOCH.toordinal()
+    heart, day, lab = [], [], []
+    for i, (h, d, l_, a_, b_) in enumerate(rows, start=2):
+        if d not in days:
+            raw = d.strip()
             if not _ISO_DATE.match(raw):
                 raise ObservationError(
                     f"row {i}: date {raw!r} is not a full YYYY-MM-DD date"
                 )
             try:
-                days.append(datetime.date.fromisoformat(raw))
+                days[d] = datetime.date.fromisoformat(raw).toordinal() - epoch
             except ValueError:
                 raise ObservationError(f"row {i}: invalid date {raw!r}") from None
-        if stop is not None:
-            raise stop
-        day = np.array(days, dtype="datetime64[D]")
+        try:
+            x, y, z = float(l_), float(a_), float(b_)
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                raise ValueError("LAB value not finite")
+        except ValueError:
+            raise ObservationError(
+                f"row {i}: non-numeric LAB values ({l_!r}, {a_!r}, {b_!r})"
+            ) from None
+        heart.append(codes.setdefault(h, len(codes)))
+        day.append(days[d])
+        lab += x, y, z
     return ObservationColumns(
         list(codes),
         np.array(heart, np.int64),
-        day.astype(np.int64),
+        np.array(day, np.int64),
         np.array(lab, np.float64).reshape(-1, 3),
     )
 

@@ -384,6 +384,41 @@ class TestSimulateCommand:
         assert not vouches(out)
         assert not list(out.glob(".heartfade-*"))
 
+    def test_outputs_synced_before_manifest_moves_in(self, tmp_path, monkeypatch):
+        """Every staged output, the staging directory and --out are synced
+        before manifest.json is moved in, and --out once more after it.
+        This checks the order of the calls; it cannot simulate a power cut."""
+        out = tmp_path / "out"
+        events, opened = [], {}
+        open_, fsync, replace = os.open, os.fsync, os.replace
+
+        def record_open(path, flags, *args, **kwargs):
+            fd = open_(path, flags, *args, **kwargs)
+            opened[fd] = Path(path)
+            return fd
+
+        def record_fsync(fd):
+            events.append(("fsync", opened[fd]))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            events.append(("replace", Path(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "open", record_open)
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        assert main(["simulate", "--preset", "paint1-baseline", "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["manifest.json", "result.csv", "summary.json"]
+        last = max(i for i, (kind, _) in enumerate(events) if kind == "replace")
+        staging = events[last][1].parent
+        assert events[last][1].name == "manifest.json"
+        synced = {path for kind, path in events[:last] if kind == "fsync"}
+        assert synced == {staging / n for n in names} | {staging, out}
+        assert events[last - 2 : last] == [("fsync", staging), ("fsync", out)]
+        assert events[last + 1 :] == [("fsync", out)]
+
     def test_stale_staging_directory_is_removed(self, tmp_path):
         """A staging directory left by a killed command is removed by the
         next command writing the same --out."""

@@ -169,6 +169,20 @@ class TestLoadObservations:
         with pytest.raises(ObservationError, match="non-numeric"):
             load_observations("heart_id,date,L,a,b,source\nh1,2021-09-02,x,46,20,s\n")
 
+    def test_utf8_bom_is_dropped(self):
+        """A spreadsheet's "CSV UTF-8" export starts with a BOM."""
+        text = "heart_id,date,L,a,b,source\nh1,2021-09-02,49.3,46.3,20.5,x\n"
+        got = load_observations(b"\xef\xbb\xbf" + text.encode())
+        want = load_observations(text)
+        assert got.heart_ids == want.heart_ids == ["h1"]
+        for name in ("heart", "day", "lab"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_not_utf8_after_bom_counts_from_first_byte(self):
+        with pytest.raises(ObservationError) as raised:
+            load_observations(b"\xef\xbb\xbfheart_id\xff")
+        assert str(raised.value) == "not UTF-8: byte 0xff at offset 11"
+
     @pytest.mark.parametrize(
         "data",
         [

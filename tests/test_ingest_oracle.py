@@ -130,7 +130,9 @@ def oracle_load_observations(csv_bytes) -> list[Observation]:
     """Row-by-row parse through csv.DictReader. A row too short for a
     column that is read (DictReader fills it with None) is rejected; one
     short only by `source` is not."""
-    text = csv_bytes.decode("utf-8") if isinstance(csv_bytes, bytes) else csv_bytes
+    text = csv_bytes
+    if isinstance(csv_bytes, bytes):  # a leading BOM is not part of the header
+        text = csv_bytes.decode("utf-8").removeprefix("\ufeff")
     reader = csv.DictReader(io.StringIO(text))
     required = ["heart_id", "date", "L", "a", "b", "source"]
     header = reader.fieldnames or []
@@ -426,6 +428,14 @@ def test_load_observations_matches_oracle_on_raw_text(text):
         'heart_id,date,L,a,b,source\n"h,1"," 2021-09-02 ","1","2","3","a ""b"""\n',
         'heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3,"two\nlines"\nh2,2021-09-03,x,2,3,s\n',
         "heart_id,date,L,a,b,source\nh1,2021-09-02,nan,2,3,x\n",
+        # a date text seen before converts from its first row; a bad date
+        # or value on a later row is still reported at that row
+        "heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3,x\nh2,2021-09-02,1,2,3,x\n"
+        "h1,2021-09-02,4,5,6,x\nh1,2021-02-30,1,2,3,x\n",
+        "heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3,x\nh2,2021-09-02,1,2,3,x\n"
+        "h1,0000-01-01,1,2,3,x\n",
+        "heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3,x\nh2,2021-09-02,1,x,3,x\n",
+        "heart_id,date,L,a,b,source\nh1, 2021-09-02 ,1,2,3,x\nh2,2021-09-02,4,5,6,x\n",
     ],
 )
 def test_load_observations_matches_oracle_named(text):

@@ -224,8 +224,8 @@ def assert_series_match(text):
 
 REQUIRED = ["heart_id", "date", "L", "a", "b", "source"]
 IDS = ["h1", "h2", "h3", "a,b", 'say "hi"', "two\nlines"]
-# dates and values the oracle accepts, though the bulk date check does not
-# take all of them: padded dates go through the row-by-row date rule
+# dates and values the oracle accepts, though not in their plain form: a
+# padded date is stripped before it is read
 KEPT_DATES = [" 2021-01-05 "]
 KEPT_VALUES = [
     "1_0",
