@@ -56,11 +56,11 @@ from .simulate import (
 
 EXIT_INPUT_ERROR = 2
 
-# a preset is a config factory; --seed (and, for sweep, --horizon) apply
-# to it as they do to a config file
+# a preset is a (frozen, checked) config; --seed (and, for sweep,
+# --horizon) replace its fields as they do a config file's
 SIMULATE_PRESETS = {
-    "paint1-baseline": paint1_config,
-    "paint2-1pct": lambda: replace(
+    "paint1-baseline": paint1_config(),
+    "paint2-1pct": replace(
         paint2_config(), strategy=Strategy.THRESHOLD_C, repaint_fraction_weekly=0.01
     ),
 }
@@ -68,7 +68,7 @@ SIMULATE_PRESETS = {
 SWEEP_PRESETS = {
     # decision sweep over repaint fractions for the fast-fading paint,
     # summarised at --horizon's default, the 3-year horizon
-    "paint1-5pct": lambda: replace(paint1_config(), replicates=50),
+    "paint1-5pct": replace(paint1_config(), replicates=50),
 }
 # the fractions a sweep preset runs when --fractions is not given
 SWEEP_PRESET_FRACTIONS = {"paint1-5pct": [0.0, 0.01, 0.05, 0.1, 0.2]}
@@ -323,15 +323,13 @@ def cmd_acceptability(args, inputs: dict[str, bytes]) -> tuple:
 def _load_sim_config(args, inputs: dict, presets: dict, **fields) -> SimConfig:
     """The run's config: --preset or a JSON config file (read into
     `inputs`) supplies the fields; `fields` and --seed (as master_seed)
-    replace them, and only then is the config validated.
+    replace them, and only the config so built is checked.
     """
     fields["master_seed"] = args.seed
     if args.preset:
         if args.config:
             raise CliError("give either a config file or --preset, not both")
-        cfg = replace(presets[args.preset](), **fields)
-        cfg.validate()
-        return cfg
+        return replace(presets[args.preset], **fields)
     if not args.config:
         raise CliError("a config file or --preset is required")
     return _load(inputs, args.config, lambda data: SimConfig.from_json(data, **fields))

@@ -224,7 +224,7 @@ def csv_rows(
     """The fields `columns` of each data row of a CSV table, in file order:
     the front every CSV loader shares.
 
-    `data` is UTF-8 (if bytes, a leading BOM is dropped and byte offsets
+    `data` is UTF-8 text or bytes (a leading BOM is dropped; byte offsets
     count from the first byte); its first line is the header, where the last
     of duplicate names wins, and which must hold `columns` and `required`.
     Blank lines are neither rows nor counted. The iterator raises `error`
@@ -234,12 +234,12 @@ def csv_rows(
     text = data
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8").removeprefix("\ufeff")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise error(
                 f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
             ) from None
-    rows = csv.reader(io.StringIO(text))
+    rows = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         column = {name: j for j, name in enumerate(next(rows, []))}
         missing = [c for c in (*columns, *required) if c not in column]

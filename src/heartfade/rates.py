@@ -62,9 +62,10 @@ class AggregateRate:
 
 
 def load_windows(data: bytes | str) -> dict[str, Window]:
-    """The windows document: a JSON object of heart_id -> {"start_day": int,
-    "end_day": int}. The days must be JSON integers, not floats, bools or
-    strings. Any fault raises ValueError("invalid windows document: ...")."""
+    """The windows document, a leading BOM dropped: a JSON object of
+    heart_id -> {"start_day": int, "end_day": int}. The days must be JSON
+    integers, not floats, bools or strings. Any fault raises
+    ValueError("invalid windows document: ...")."""
 
     def window(heart: str, w: dict) -> Window:
         for name in ("start_day", "end_day"):
@@ -73,6 +74,8 @@ def load_windows(data: bytes | str) -> dict[str, Window]:
                 raise TypeError(f"heart {heart}: {name} must be an integer, got {got}")
         return Window(w["start_day"], w["end_day"])
 
+    if isinstance(data, str):  # json.loads drops a BOM only from bytes
+        data = data.removeprefix("\ufeff")
     try:
         doc = json.loads(data)
         if not isinstance(doc, dict):

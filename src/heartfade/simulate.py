@@ -129,7 +129,13 @@ class SimConfig:
     master_seed: int = 42
     uncertainty_mode: str = "montecarlo"  # or "envelope"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Check every field, a type error before any range error, on each
+        SimConfig(...) and replace(...); a strategy name becomes its Strategy."""
+        try:
+            object.__setattr__(self, "strategy", Strategy(self.strategy))
+        except ValueError:
+            raise ConfigError(f"unknown strategy {self.strategy!r}") from None
         out_of_range = None  # the first, raised once every type has passed
         for name, integer, low, low_open, high in _FIELD_RULES:
             value = getattr(self, name)
@@ -168,8 +174,6 @@ class SimConfig:
                 "uncertainty_mode must be 'montecarlo' or 'envelope', "
                 f"got {self.uncertainty_mode!r}"
             )
-        if not isinstance(self.strategy, Strategy):
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -178,9 +182,11 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, text: str | bytes, **fields) -> "SimConfig":
-        """The config in a JSON object of its fields. Each of `fields`
-        replaces (or supplies) the document's value before validation, so
-        a value the caller overrides is never checked on its own."""
+        """The config in a JSON object of its fields, a leading BOM dropped.
+        Each of `fields` replaces (or supplies) the document's value before
+        the config is built, so an overridden value is never checked."""
+        if isinstance(text, str):  # json.loads drops a BOM only from bytes
+            text = text.removeprefix("\ufeff")
         try:
             d = json.loads(text)
         except UnicodeDecodeError as exc:
@@ -197,21 +203,14 @@ class SimConfig:
         if not isinstance(d, dict):
             raise ConfigError("config JSON must be an object")
         d.update(fields)
-        if "strategy" in d:
-            try:
-                d["strategy"] = Strategy(d["strategy"])
-            except ValueError:
-                raise ConfigError(f"unknown strategy {d['strategy']!r}") from None
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             names = ", ".join(map(repr, sorted(unknown)))
             raise ConfigError(f"unknown config field(s): {names}")
         try:
-            cfg = cls(**d)
+            return cls(**d)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -625,7 +624,6 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     agent in it is above the threshold and records fraction 1.0 and no
     repaints for the remaining days, exactly what stepping on would give.
     """
-    cfg.validate()
     per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
     blocks = [
         _simulate_block(cfg, range(start, min(start + per_block, cfg.replicates)))
@@ -660,8 +658,8 @@ def sweep_fractions(
 ) -> list[SweepRow]:
     """Decision sweep: each repaint fraction crossed with the three active
     strategies, summarised at the horizon: `horizon_days`, or the config's
-    own `horizon_days` when it is None. Every cell's config is validated
-    before the first cell runs."""
+    own `horizon_days` when it is None. Every cell's config is built, and
+    so checked, before the first cell runs."""
     if horizon_days is not None:
         cfg_base = replace(cfg_base, horizon_days=horizon_days)
     cells = [
@@ -669,8 +667,6 @@ def sweep_fractions(
         for f in fractions
         for s in (Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C)
     ]
-    for cfg in cells:
-        cfg.validate()
     rows = []
     for cfg in cells:
         result = run_simulation(cfg)

@@ -206,6 +206,10 @@ class TestLoadSurvey:
             load_survey(b"\xef\xbb\xbf" + text.encode() + b"\xc3")
         assert str(exc.value) == f"not UTF-8: byte 0xc3 at offset {3 + len(text)}"
 
+    def test_utf8_bom_is_dropped_from_text(self):
+        text = "delta_e,frac_agree,n_respondents\n10,0.05,150\n"
+        assert load_survey("\ufeff" + text) == load_survey(text)
+
     def test_last_of_duplicate_headers_wins(self):
         text = "delta_e,frac_agree,n_respondents,frac_agree\n10,x,150,0.05\n"
         pts = load_survey(text)

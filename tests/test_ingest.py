@@ -178,6 +178,14 @@ class TestLoadObservations:
         for name in ("heart", "day", "lab"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
+    def test_utf8_bom_is_dropped_from_text(self):
+        """A BOM file read as text (encoding="utf-8") keeps its U+FEFF."""
+        text = "heart_id,date,L,a,b,source\nh1,2021-09-02,49.3,46.3,20.5,x\n"
+        got, want = load_observations("\ufeff" + text), load_observations(text)
+        assert got.heart_ids == want.heart_ids == ["h1"]
+        for name in ("heart", "day", "lab"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_not_utf8_after_bom_counts_from_first_byte(self):
         with pytest.raises(ObservationError) as raised:
             load_observations(b"\xef\xbb\xbfheart_id\xff")

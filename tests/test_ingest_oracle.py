@@ -131,9 +131,10 @@ def oracle_load_observations(csv_bytes) -> list[Observation]:
     column that is read (DictReader fills it with None) is rejected; one
     short only by `source` is not."""
     text = csv_bytes
-    if isinstance(csv_bytes, bytes):  # a leading BOM is not part of the header
-        text = csv_bytes.decode("utf-8").removeprefix("\ufeff")
-    reader = csv.DictReader(io.StringIO(text))
+    if isinstance(csv_bytes, bytes):
+        text = csv_bytes.decode("utf-8")
+    # a leading BOM is not part of the header, in bytes or text
+    reader = csv.DictReader(io.StringIO(text.removeprefix("\ufeff")))
     required = ["heart_id", "date", "L", "a", "b", "source"]
     header = reader.fieldnames or []
     missing = [c for c in required if c not in header]

@@ -13,6 +13,7 @@ import io
 import json
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -170,14 +171,14 @@ def test_config_from_json_returns_config_or_config_error(data):
         cfg = SimConfig.from_json(data)
     except ConfigError:
         return
-    cfg.validate()
+    assert replace(cfg) == cfg  # builds it again, and so checks it again
 
 
 def finite(**bounds):
     return st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
 
-# small runs whose other fields take any value validate accepts, the float
+# small runs whose other fields take any value SimConfig accepts, the float
 # limits included
 small_configs = st.builds(
     SimConfig,
@@ -199,10 +200,15 @@ small_configs = st.builds(
 @given(small_configs)
 @example(SimConfig(k_mean=1000, k_sd=1000, horizon_days=40, replicates=2))
 def test_every_valid_config_simulates_without_warnings(cfg):
-    cfg.validate()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run_simulation(cfg)
+
+
+@FUZZ
+@given(small_configs)
+def test_config_json_roundtrip(cfg):
+    assert SimConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
 
 def run_cli(command, inputs, extra=()):

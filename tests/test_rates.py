@@ -8,6 +8,7 @@ from heartfade.rates import (
     estimate_heart_rate,
     estimate_rates,
     fit_line,
+    load_windows,
 )
 
 
@@ -151,3 +152,11 @@ class TestAggregateRates:
     def test_empty_list(self):
         with pytest.raises(InsufficientDataError):
             aggregate_rates([])
+
+
+class TestLoadWindows:
+    @pytest.mark.parametrize("bom", ["\ufeff", b"\xef\xbb\xbf"], ids=["text", "bytes"])
+    def test_utf8_bom_is_dropped(self, bom):
+        text = '{"h1": {"start_day": 0, "end_day": 350}}'
+        doc = bom + (text if isinstance(bom, str) else text.encode())
+        assert load_windows(doc) == load_windows(text) == {"h1": Window(0, 350)}

@@ -1,4 +1,6 @@
 import inspect
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -68,52 +70,55 @@ class TestConfig:
             ("horizon_days", 10.5),
             ("n_agents", "10"),
             ("replicates", True),
+            ("strategy", "psychic"),
         ],
     )
     def test_validation(self, field, value):
-        cfg = small_cfg(**{field: value})
         with pytest.raises(ConfigError, match=field.split("_")[0]):
-            cfg.validate()
+            small_cfg(**{field: value})
 
     def test_type_errors_before_range_errors(self):
         # n_agents is out of range and checked first, but a bad type on a
         # later field is what is reported
         with pytest.raises(ConfigError, match="^k_mean must be a finite number"):
-            small_cfg(n_agents=0, k_mean="fast").validate()
+            small_cfg(n_agents=0, k_mean="fast")
 
     def test_size_bounds(self):
-        small_cfg(n_agents=simulate._MAX_AGENTS, replicates=1).validate()
+        small_cfg(n_agents=simulate._MAX_AGENTS, replicates=1)
         with pytest.raises(ConfigError, match="n_agents must be in"):
-            small_cfg(n_agents=simulate._MAX_AGENTS + 1).validate()
+            small_cfg(n_agents=simulate._MAX_AGENTS + 1)
         days = simulate._recorded_day_count(6000)
         assert days == len(simulate._recorded_days(6000))
         reps = simulate._MAX_OUTPUT_CELLS // days
-        small_cfg(horizon_days=6000, replicates=reps).validate()
+        small_cfg(horizon_days=6000, replicates=reps)
         with pytest.raises(ConfigError, match="replicates x recorded days"):
-            small_cfg(horizon_days=6000, replicates=reps + 1).validate()
+            small_cfg(horizon_days=6000, replicates=reps + 1)
 
     def test_work_bound(self):
         # replicates x n_agents x horizon_days at the cap passes, one over
         # fails (2**40 + 1 is 257 x 4278255361); neither config is run
         assert simulate._MAX_AGENT_DAYS == 2**40
-        small_cfg(replicates=2**8, n_agents=2**20, horizon_days=2**12).validate()
-        over = small_cfg(replicates=1, n_agents=257, horizon_days=4278255361)
+        small_cfg(replicates=2**8, n_agents=2**20, horizon_days=2**12)
         message = (
             "replicates x n_agents x horizon_days must be <= 1099511627776, "
             "got 1 x 257 x 4278255361"
         )
         with pytest.raises(ConfigError) as raised:
-            over.validate()
+            small_cfg(replicates=1, n_agents=257, horizon_days=4278255361)
         assert str(raised.value) == message
         # a full-wall run stays accepted
-        small_cfg(replicates=100, n_agents=240_000, horizon_days=6000).validate()
+        small_cfg(replicates=100, n_agents=240_000, horizon_days=6000)
 
     def test_json_roundtrip(self):
-        import json
-
         cfg = small_cfg(strategy=Strategy.GREEDY_B, repaint_fraction_weekly=0.05)
         again = SimConfig.from_json(json.dumps(cfg.to_dict()))
         assert again == cfg
+
+    @pytest.mark.parametrize("bom", ["\ufeff", b"\xef\xbb\xbf"], ids=["text", "bytes"])
+    def test_json_utf8_bom_is_dropped(self, bom):
+        text = '{"k_mean": 0.04, "strategy": "random_a"}'
+        doc = bom + (text if isinstance(bom, str) else text.encode())
+        assert SimConfig.from_json(doc) == SimConfig.from_json(text)
 
     def test_json_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown config field"):
@@ -131,6 +136,44 @@ class TestConfig:
         assert (cfg.horizon_days, cfg.master_seed, cfg.replicates) == (30, 7, 20000)
         with pytest.raises(ConfigError, match="horizon_days"):
             SimConfig.from_json(text, horizon_days=0)
+
+
+def bad_values():
+    """A bad value for each way a field fails: each _FIELD_RULES row's type
+    and each of its bounds, then the two fields outside the table."""
+    cases = []
+    for name, _, low, low_open, high in simulate._FIELD_RULES:
+        cases.append((name, "x"))
+        if low is not None:
+            cases.append((name, low if low_open else low - 1))
+        if high is not None:
+            cases.append((name, high + 1))
+    return cases + [("uncertainty_mode", "bootstrap"), ("strategy", "psychic")]
+
+
+class TestEveryBuildChecks:
+    @pytest.mark.parametrize("field,value", bad_values())
+    def test_same_error_from_init_replace_and_json(self, field, value):
+        valid = small_cfg()
+        doc = json.dumps({**valid.to_dict(), field: value})
+        messages = []
+        for build in (
+            lambda: SimConfig(**{**asdict(valid), field: value}),
+            lambda: replace(valid, **{field: value}),
+            lambda: SimConfig.from_json(doc),
+        ):
+            with pytest.raises(ConfigError) as raised:
+                build()
+            messages.append(str(raised.value))
+        assert field in messages[0]
+        assert messages == messages[:1] * 3
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_strategy_by_name_is_the_enum(self, strategy):
+        by_name = small_cfg(strategy=strategy.value)
+        assert by_name.strategy is strategy
+        assert by_name == small_cfg(strategy=strategy)
+        assert replace(small_cfg(), strategy=strategy.value).strategy is strategy
 
 
 def one_row(delta_e, k):
