@@ -20,6 +20,7 @@ from math import isfinite
 
 import numpy as np
 
+from ._text import utf8_text
 from .color import LabColor, LabOffset, srgb_array_to_lab
 
 __all__ = [
@@ -224,22 +225,15 @@ def csv_rows(
     """The fields `columns` of each data row of a CSV table, in file order:
     the front every CSV loader shares.
 
-    `data` is UTF-8 text or bytes (a leading BOM is dropped; byte offsets
-    count from the first byte); its first line is the header, where the last
-    of duplicate names wins, and which must hold `columns` and `required`.
+    `data` is UTF-8 text or bytes, read by `_text.utf8_text` (a leading BOM
+    is dropped; byte offsets count from the first byte); its first line is
+    the header, where the last of duplicate names wins, and which must hold
+    `columns` and `required`.
     Blank lines are neither rows nor counted. The iterator raises `error`
     for bytes that do not decode, a missing column, a row too short for one
     of `columns` (row N: missing field(s)) and text csv cannot split.
     """
-    text = data
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise error(
-                f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
-            ) from None
-    rows = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    rows = csv.reader(io.StringIO(utf8_text(data, error)))
     try:
         column = {name: j for j, name in enumerate(next(rows, []))}
         missing = [c for c in (*columns, *required) if c not in column]

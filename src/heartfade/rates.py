@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import json_object
+
 __all__ = [
     "LineFit",
     "Window",
@@ -62,27 +64,27 @@ class AggregateRate:
 
 
 def load_windows(data: bytes | str) -> dict[str, Window]:
-    """The windows document, a leading BOM dropped: a JSON object of
+    """The windows document, read by `_text.json_object`: a JSON object of
     heart_id -> {"start_day": int, "end_day": int}. The days must be JSON
     integers, not floats, bools or strings. Any fault raises
     ValueError("invalid windows document: ...")."""
 
-    def window(heart: str, w: dict) -> Window:
+    def window(heart: str, w) -> Window:
+        if not isinstance(w, dict):
+            got = json.dumps(w)
+            raise TypeError(f"heart {heart}: window must be an object, got {got}")
         for name in ("start_day", "end_day"):
+            if name not in w:
+                raise TypeError(f"heart {heart}: {name} is missing")
             if type(w[name]) is not int:
                 got = json.dumps(w[name])
                 raise TypeError(f"heart {heart}: {name} must be an integer, got {got}")
         return Window(w["start_day"], w["end_day"])
 
-    if isinstance(data, str):  # json.loads drops a BOM only from bytes
-        data = data.removeprefix("\ufeff")
+    doc = json_object(data, ValueError, "windows document")
     try:
-        doc = json.loads(data)
-        if not isinstance(doc, dict):
-            raise TypeError("expected an object of heart_id: window")
         return {heart: window(heart, w) for heart, w in doc.items()}
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"invalid windows document: {exc}") from None
 
 

@@ -26,7 +26,6 @@ interval or repaint week, so a tracer can wrap them by name.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from collections.abc import Sequence
@@ -34,6 +33,8 @@ from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
+
+from ._text import json_object
 
 __all__ = [
     "Strategy",
@@ -182,26 +183,11 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, text: str | bytes, **fields) -> "SimConfig":
-        """The config in a JSON object of its fields, a leading BOM dropped.
-        Each of `fields` replaces (or supplies) the document's value before
-        the config is built, so an overridden value is never checked."""
-        if isinstance(text, str):  # json.loads drops a BOM only from bytes
-            text = text.removeprefix("\ufeff")
-        try:
-            d = json.loads(text)
-        except UnicodeDecodeError as exc:
-            # json.loads drops a UTF-8 BOM before decoding; count it back in
-            offset = exc.start + len(text) - len(exc.object)
-            raise ConfigError(
-                f"config is not {exc.encoding} text: "
-                f"byte 0x{text[offset]:02x} at offset {offset}"
-            ) from None
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, an integer over Python's digit limit, or
-            # nesting deeper than the recursion limit
-            raise ConfigError(f"invalid JSON config: {exc}") from None
-        if not isinstance(d, dict):
-            raise ConfigError("config JSON must be an object")
+        """The config in a JSON object of its fields, read by
+        `_text.json_object`. Each of `fields` replaces (or supplies) the
+        document's value before the config is built, so an overridden value
+        is never checked."""
+        d = json_object(text, ConfigError, "JSON config")
         d.update(fields)
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:

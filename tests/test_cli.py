@@ -848,17 +848,55 @@ GOOD_WINDOWS = '{"h1": {"start_day": 0, "end_day": 10}}'
         (
             "simulate",
             {"config.json": b'{"k_mean": \xff}'},
-            "config.json: config is not utf-8 text: byte 0xff at offset 11",
+            "config.json: invalid JSON config: not UTF-8: byte 0xff at offset 11",
         ),
         (
             "simulate",
             {"config.json": b'\xef\xbb\xbf{"k_mean": \xff}'},
-            "config.json: config is not utf-8 text: byte 0xff at offset 14",
+            "config.json: invalid JSON config: not UTF-8: byte 0xff at offset 14",
+        ),
+        (
+            "simulate",
+            {"config.json": '\ufeff{"k_mean": 0.04}'.encode("utf-16-le")},
+            "config.json: invalid JSON config: not UTF-8: byte 0xff at offset 0",
         ),
         (
             "rate",
             {"obs.csv": GOOD_OBS.encode(), "win.json": b"[]"},
             "win.json: invalid windows document: expected an object",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(), "win.json": b'{"h\xff1": {}}'},
+            "win.json: invalid windows document: not UTF-8: byte 0xff at offset 3",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(), "win.json": b'\xef\xbb\xbf{"h\xff1": {}}'},
+            "win.json: invalid windows document: not UTF-8: byte 0xff at offset 6",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(),
+             "win.json": ("\ufeff" + GOOD_WINDOWS).encode("utf-16-le")},
+            "win.json: invalid windows document: not UTF-8: byte 0xff at offset 0",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(), "win.json": b'{"h1": 5}'},
+            "win.json: invalid windows document: heart h1: window must be an "
+            "object, got 5",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(), "win.json": b'{"h1": [0, 1]}'},
+            "win.json: invalid windows document: heart h1: window must be an "
+            "object, got [0, 1]",
+        ),
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(), "win.json": b'{"h1": {"start_day": 0}}'},
+            "win.json: invalid windows document: heart h1: end_day is missing",
         ),
         (
             "rate",
@@ -907,9 +945,11 @@ GOOD_WINDOWS = '{"h1": {"start_day": 0, "end_day": 10}}'
         ),
     ],
     ids=["rate-utf8", "acceptability-utf8", "simulate-utf8", "simulate-utf8-bom",
-         "rate-windows-list", "rate-windows-overflow", "rate-windows-float",
-         "rate-windows-bool", "rate-windows-string", "rate-short-row", "rate-bare-cr",
-         "acceptability-bare-cr"],
+         "simulate-utf16", "rate-windows-list", "rate-windows-utf8",
+         "rate-windows-utf8-bom", "rate-windows-utf16", "rate-windows-int",
+         "rate-windows-array", "rate-windows-no-end", "rate-windows-overflow",
+         "rate-windows-float", "rate-windows-bool", "rate-windows-string",
+         "rate-short-row", "rate-bare-cr", "acceptability-bare-cr"],
 )
 def test_malformed_input_one_line_exit_2(tmp_path, capsys, command, files, message):
     paths = []

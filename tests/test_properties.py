@@ -1,11 +1,12 @@
 """Property tests of the survey, windows and config parsers and of the CLI on
 arbitrary input bytes and arguments.
 
-Each parser either returns a result or raises its own typed error. Each
-command returns 0 or 2 and never raises; when it returns 2 it prints one
-line to stderr and leaves nothing under --out. Where argparse itself
-rejects an argument (its SystemExit 2 and usage message), that is
-accepted too.
+Each parser either returns a result or raises its own typed error; where
+the bytes are not UTF-8 it raises, naming the byte and offset at which
+bytes.decode stops. Each command returns 0 or 2 and never raises; when it
+returns 2 it prints one line to stderr and leaves nothing under --out.
+Where argparse itself rejects an argument (its SystemExit 2 and usage
+message), that is accepted too.
 """
 
 import contextlib
@@ -60,6 +61,12 @@ def mutated(draw, text: str):
     return bytes(data)
 
 
+def with_bom(documents):
+    """`documents`, each one drawn as it is or after a UTF-8 byte-order
+    mark."""
+    return st.one_of(documents, documents.map(lambda d: b"\xef\xbb\xbf" + d))
+
+
 @st.composite
 def csv_bytes(draw, header, cells, max_rows):
     """A CSV document: the header, then up to `max_rows` rows of cells."""
@@ -81,8 +88,8 @@ extreme_survey_bytes = csv_bytes(
     ],
     6,
 )
-survey_bytes = st.one_of(
-    st.binary(max_size=120), mutated(GOOD_SURVEY), extreme_survey_bytes
+survey_bytes = with_bom(
+    st.one_of(st.binary(max_size=120), mutated(GOOD_SURVEY), extreme_survey_bytes)
 )
 
 CONFIG_FIELDS = sorted(SimConfig.__dataclass_fields__)
@@ -96,12 +103,14 @@ SMALL_CONFIG = {
     "repaint_fraction_weekly": 0.25,
 }
 
-config_bytes = st.one_of(
-    st.binary(max_size=120),
-    st.dictionaries(
-        st.sampled_from(CONFIG_FIELDS + ["junk", "a\nb"]), SCALARS, max_size=4
-    ).map(lambda d: json.dumps(d).encode()),
-    mutated(json.dumps(SMALL_CONFIG)),
+config_bytes = with_bom(
+    st.one_of(
+        st.binary(max_size=120),
+        st.dictionaries(
+            st.sampled_from(CONFIG_FIELDS + ["junk", "a\nb"]), SCALARS, max_size=4
+        ).map(lambda d: json.dumps(d).encode()),
+        mutated(json.dumps(SMALL_CONFIG)),
+    )
 )
 
 GOOD_OBS = (
@@ -126,52 +135,69 @@ extreme_observation_bytes = csv_bytes(
     6,
 )
 observation_bytes = st.one_of(st.binary(max_size=120), mutated(GOOD_OBS))
-windows_bytes = st.one_of(
-    st.binary(max_size=60),
-    SCALARS.map(json.dumps).map(str.encode),
-    st.dictionaries(
-        st.sampled_from(["h1", "h2"]),
-        st.one_of(
-            SCALARS,
-            st.dictionaries(st.sampled_from(["start_day", "end_day"]), SCALARS),
-        ),
-        max_size=2,
-    ).map(lambda d: json.dumps(d).encode()),
-    mutated(GOOD_WINDOWS),
+windows_bytes = with_bom(
+    st.one_of(
+        st.binary(max_size=60),
+        SCALARS.map(json.dumps).map(str.encode),
+        st.dictionaries(
+            st.sampled_from(["h1", "h2"]),
+            st.one_of(
+                SCALARS,
+                st.dictionaries(st.sampled_from(["start_day", "end_day"]), SCALARS),
+            ),
+            max_size=2,
+        ).map(lambda d: json.dumps(d).encode()),
+        mutated(GOOD_WINDOWS),
+    )
 )
+
+
+def load_or_none(load, error, data, prefix=""):
+    """load(data), or None where it raises `error` (that class, not a
+    subclass) with a message that starts with `prefix`. Where `data` is not
+    UTF-8, `load` must raise, and its message must end with the byte and
+    offset at which bytes.decode stops, counted from the first byte."""
+    try:
+        data.decode("utf-8")
+        bad = None
+    except UnicodeDecodeError as exc:
+        bad = f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+    try:
+        result = load(data)
+    except error as exc:
+        assert type(exc) is error and str(exc).startswith(prefix)
+        assert bad is None or str(exc).endswith(bad), (str(exc), bad)
+        return None
+    assert bad is None, bad
+    return result
 
 
 @FUZZ
 @given(survey_bytes)
+@example(b"\xef\xbb\xbf" + GOOD_SURVEY.replace("0.3", "0\xff3").encode("latin-1"))
 def test_load_survey_returns_points_or_fit_error(data):
-    try:
-        points = load_survey(data)
-    except FitError:
-        return
-    assert all(type(p) is SurveyPoint for p in points)
+    points = load_or_none(load_survey, FitError, data)
+    if points is not None:
+        assert all(type(p) is SurveyPoint for p in points)
 
 
 @FUZZ
 @given(windows_bytes)
+@example(b'\xef\xbb\xbf{"h\xff1": {}}')
 def test_load_windows_returns_windows_or_value_error(data):
-    try:
-        windows = load_windows(data)
-    except ValueError as exc:
-        assert str(exc).startswith("invalid windows document: ")
-        return
-    for heart, w in windows.items():
+    windows = load_or_none(load_windows, ValueError, data, "invalid windows document: ")
+    for heart, w in (windows or {}).items():
         assert type(heart) is str and type(w) is Window
         assert type(w.start_day) is int and type(w.end_day) is int
 
 
 @FUZZ
 @given(config_bytes)
+@example(b'\xef\xbb\xbf{"k_mean": \xff}')
 def test_config_from_json_returns_config_or_config_error(data):
-    try:
-        cfg = SimConfig.from_json(data)
-    except ConfigError:
-        return
-    assert replace(cfg) == cfg  # builds it again, and so checks it again
+    cfg = load_or_none(SimConfig.from_json, ConfigError, data)
+    if cfg is not None:
+        assert replace(cfg) == cfg  # builds it again, and so checks it again
 
 
 def finite(**bounds):
