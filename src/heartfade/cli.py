@@ -3,13 +3,14 @@
 Subcommands: calibrate, rate, acceptability, simulate, sweep. Every run is
 deterministic given its inputs and --seed. `_load` alone reads an input
 file: it keeps the bytes and hands them to the format's loader, whose
-ValueError becomes one line prefixed with the path. A subcommand only
-computes and returns (printed, files, config); `main` prints, then writes
-the files under --out with a manifest recording the sha256 digest of
-every input and every file written, the resolved configuration and the
-seed, as one set: a command that fails leaves the files already under
---out as they were. The manifest is moved in last, so one whose output
-digests match the files beside it marks a complete set.
+ValueError becomes one line prefixed with the path. The engine modules
+return numbers; a subcommand renders them, returning (printed, files,
+config): the text to print and of each output file. `main` writes the
+files under --out with a manifest recording the sha256 digest of every
+input and every file written, the resolved configuration and the seed,
+as one set, then prints: a command that fails leaves the files already
+under --out as they were. The manifest is moved in last, so one whose
+output digests match the files beside it marks a complete set.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ from .simulate import (
 )
 
 EXIT_INPUT_ERROR = 2
+# the characters at which str.splitlines breaks a line and every other
+# control character (C0, DEL and C1), each printed in an error as the
+# escape ascii() gives it, so the message stays on one line
+_ONE_LINE = {
+    c: ascii(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)
+}
 
 # a preset is a (frozen, checked) config; --seed (and, for sweep,
 # --horizon) replace its fields as they do a config file's
@@ -200,6 +207,11 @@ def _csv_text(rows) -> str:
     return "".join(write_row(row)[:-2] + "\n" for row in rows)
 
 
+def _json_text(doc) -> str:
+    """`doc` as the text of an output JSON file: keys sorted, indented."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _manifest(
     command: str, config: dict, inputs: dict[str, bytes], seed: int, files: dict
 ) -> str:
@@ -212,7 +224,7 @@ def _manifest(
         "outputs": {name: sha256_hex(text.encode()) for name, text in files.items()},
         "tool_version": __version__,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 def cmd_calibrate(args, inputs: dict[str, bytes]) -> tuple:
@@ -282,7 +294,7 @@ def cmd_rate(args, inputs: dict[str, bytes]) -> tuple:
         },
         "excluded": [{"heart_id": h, "reason": r} for h, r in excluded.items()],
     }
-    text = printed = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = printed = _json_text(doc)
     if args.format == "csv":
         rows = [["heart_id", "slope_delta_e_per_day", "intercept", "r2", "n_points"]]
         for heart, f in fits.items():
@@ -310,7 +322,7 @@ def cmd_acceptability(args, inputs: dict[str, bytes]) -> tuple:
         "agreement_at_delta_e_30": predict_agreement(curve, 30.0),
         "thresholds": thresholds,
     }
-    text = printed = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = printed = _json_text(doc)
     if args.format == "csv":
         rows = [["key", "value"]] + [
             [k, v] for k, v in doc.items() if not isinstance(v, dict)
@@ -337,11 +349,24 @@ def _load_sim_config(args, inputs: dict, presets: dict, **fields) -> SimConfig:
 
 def cmd_simulate(args, inputs: dict[str, bytes]) -> tuple:
     cfg = _load_sim_config(args, inputs, SIMULATE_PRESETS)
-    result = run_simulation(cfg)
-    files = {
-        "result.csv": _csv_text(result.csv_rows()),
-        "summary.json": json.dumps(result.summary(), indent=2, sort_keys=True) + "\n",
+    r = run_simulation(cfg)
+    header = "day,mean_frac_above,lo_frac_above,hi_frac_above,cum_repaints"
+    table = [header.split(",")]
+    columns = (r.mean_frac, r.lo_frac, r.hi_frac, r.mean_cum_repaints)
+    for day, mean, lo, hi, cum in zip(r.days.tolist(), *columns):
+        table.append([day, f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}", f"{cum:.4f}"])
+    # each agent stands for this many of the wall's 240,000 hearts
+    scale = 240_000 / cfg.n_agents
+    summary = {
+        "final_day": int(r.days[-1]),
+        "mean_frac_above_threshold": float(r.mean_frac[-1]),
+        "lo_frac_above_threshold": float(r.lo_frac[-1]),
+        "hi_frac_above_threshold": float(r.hi_frac[-1]),
+        "mean_cum_repaints_agents": float(r.mean_cum_repaints[-1]),
+        "mean_cum_repaints_wall_hearts": float(r.mean_cum_repaints[-1] * scale),
+        "wall_hearts_per_agent": scale,
     }
+    files = {"result.csv": _csv_text(table), "summary.json": _json_text(summary)}
     return "", files, cfg.to_dict()
 
 
@@ -457,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
             files["manifest.json"] = manifest  # last: moved in after the files
             _emit(Path(args.out), files)
     except (CliError, ConfigError, OSError) as exc:
-        print(f"heartfade {args.command}: {exc}", file=sys.stderr)
+        print(f"heartfade {args.command}: {exc}".translate(_ONE_LINE), file=sys.stderr)
         return EXIT_INPUT_ERROR
     sys.stdout.write(printed)
     return 0

@@ -146,13 +146,13 @@ def parse_ppm(data: bytes) -> PixelGrid:
         # exactly one whitespace byte separates maxval from pixel data
         if pos >= len(data) or not data[pos : pos + 1].isspace():
             raise PpmError("missing whitespace after maxval", pos)
-        raw = data[pos + 1 : pos + 1 + n]
-        if len(raw) < n:
+        got = len(data) - pos - 1
+        if got < n:
             raise PpmError(
-                f"truncated pixel data: expected {n} bytes, got {len(raw)}",
-                pos + 1 + len(raw),
+                f"truncated pixel data: expected {n} bytes, got {got}", len(data)
             )
-        pixels = np.frombuffer(raw, dtype=np.uint8).copy()
+        # read in place, copied once into an array of its own
+        pixels = np.frombuffer(data, np.uint8, n, pos + 1).copy()
     else:
         pixels = _p3_samples(data, pos, n)
     return PixelGrid(width, height, pixels.reshape(height, width, 3))

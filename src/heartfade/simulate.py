@@ -55,9 +55,6 @@ _MASK64 = (1 << 64) - 1
 _ENVELOPE_LO_STREAM = 1 << 32
 _ENVELOPE_HI_STREAM = (1 << 32) + 1
 
-# how many wall hearts each agent stands for, at the default 1000 agents
-WALL_HEART_COUNT = 240_000
-
 # replicates are simulated in blocks of at most this many agent cells
 # (replicates x agents), which bounds memory for large populations; the
 # presets fit in one block, and the envelope's two rows in one of up to 2x
@@ -218,31 +215,6 @@ class SimResult:
         if idx < 0:
             raise ValueError(f"no recorded day at or before {day}")
         return float(self.mean_frac[idx])
-
-    def summary(self) -> dict:
-        last = len(self.days) - 1
-        n = self.config.n_agents
-        scale = WALL_HEART_COUNT / n
-        return {
-            "final_day": int(self.days[last]),
-            "mean_frac_above_threshold": float(self.mean_frac[last]),
-            "lo_frac_above_threshold": float(self.lo_frac[last]),
-            "hi_frac_above_threshold": float(self.hi_frac[last]),
-            "mean_cum_repaints_agents": float(self.mean_cum_repaints[last]),
-            "mean_cum_repaints_wall_hearts": float(
-                self.mean_cum_repaints[last] * scale
-            ),
-            "wall_hearts_per_agent": scale,
-        }
-
-    def csv_rows(self) -> list[list[str]]:
-        """The trajectory table as lists of CSV fields, header first."""
-        header = "day,mean_frac_above,lo_frac_above,hi_frac_above,cum_repaints"
-        columns = (self.mean_frac, self.lo_frac, self.hi_frac, self.mean_cum_repaints)
-        return [header.split(",")] + [
-            [str(day), f"{mean:.6f}", f"{lo:.6f}", f"{hi:.6f}", f"{cum:.4f}"]
-            for day, mean, lo, hi, cum in zip(self.days.tolist(), *columns)
-        ]
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,10 @@ class TestPredictAndInvert:
             threshold_for_agreement(self.curve, 0.0)
         with pytest.raises(ValueError):
             threshold_for_agreement(self.curve, 1.0)
+        with pytest.raises(ValueError, match=r"^frac_agree must be in \[0, 1\]"):
+            SurveyPoint(1.0, 1.5)
+        with pytest.raises(ValueError, match="^scale must be positive, got 0$"):
+            AcceptabilityCurve(50, 0)
 
 
 class TestLoadSurvey:

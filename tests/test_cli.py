@@ -943,23 +943,62 @@ GOOD_WINDOWS = '{"h1": {"start_day": 0, "end_day": 10}}'
             {"survey.csv": b"delta_e,frac_agree,n_respondents\r1,0.2,3\r"},
             "survey.csv: new-line character seen in unquoted field",
         ),
+        # a line break in a message is printed as its escape
+        (
+            "rate",
+            {"obs.csv": GOOD_OBS.encode(),
+             "win.json": b'{"a\\nb": {"start_day": 0.5, "end_day": 3}}'},
+            "win.json: invalid windows document: heart a\\nb: start_day must be an "
+            "integer, got 0.5",
+        ),
+        (
+            "rate",
+            {"missing\n.csv": None, "win.json": GOOD_WINDOWS.encode()},
+            "missing\\n.csv",
+        ),
+        (
+            "rate",
+            {"obs.csv": b'heart_id,date,L,a,b,source\n"a\nb",2021-05-01,1e308,0,0,x\n'
+                        b'"a\nb",2021-05-01,1e308,0,0,x\n',
+             "win.json": GOOD_WINDOWS.encode()},
+            "obs.csv: heart a\\nb: mean LAB on 2021-05-01 is not finite",
+        ),
+        (
+            "simulate --preset paint1-baseline",
+            {"config.json": b'{"k_mean": 0.04}'},
+            "give either a config file or --preset, not both",
+        ),
+        ("sweep", {}, "a config file or --preset is required"),
+        (
+            "calibrate --board-region 0,0,1,1 --reference-lab 50,0,0 "
+            "--heart-region 1,1,2,2",
+            {"wall.ppm": b"P3 1 1 255 1 2 3"},
+            "expected ID:x,y,w,h heart region, got '1,1,2,2'",
+        ),
     ],
     ids=["rate-utf8", "acceptability-utf8", "simulate-utf8", "simulate-utf8-bom",
          "simulate-utf16", "rate-windows-list", "rate-windows-utf8",
          "rate-windows-utf8-bom", "rate-windows-utf16", "rate-windows-int",
          "rate-windows-array", "rate-windows-no-end", "rate-windows-overflow",
          "rate-windows-float", "rate-windows-bool", "rate-windows-string",
-         "rate-short-row", "rate-bare-cr", "acceptability-bare-cr"],
+         "rate-short-row", "rate-bare-cr", "acceptability-bare-cr",
+         "rate-windows-newline-key", "rate-missing-newline-name",
+         "rate-newline-heart-inf", "simulate-config-and-preset",
+         "sweep-no-config", "calibrate-heart-region-no-id"],
 )
 def test_malformed_input_one_line_exit_2(tmp_path, capsys, command, files, message):
+    """`command`, with its flags after the files; a file given as None is
+    named but not written."""
+    command, *flags = command.split()
     paths = []
     for name, data in files.items():
-        (tmp_path / name).write_bytes(data)
+        if data is not None:
+            (tmp_path / name).write_bytes(data)
         paths.append(str(tmp_path / name))
     extra = ["--baseline-lab", BASELINE] if command == "rate" else []
     out = tmp_path / "out"
-    rc = main([command, *paths, *extra, "--out", str(out)])
+    rc = main([command, *paths, *flags, *extra, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err, err
+    assert len(err.splitlines()) == 1 and message in err, err
     assert not out.exists()

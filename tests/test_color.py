@@ -41,6 +41,8 @@ def test_channel_validation():
         SrgbColor(0, 256, 0)
     with pytest.raises(ValueError):
         LabColor(float("nan"), 0, 0)
+    with pytest.raises(ValueError, match="non-finite offset components"):
+        LabOffset(math.inf, 0, 0)
 
 
 def test_lab_to_srgb_white_roundtrip():

@@ -11,7 +11,9 @@ from a different point of its stream. Only two `sweep.csv` rows moved,
 both within Monte Carlo error: `0.01,threshold_c` (fraction 0.646200 ->
 0.646840) and `0.05,threshold_c` (0.010740 -> 0.011740, repaints
 4161.38 -> 4160.58). Week-stepped fading changed no byte, and the
-`simulate` digests are the originals.
+`simulate` digests are the originals. A preset run reads no input file,
+so its manifest.json is pinned too; it records the tool version, so a new
+version re-pins the three manifests.
 """
 
 import hashlib
@@ -26,13 +28,16 @@ GOLDEN = {
     ("simulate", "paint1-baseline"): {
         "result.csv": "35c8c590d521c1f33b85df6aba50c4850e42087400348d1465a662ff6dd2a446",
         "summary.json": "9e28fc4ab00152da1940f06bfee33eb5424760fb65cb67392424d71ab3dced4e",
+        "manifest.json": "3facc4c4e8bb79f8d22e915940b911a028176e2dc6d002fd80ff4e96c66fc6be",
     },
     ("simulate", "paint2-1pct"): {
         "result.csv": "616a66d12faa8626c1d4e309fc234e05c6d07907929c903af0401aca2fcd21d9",
         "summary.json": "c95833ffb20ab40553642a21c15f2892672519e2167fc4029d82187ff4366dea",
+        "manifest.json": "2c840042a4d967bbb168d5598e315ed1d47b5e1c9090814f92ea528d7e04d4f4",
     },
     ("sweep", "paint1-5pct"): {
         "sweep.csv": "83b35bf9ec34b19edea95bd6fc3d0c406b417296985e4763165f82e6b962accf",
+        "manifest.json": "f4fee584c40c9568793c510e432fef93b0cf8e0d230f24ad15b39123085ad478",
     },
 }
 

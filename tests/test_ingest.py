@@ -56,6 +56,12 @@ class TestParsePpm:
             parse_ppm(data)
         assert exc.value.offset == len(data)
 
+    def test_grid_checks_its_shape(self):
+        with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
+            PixelGrid(0, 1, np.zeros((1, 0, 3), np.uint8))
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 3\) does not match 1x2x3"):
+            PixelGrid(2, 1, np.zeros((1, 1, 3), np.uint8))
+
     def test_truncated_ascii(self):
         with pytest.raises(PpmError, match="truncated"):
             parse_ppm(b"P3 2 1 255 1 2 3")

@@ -328,6 +328,7 @@ def test_parse_ppm_matches_oracle_on_raw_bytes(data):
         b"P3 " + b"9" * 30 + b" 1 255 1 2 3",
         b"P6 1 1 255 abc",
         b"P6 2 1 255\nabc",
+        b"P6 1 1 255",
     ],
 )
 def test_parse_ppm_matches_oracle_named(data):

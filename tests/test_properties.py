@@ -113,6 +113,12 @@ config_bytes = with_bom(
     )
 )
 
+# text holding the characters at which str.splitlines breaks a line, for
+# heart ids, window keys and input file names (no NUL, no "/")
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+BROKEN_TEXT = st.text(st.sampled_from("h1" + LINE_BREAKS), min_size=1, max_size=3)
+HEART_ID = st.one_of(st.sampled_from(["h1", "h2"]), BROKEN_TEXT)
+
 GOOD_OBS = (
     "heart_id,date,L,a,b,source\n"
     "h1,2021-05-01,49.3,46.3,20.5,x\n"
@@ -134,13 +140,29 @@ extreme_observation_bytes = csv_bytes(
     ],
     6,
 )
-observation_bytes = st.one_of(st.binary(max_size=120), mutated(GOOD_OBS))
+# well-formed tables whose quoted heart ids break lines, and whose same-date
+# readings may sum to inf
+broken_id_observation_bytes = csv_bytes(
+    ["heart_id", "date", "L", "a", "b", "source"],
+    [
+        HEART_ID.map(lambda h: f'"{h}"'),
+        st.sampled_from(["2021-05-01", "2021-05-11"]),
+        st.sampled_from(["49.3", "51.3", "1e308"]),
+        st.just("46.3"),
+        st.just("20.5"),
+        st.just("x"),
+    ],
+    6,
+)
+observation_bytes = st.one_of(
+    st.binary(max_size=120), mutated(GOOD_OBS), broken_id_observation_bytes
+)
 windows_bytes = with_bom(
     st.one_of(
         st.binary(max_size=60),
         SCALARS.map(json.dumps).map(str.encode),
         st.dictionaries(
-            st.sampled_from(["h1", "h2"]),
+            HEART_ID,
             st.one_of(
                 SCALARS,
                 st.dictionaries(st.sampled_from(["start_day", "end_day"]), SCALARS),
@@ -257,17 +279,26 @@ def run_cli(command, inputs, extra=()):
 def assert_clean_exit(rc, err, written):
     assert rc in (0, 2)
     if rc == 2:
-        assert err.count("\n") == 1, err
+        assert len(err.splitlines()) == 1, err
         assert written == []
     else:
         assert written
 
 
 @FUZZ
-@given(observation_bytes, windows_bytes)
-def test_rate_cli_exits_0_or_2(obs, windows):
+@given(observation_bytes, windows_bytes, BROKEN_TEXT.map(lambda s: s + ".csv"))
+# a window key, a heart id whose same-date readings sum to inf and a file
+# name, each holding a line break that the error names
+@example(GOOD_OBS.encode(), b'{"a\\nb": {"start_day": 0.5, "end_day": 3}}', "obs.csv")
+@example(
+    b'heart_id,date,L,a,b,source\n"a\nb",2021-05-01,1e308,0,0,x\n'
+    b'"a\nb",2021-05-01,1e308,0,0,x\n',
+    b"{}",
+    "\n.csv",
+)
+def test_rate_cli_exits_0_or_2(obs, windows, name):
     result = run_cli(
-        "rate", {"obs.csv": obs, "win.json": windows}, ["--baseline-lab", "49.3,46.3,20.5"]
+        "rate", {name: obs, "win.json": windows}, ["--baseline-lab", "49.3,46.3,20.5"]
     )
     assert_clean_exit(*result)
 

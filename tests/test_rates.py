@@ -54,6 +54,8 @@ class TestFitLine:
             fit_line([(0, 1.0)])
         with pytest.raises(InsufficientDataError):
             fit_line([(5, 1.0), (5, 2.0), (5, 3.0)])
+        with pytest.raises(InsufficientDataError, match="values too large"):
+            fit_line([(0, 1e200), (1, -1e200), (2, 1e200)])
 
     def test_point_order_invariance(self):
         rng = np.random.default_rng(23)

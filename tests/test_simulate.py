@@ -140,7 +140,8 @@ class TestConfig:
 
 def bad_values():
     """A bad value for each way a field fails: each _FIELD_RULES row's type
-    and each of its bounds, then the two fields outside the table."""
+    and each of its bounds, an integer too large for a float, then the two
+    fields outside the table."""
     cases = []
     for name, _, low, low_open, high in simulate._FIELD_RULES:
         cases.append((name, "x"))
@@ -148,6 +149,7 @@ def bad_values():
             cases.append((name, low if low_open else low - 1))
         if high is not None:
             cases.append((name, high + 1))
+    cases.append(("k_mean", 10**400))
     return cases + [("uncertainty_mode", "bootstrap"), ("strategy", "psychic")]
 
 
@@ -617,6 +619,8 @@ class TestRunSimulation:
         assert res.days[0] == 0
         assert res.days[-1] == 100
         assert res.frac_at(100) == res.mean_frac[-1]
+        with pytest.raises(ValueError, match="^no recorded day at or before -1$"):
+            res.frac_at(-1)
 
     def test_full_weekly_repaint_keeps_fraction_zero(self):
         # max delta E between repaints <= 5 + 7*k_max < 10
