@@ -24,6 +24,7 @@ import io
 import json
 import math
 import tempfile
+import unicodedata
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -121,6 +122,15 @@ def oracle_estimate_heart_rate(series, window):
     return oracle_fit_line(points)
 
 
+def one_line(message):
+    """An error line as the CLI prints it: each control character (Cc),
+    and U+2028/U+2029, as the escape ascii() gives it."""
+    return "".join(
+        ascii(c)[1:-1] if unicodedata.category(c) == "Cc" or c in "\u2028\u2029" else c
+        for c in message
+    )
+
+
 def oracle_rate(obs_path, obs_bytes, windows):
     """(exit code, stderr, {heart: (slope, n, tolerance)} in order,
     excluded)."""
@@ -128,7 +138,7 @@ def oracle_rate(obs_path, obs_bytes, windows):
         obs = typed_oracle_load_observations(obs_bytes)
         series = oracle_build_series(obs, BASELINE)
     except ObservationError as exc:
-        return 2, f"heartfade rate: {obs_path}: {exc}\n", None, None
+        return 2, one_line(f"heartfade rate: {obs_path}: {exc}") + "\n", None, None
     fits, excluded = {}, []
     for s in series:
         if s.heart_id not in windows:
@@ -324,6 +334,9 @@ ALL_WINDOWS = {h: Window(0, 400) for h in IDS}
 @FUZZ
 @given(observation_table(), windows_for())
 @example(TABLE_HEAD + "h1,2021-01-01,1.7e308,0,0,x\nh1,2021-01-01,1.7e308,0,0,x\n", {})
+@example(  # the error names a heart whose id holds a line break
+    TABLE_HEAD + '"a\nb",2021-01-01,1.7e308,0,0,x\n"a\nb",2021-01-01,1.7e308,0,0,x\n', {}
+)
 @example(
     TABLE_HEAD
     + "h2,2021-01-03,1,0,0,x\nh1,2021-01-02,1.7e308,0,0,x\nh1,2021-01-02,1.7e308,0,0,x\n"
