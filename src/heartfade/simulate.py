@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -611,13 +612,42 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     )
 
 
+def _sweep_cell(cfg: SimConfig) -> SweepRow:
+    result = run_simulation(cfg)
+    return SweepRow(
+        repaint_fraction_weekly=cfg.repaint_fraction_weekly,
+        strategy=cfg.strategy,
+        frac_needing_repaint_at_horizon=float(result.mean_frac[-1]),
+        total_repaints_at_horizon=float(result.mean_cum_repaints[-1]),
+    )
+
+
+def _end_with_parent(parent: int) -> None:
+    # a worker waits on its task queue while any process holds the queue's
+    # write end open, itself included, so a sweep process killed outright
+    # would leave it waiting for good; the kernel kills it instead
+    import ctypes
+    import signal
+
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before the call
+        os._exit(1)
+
+
 def sweep_fractions(
     cfg_base: SimConfig, fractions: list[float], horizon_days: int | None = None
 ) -> list[SweepRow]:
     """Decision sweep: each repaint fraction crossed with the three active
     strategies, summarised at the horizon: `horizon_days`, or the config's
     own `horizon_days` when it is None. Every cell's config is built, and
-    so checked, before the first cell runs."""
+    so checked, before the first cell runs.
+
+    The cells are independent runs, so they run on one forked worker per
+    CPU this process may use (os.sched_getaffinity, Linux only), in cell
+    order; with one such CPU, or without that call, they run in this
+    process. The rows are the same either way. Fork, not spawn: a worker
+    starts with numpy already imported, and a test's patches carry over.
+    """
     if horizon_days is not None:
         cfg_base = replace(cfg_base, horizon_days=horizon_days)
     cells = [
@@ -625,18 +655,17 @@ def sweep_fractions(
         for f in fractions
         for s in (Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C)
     ]
-    rows = []
-    for cfg in cells:
-        result = run_simulation(cfg)
-        rows.append(
-            SweepRow(
-                repaint_fraction_weekly=cfg.repaint_fraction_weekly,
-                strategy=cfg.strategy,
-                frac_needing_repaint_at_horizon=float(result.mean_frac[-1]),
-                total_repaints_at_horizon=float(result.mean_cum_repaints[-1]),
-            )
-        )
-    return rows
+    cpus = getattr(os, "sched_getaffinity", None)
+    workers = min(len(cells), len(cpus(0))) if cpus else 1
+    if workers <= 1:
+        return [_sweep_cell(cfg) for cfg in cells]
+    # imported here: a run that never sweeps does not pay for them at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, fork, _end_with_parent, (os.getpid(),)) as pool:
+        return list(pool.map(_sweep_cell, cells))
 
 
 def paint1_config() -> SimConfig:

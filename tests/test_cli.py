@@ -3,9 +3,14 @@ import errno
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +18,7 @@ import numpy as np
 import pytest
 
 import heartfade.cli
+import heartfade.simulate as simulate
 from heartfade.cli import fnv1a64, main, sha256_hex
 from heartfade.color import LabColor, srgb_to_lab, SrgbColor
 from heartfade.ingest import PixelGrid
@@ -504,6 +510,15 @@ class TestSimulateCommand:
         assert exc.value.code == 2
 
 
+def _running(pid):
+    """Whether process `pid` exists and is not a zombie (Linux /proc)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestSweepCommand:
     def test_sweep_outputs(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -529,6 +544,67 @@ class TestSweepCommand:
             "repaint_fraction_weekly,strategy,frac_needing_repaint,total_repaints"
         )
         assert len(lines) == 1 + 2 * 3
+
+    def test_sweep_workers_are_reaped(self, tmp_path, monkeypatch):
+        # a sweep leaves no worker running; one whose worker dies fails with
+        # no file written and no worker left either
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = ["sweep", "--preset", "paint1-5pct", "--horizon", "14", "--fractions", "0.1,0.5"]
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+        assert multiprocessing.active_children() == []
+
+        parent = os.getpid()
+
+        def die(cfg):
+            if os.getpid() == parent:  # exiting here would end the test session
+                raise AssertionError("the cell ran in the sweep's own process")
+            os._exit(3)
+
+        monkeypatch.setattr(simulate, "run_simulation", die)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(BrokenProcessPool):
+            main(argv + ["--out", str(out)])
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_workers_end_with_a_killed_sweep(self):
+        # SIGKILL leaves the sweep's process no time to stop its workers;
+        # they end with it instead of waiting on their task queue for good.
+        # Each worker names itself in one write, as both share the pipe
+        code = (
+            "import os, time\n"
+            "import heartfade.simulate as simulate\n"
+            "def stall(cfg):\n"
+            "    os.write(1, b'%d\\n' % os.getpid())\n"
+            "    time.sleep(60)\n"
+            "simulate.run_simulation = stall\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "simulate.sweep_fractions(simulate.SimConfig(k_mean=0.041), [0.1])\n"
+        )
+        src = str(Path(heartfade.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE)
+        watchdog = threading.Timer(30, proc.kill)  # a child that never reports
+        watchdog.start()
+        workers = []
+        try:
+            for _ in range(2):
+                workers.append(int(proc.stdout.readline()))
+                assert workers[-1] != proc.pid, "the cell ran in the sweep's own process"
+        finally:
+            watchdog.cancel()
+            watchdog.join()
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if _running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
 
     def test_preset_takes_horizon_and_fractions_flags(self, tmp_path):
         out = tmp_path / "out"
@@ -786,7 +862,11 @@ def test_cli_import_does_not_load_hashlib():
 def test_runs_do_not_load_numpy_ma(tmp_path):
     # np.percentile and np.unique import numpy.ma on first use (about 1.3
     # MiB); a Monte Carlo simulate, a sweep and acceptability call neither,
-    # unless numpy already loads it on import (numpy 1.x does)
+    # unless numpy already loads it on import (numpy 1.x does). Only a
+    # sweep's worker pool loads concurrent.futures and multiprocessing
+    # (17-27 ms), so the simulate and acceptability before it load neither.
+    # The sweep sees one usable CPU, so all three strategies run in this
+    # process, where a numpy.ma import would show in sys.modules
     cfg = tmp_path / "config.json"
     config = dict(
         k_mean=0.05,
@@ -801,14 +881,19 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
     sweep = ["--fractions", "0.05,0.2", "--horizon", "200"]
     argvs = [
         ["simulate", str(cfg), "--out", str(tmp_path / "sim")],
-        ["sweep", str(cfg), *sweep, "--out", str(tmp_path / "sweep")],
         ["acceptability", str(data_path("acceptability_anchors.csv"))],
+        ["sweep", str(cfg), *sweep, "--out", str(tmp_path / "sweep")],
     ]
     code = (
         "import sys, numpy\n"
         "on_import = 'numpy.ma' in sys.modules\n"
         "from heartfade.cli import main\n"
-        f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0]\n"
+        f"assert [main(argv) for argv in {argvs[:2]!r}] == [0, 0]\n"
+        "pool = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+        "assert not pool, pool\n"
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        f"assert main({argvs[2]!r}) == 0\n"
         "print('numpy.ma', on_import, 'numpy.ma' in sys.modules)"
     )
     src = str(Path(heartfade.cli.__file__).resolve().parents[1])

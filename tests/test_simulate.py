@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -705,17 +706,50 @@ class TestSweep:
         assert runs == []  # every cell is checked before the first runs
 
     def test_horizon_defaults_to_the_config(self, monkeypatch):
-        horizons = []
+        # the check runs where the cell runs, which may be a forked worker,
+        # so it raises there instead of appending to a list of this process
         original = simulate.run_simulation
 
-        def recording(cfg):
-            horizons.append(cfg.horizon_days)
+        def checking(cfg):
+            if cfg.horizon_days != 100:
+                raise AssertionError(f"cell ran to day {cfg.horizon_days}, not 100")
             return original(cfg)
 
-        monkeypatch.setattr(simulate, "run_simulation", recording)
+        monkeypatch.setattr(simulate, "run_simulation", checking)
         cfg = SimConfig(k_mean=0.041, n_agents=5, replicates=2, horizon_days=100)
         assert len(sweep_fractions(cfg, [0.1])) == 3
-        assert horizons == [100, 100, 100]
+
+    @pytest.mark.parametrize(
+        "base, fractions, block_cells",
+        [
+            # 0 repaints nothing; 1.0 offers every agent (capacity = n_agents)
+            (small_cfg(), [0.0, 0.1, 1.0], None),
+            (small_cfg(uncertainty_mode="envelope"), [0.05, 0.5], None),
+            (small_cfg(replicates=7), [0.05, 0.2], 2 * 50),  # blocks of 2 rows
+        ],
+        ids=["strategies", "envelope", "blocks"],
+    )
+    def test_workers_give_the_serial_rows(self, monkeypatch, base, fractions, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
+        budget, original, parent = simulate._BLOCK_CELLS, simulate.run_simulation, os.getpid()
+
+        def sweep_on(cpus):
+            # each cell checks where it runs, and that it sees the patch
+            def located(cfg):
+                if (os.getpid() == parent) != (len(cpus) == 1):
+                    raise AssertionError(f"cell ran in the wrong process for {cpus}")
+                if simulate._BLOCK_CELLS != budget:
+                    raise AssertionError("cell did not see the block budget")
+                return original(cfg)
+
+            monkeypatch.setattr(simulate, "run_simulation", located)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            return sweep_fractions(base, fractions)
+
+        serial = sweep_on({0})
+        assert len(serial) == 3 * len(fractions)
+        assert sweep_on({0, 1}) == serial
 
 
 class TestSeedDerivation:
