@@ -19,9 +19,11 @@ give the same numbers in the same order and consume the same words, so
 the stream contract (0.2.0) is unchanged. A run that cannot repaint stops
 stepping once every agent is above the threshold (rates are positive, so
 none can fall back below it); the outputs are the same as stepping on to
-the horizon. The step functions (`init_population`, `advance_day`,
-`repaint_event`) are internal; they stay module-level, one call per row,
-interval or repaint week, so a tracer can wrap them by name.
+the horizon. Nor do THRESHOLD_C skipping its candidate pass while no agent
+can be above the threshold, or a large run stepping its replicates on every
+usable CPU, change an output. The step functions (`init_population`,
+`advance_day`, `repaint_event`) are internal; they stay module-level, one
+call per row, interval or repaint week, so a tracer can wrap them by name.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import pickle
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -75,6 +78,10 @@ _MAX_OUTPUT_CELLS = 1 << 24
 # replicates x agents x days, the work of a run: about 35 minutes at the
 # slowest throughput measured (5.3e8 agent-days/s, GREEDY_B at 5%, 2 vCPUs)
 _MAX_AGENT_DAYS = 1 << 40
+# a run forks per CPU from this much work (replicates x agents x days): a fork
+# and reap cost 2-3 ms, ~6 ms of THRESHOLD_C at 6e9 agent-days/s (2 vCPUs)
+_FORK_AGENT_DAYS = 1 << 25
+_worker = False  # set in a forked worker (_end_with_parent): it never forks
 
 # one row per numeric field, checked in this order: (name, integer or else
 # a finite real, low bound or None, low bound excluded, high bound or None);
@@ -529,6 +536,7 @@ def _simulate_block(
     fracs = np.ones((rows, len(days)))
     cums = np.zeros((rows, len(days)))
     step = pop.k * 7  # one week's fading, reused every week
+    quiet, top, rise = counted, float(pop.delta_e.max()), float(step.max())
     gaps = np.diff(days, prepend=0).tolist()  # days since the last recorded day
     for col, (day, gap) in enumerate(zip(days.tolist(), gaps)):
         if gap:
@@ -537,7 +545,14 @@ def _simulate_block(
             advance_day(pop, gap, step)
         repaints = day > 0 and day % 7 == 0
         if repaints:
-            repaint_event(pop, cfg.strategy, capacity, threshold, choose)
+            # while no agent can be above the threshold: w rounded adds of
+            # terms >= 0 exceed their exact sum by at most (1 + 2^-53)^w
+            w = day // 7
+            quiet = quiet and (top + w * rise) * (1 + (w + 2) * 2**-52) < threshold
+            if quiet:  # no candidate: nothing drawn or repainted
+                pop.above = np.zeros(rows, np.int32)
+            else:
+                repaint_event(pop, cfg.strategy, capacity, threshold, choose)
         if not (repaints and counted):
             pop.above = np.add.reduce(
                 (pop.delta_e > threshold).view(np.int8), axis=1, dtype=np.int32
@@ -582,14 +597,23 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     repaint (BASELINE, or weekly capacity 0) stops stepping once every
     agent in it is above the threshold and records fraction 1.0 and no
     repaints for the remaining days, exactly what stepping on would give.
+    A run of _FORK_AGENT_DAYS or more, outside a forked worker, steps one
+    contiguous range of replicates per usable CPU (_cpus, at most one per
+    replicate), the first here and each other in a forked child (_forked),
+    each block by block; the bits are those of one process.
     """
     per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
-    blocks = [
-        _simulate_block(cfg, range(start, min(start + per_block, cfg.replicates)))
-        for start in range(0, cfg.replicates, per_block)
-    ]
-    frac_by_rep = np.concatenate([fracs for fracs, _ in blocks])
-    cum_by_rep = np.concatenate([cums for _, cums in blocks])
+
+    def blocks(lo, hi):  # replicates [lo, hi), one block at a time
+        starts = range(lo, hi, per_block)
+        return [_simulate_block(cfg, range(s, min(s + per_block, hi))) for s in starts]
+
+    work = cfg.replicates * cfg.n_agents * cfg.horizon_days
+    shares = 1 if _worker or work < _FORK_AGENT_DAYS else min(_cpus(), cfg.replicates)
+    cuts = [cfg.replicates * i // shares for i in range(shares + 1)]
+    parts = sum(_forked(blocks, list(zip(cuts, cuts[1:]))), [])
+    frac_by_rep = np.concatenate([fracs for fracs, _ in parts])
+    cum_by_rep = np.concatenate([cums for _, cums in parts])
     mean_frac = frac_by_rep.mean(axis=0)
     mean_cum = cum_by_rep.mean(axis=0)
 
@@ -622,16 +646,66 @@ def _sweep_cell(cfg: SimConfig) -> SweepRow:
     )
 
 
+def _cpus() -> int:
+    """CPUs this process may use (os.sched_getaffinity, Linux only), or 1."""
+    cpus = getattr(os, "sched_getaffinity", None)
+    return len(cpus(0)) if cpus else 1
+
+
 def _end_with_parent(parent: int) -> None:
-    # a worker waits on its task queue while any process holds the queue's
-    # write end open, itself included, so a sweep process killed outright
-    # would leave it waiting for good; the kernel kills it instead
+    # a sweep worker waits on its task queue while any process holds the
+    # queue's write end open, itself included, and a row worker steps its
+    # rows to the end, so a parent killed outright would leave them running
+    global _worker
     import ctypes
     import signal
 
+    _worker = True
     ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:  # the parent died before the call
         os._exit(1)
+
+
+def _forked(task, args: list) -> list:
+    """`[task(*a) for a in args]`, args[0] here and each other in a forked
+    child, which pickles its result, or its exception, into a pipe. A child's
+    exception is raised here, and a child that ends without a result raises
+    RuntimeError. Every child is killed, if still running, and reaped."""
+    import signal
+
+    import numpy.random  # noqa: F401  once here, not in each process after forking
+
+    parent, children = os.getpid(), []  # (pid, pipe) of each child
+    try:
+        for a in args[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    _end_with_parent(parent)
+                    try:
+                        sent = pickle.dumps(task(*a))
+                    except BaseException as exc:
+                        sent = pickle.dumps(exc)
+                    with open(write, "wb") as pipe:
+                        pipe.write(sent)
+                finally:
+                    os._exit(0)  # the pipe stays empty if nothing was sent
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [task(*args[0])]
+        for _, pipe in children:
+            sent = pipe.read()
+            if not sent:
+                raise RuntimeError("a replicate worker ended without its rows")
+            results.append(pickle.loads(sent))
+            if isinstance(results[-1], BaseException):
+                raise results[-1]
+        return results
+    finally:
+        for pid, pipe in children:  # each has sent all it will, or is not waited for
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def sweep_fractions(
@@ -655,8 +729,7 @@ def sweep_fractions(
         for f in fractions
         for s in (Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C)
     ]
-    cpus = getattr(os, "sched_getaffinity", None)
-    workers = min(len(cells), len(cpus(0))) if cpus else 1
+    workers = min(len(cells), _cpus())
     if workers <= 1:
         return [_sweep_cell(cfg) for cfg in cells]
     # imported here: a run that never sweeps does not pay for them at start-up

@@ -509,6 +509,71 @@ class TestSimulateCommand:
             main(["simulate", "--preset", "paint9"])
         assert exc.value.code == 2
 
+    def test_a_dead_row_worker_fails_the_run(self, tmp_path, monkeypatch):
+        # a worker that dies without its rows is not bad input: the error
+        # reaches the caller, no file is written and the worker is reaped
+        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forked = _recording_forks(monkeypatch)
+        parent, original = os.getpid(), simulate._simulate_block
+
+        def die(cfg, streams, k_override=None):
+            if os.getpid() == parent:  # exiting here would end the test session
+                return original(cfg, streams, k_override)
+            os._exit(3)
+
+        monkeypatch.setattr(simulate, "_simulate_block", die)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
+            main(["simulate", str(cfg), "--out", str(out)])
+        assert list(out.iterdir()) == []
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)  # reaped already
+
+    def test_an_error_in_the_run_ends_its_row_workers(self, monkeypatch):
+        # the run's own rows fail while a worker still steps its rows: the
+        # error reaches the caller at once, and the worker is killed and reaped
+        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forked = _recording_forks(monkeypatch)
+        parent = os.getpid()
+
+        def stall(cfg, streams, k_override=None):
+            if os.getpid() == parent:
+                raise KeyError("the run's own rows")
+            time.sleep(60)
+
+        monkeypatch.setattr(simulate, "_simulate_block", stall)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="the run's own rows"):
+            simulate.run_simulation(simulate.SimConfig(k_mean=0.041, replicates=2))
+        assert time.monotonic() - start < 10
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+    def test_row_workers_end_with_a_killed_simulate(self, tmp_path):
+        # the simulate process steps its own rows, a worker the others; both
+        # name themselves, then the worker must end with the killed process
+        code = (
+            "import os, sys, time\n"
+            "import heartfade.simulate as simulate\n"
+            "from heartfade.cli import main\n"
+            "def stall(cfg, streams, k_override=None):\n"
+            "    os.write(1, b'%d\\n' % os.getpid())\n"
+            "    time.sleep(60)\n"
+            "simulate._simulate_block = stall\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "main(['simulate', '--preset', 'paint2-1pct', '--out', sys.argv[1]])\n"
+        )
+        pid, named = _kill_stalled(code, 2, str(tmp_path))
+        assert pid in named and len(set(named)) == 2
+        assert _left_running(named) == []
+
 
 def _running(pid):
     """Whether process `pid` exists and is not a zombie (Linux /proc)."""
@@ -517,6 +582,51 @@ def _running(pid):
     except FileNotFoundError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _recording_forks(monkeypatch):
+    """The pids of the children `os.fork` makes from now on in this test."""
+    fork, forked = os.fork, []
+
+    def recorded():
+        pid = fork()
+        forked.extend([pid] if pid else [])
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forked
+
+
+def _kill_stalled(code, count, *args):
+    """Run `python -c code *args` until it has written `count` lines, each a
+    pid, then SIGKILL it; returns its pid and those lines' pids."""
+    src = str(Path(heartfade.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", code, *args]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE)
+    watchdog = threading.Timer(30, proc.kill)  # a process that never reports
+    watchdog.start()
+    try:
+        named = [int(proc.stdout.readline()) for _ in range(count)]
+    finally:
+        watchdog.cancel()
+        watchdog.join()
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    return proc.pid, named
+
+
+def _left_running(pids):
+    """Those of `pids` still running 10 s from now, or as soon as none is;
+    each is killed, so that none outlives the test."""
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    return left
 
 
 class TestSweepCommand:
@@ -582,29 +692,9 @@ class TestSweepCommand:
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "simulate.sweep_fractions(simulate.SimConfig(k_mean=0.041), [0.1])\n"
         )
-        src = str(Path(heartfade.cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE)
-        watchdog = threading.Timer(30, proc.kill)  # a child that never reports
-        watchdog.start()
-        workers = []
-        try:
-            for _ in range(2):
-                workers.append(int(proc.stdout.readline()))
-                assert workers[-1] != proc.pid, "the cell ran in the sweep's own process"
-        finally:
-            watchdog.cancel()
-            watchdog.join()
-            proc.kill()
-            proc.wait(timeout=10)
-            proc.stdout.close()
-        deadline = time.monotonic() + 10
-        while any(map(_running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        left = [pid for pid in workers if _running(pid)]
-        for pid in left:
-            os.kill(pid, signal.SIGKILL)
-        assert left == []
+        pid, workers = _kill_stalled(code, 2)
+        assert pid not in workers, "a cell ran in the sweep's own process"
+        assert _left_running(workers) == []
 
     def test_preset_takes_horizon_and_fractions_flags(self, tmp_path):
         out = tmp_path / "out"
@@ -864,7 +954,8 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
     # MiB); a Monte Carlo simulate, a sweep and acceptability call neither,
     # unless numpy already loads it on import (numpy 1.x does). Only a
     # sweep's worker pool loads concurrent.futures and multiprocessing
-    # (17-27 ms), so the simulate and acceptability before it load neither.
+    # (17-27 ms), so the simulate and acceptability before it load neither,
+    # nor does a simulate that forks workers for its rows.
     # The sweep sees one usable CPU, so all three strategies run in this
     # process, where a numpy.ma import would show in sys.modules
     cfg = tmp_path / "config.json"
@@ -889,9 +980,16 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
         "on_import = 'numpy.ma' in sys.modules\n"
         "from heartfade.cli import main\n"
         f"assert [main(argv) for argv in {argvs[:2]!r}] == [0, 0]\n"
+        "import os\n"
+        "import heartfade.simulate as simulate\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "simulate._FORK_AGENT_DAYS = 0\n"
+        f"assert main({argvs[0][:-1] + [str(tmp_path / 'forked')]!r}) == 0\n"
+        "assert forks == [1], forks\n"
         "pool = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
         "assert not pool, pool\n"
-        "import os\n"
         "os.sched_getaffinity = lambda pid: {0}\n"
         f"assert main({argvs[2]!r}) == 0\n"
         "print('numpy.ma', on_import, 'numpy.ma' in sys.modules)"

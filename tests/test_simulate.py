@@ -430,6 +430,7 @@ def test_bounded_keeps_the_columns_it_is_given(monkeypatch):
 
 
 RANDOM_A, THRESHOLD_C = Strategy.RANDOM_A, Strategy.THRESHOLD_C
+TENTH = dict(repaint_fraction_weekly=0.1)
 TEN_WEEKS = 10 * 4 * 100  # _DRAW_BYTES for 10-week chunks of 4 rows of 100
 BYTES = simulate._DRAW_BYTES  # the default
 
@@ -615,6 +616,64 @@ class TestRunSimulation:
         assert blocks == [3, 3, 1]
         assert draws == [(strategy, rows, 50, 10, 200 // 7) for rows in blocks]
 
+    @pytest.mark.parametrize(
+        "cfg, block_cells",
+        [
+            *(
+                (small_cfg(strategy=s, repaint_fraction_weekly=f), None)
+                for s in Strategy
+                for f in (0.0, 1.0)  # capacity 0, and capacity = n_agents
+            ),
+            (small_cfg(**TENTH, strategy=THRESHOLD_C, uncertainty_mode="envelope"), None),
+            (small_cfg(**TENTH, strategy=RANDOM_A, replicates=7), 2 * 50),  # 2-row blocks
+            (small_cfg(**TENTH, strategy=THRESHOLD_C, replicates=1), None),
+        ],
+        ids=[f"{s.value}-{f}" for s in Strategy for f in (0.0, 1.0)]
+        + ["envelope", "blocks", "one-replicate"],
+    )
+    def test_forked_rows_equal_serial(self, monkeypatch, cfg, block_cells):
+        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+        if block_cells is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
+        original, parent = simulate._simulate_block, os.getpid()
+
+        def run_on(cpus):
+            # each block checks where it runs: one within the first
+            # replicates' range, or the envelope rows, here, any other in a
+            # child; one replicate, or one CPU, never forks
+            forks = len(cpus) > 1 and cfg.replicates > 1
+
+            def located(cfg, streams, k_override=None):
+                here = not forks or streams[-1] < cfg.replicates // 2 or k_override
+                if (os.getpid() == parent) != bool(here):
+                    raise AssertionError(f"rows {streams} ran in the wrong process")
+                return original(cfg, streams, k_override)
+
+            monkeypatch.setattr(simulate, "_simulate_block", located)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            return run_simulation(cfg)
+
+        serial, forked = run_on({0}), run_on({0, 1})
+        for name, value in vars(serial).items():
+            if isinstance(value, np.ndarray):
+                got = getattr(forked, name)
+                assert got.dtype == value.dtype, name
+                assert got.tobytes() == value.tobytes(), name
+
+    def test_a_forked_rows_exception_keeps_its_type(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        original, parent = simulate._simulate_block, os.getpid()
+
+        def failing(cfg, streams, k_override=None):
+            if os.getpid() != parent:
+                raise ZeroDivisionError(f"rows {streams[0]} to {streams[-1]}")
+            return original(cfg, streams, k_override)
+
+        monkeypatch.setattr(simulate, "_simulate_block", failing)
+        with pytest.raises(ZeroDivisionError, match="^rows 2 to 4$"):
+            run_simulation(small_cfg())
+
     def test_recorded_days_include_horizon(self):
         res = run_simulation(small_cfg(horizon_days=100))
         assert res.days[0] == 0
@@ -750,6 +809,21 @@ class TestSweep:
         serial = sweep_on({0})
         assert len(serial) == 3 * len(fractions)
         assert sweep_on({0, 1}) == serial
+
+    def test_a_cell_steps_its_rows_in_its_worker(self, monkeypatch):
+        # a cell above the fork floor, in a sweep worker, forks no worker of
+        # its own: every block runs in a child of this process
+        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        original, parent = simulate._simulate_block, os.getpid()
+
+        def located(cfg, streams, k_override=None):
+            if os.getpid() == parent or os.getppid() != parent:
+                raise AssertionError(f"rows {streams} ran outside a sweep worker")
+            return original(cfg, streams, k_override)
+
+        monkeypatch.setattr(simulate, "_simulate_block", located)
+        assert len(sweep_fractions(small_cfg(), [0.1])) == 3
 
 
 class TestSeedDerivation:

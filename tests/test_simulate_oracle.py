@@ -181,6 +181,39 @@ NAMED.update(
     }
 )
 
+# THRESHOLD_C skips its candidate pass while no agent can be above the
+# threshold: a slow rate leaves a long prefix of such weeks, in Monte Carlo
+# and envelope mode, and a negative threshold leaves none. With k_sd 0,
+# spread 0 and k·7 = 0.5, every sum is exact: the agents reach threshold
+# 4.0 in week 8, equal and so not above it, and count from week 9
+SLOW = dict(
+    k_mean=0.01,
+    k_sd=0.002,
+    n_agents=40,
+    horizon_days=1000,
+    strategy=Strategy.THRESHOLD_C,
+    repaint_fraction_weekly=0.05,
+    replicates=4,
+)
+NAMED.update(
+    {
+        "threshold_c-quiet-prefix": SimConfig(**SLOW),
+        "threshold_c-quiet-envelope": SimConfig(**SLOW, uncertainty_mode="envelope"),
+        "threshold_c-quiet-negative": SimConfig(**SLOW, perception_threshold=-0.5),
+        "threshold_c-quiet-lands-on-threshold": SimConfig(
+            k_mean=0.5 / 7,
+            k_sd=0.0,
+            initial_spread_max=0.0,
+            perception_threshold=4.0,
+            n_agents=6,
+            horizon_days=100,
+            strategy=Strategy.THRESHOLD_C,
+            repaint_fraction_weekly=0.5,
+            replicates=3,
+        ),
+    }
+)
+
 
 def random_configs(count, seed=2025):
     rng = np.random.default_rng(seed)
@@ -226,6 +259,22 @@ def test_threshold_cases_draw_every_week(threshold):
         oracle_replicate(cfg, i, candidate_counts=counts)
         assert len(counts) == cfg.horizon_days // 7
         assert min(counts) > weekly_capacity(cfg) > 0
+
+
+def test_quiet_cases_have_quiet_weeks():
+    # the candidate counts the oracle sees, each week of replicate 0
+    def counts(name):
+        seen = []
+        oracle_replicate(NAMED[name], 0, candidate_counts=seen)
+        return seen
+
+    prefix = counts("threshold_c-quiet-prefix")
+    assert prefix[:30] == [0] * 30
+    assert max(prefix) > weekly_capacity(NAMED["threshold_c-quiet-prefix"])
+    assert min(counts("threshold_c-quiet-negative")) > 0
+    landing = counts("threshold_c-quiet-lands-on-threshold")
+    assert landing[:9] == [0] * 8 + [6]
+    assert 0.5 / 7 * 7 == 0.5  # so week 8's sum is exactly the threshold
 
 
 def test_named_cases_cover_the_grid():
