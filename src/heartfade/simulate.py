@@ -66,9 +66,9 @@ _BLOCK_CELLS = 1 << 20
 # and of at most this many replicates: each row also holds its own
 # Generator (~1.2 KiB), which the cell budget does not count
 _BLOCK_ROWS = 4096
-# RANDOM_A draws as many weeks at once as keep its (row-weeks x agents)
-# bool mask within this many bytes, about 5 weeks of 50 x 1000 agents; a
-# block's streams are read ahead into a buffer of about this many bytes
+# RANDOM_A takes raw words where a (row-weeks x agents) bool mask of this
+# many bytes, about 5 weeks of 50 x 1000 agents, holds as many row-weeks as
+# slots, drawing 2 such chunks at once; streams are read ahead as many bytes
 _DRAW_BYTES = 1 << 18
 # one replicate's row must fit in a block
 _MAX_AGENTS = _BLOCK_CELLS
@@ -447,7 +447,7 @@ def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
     candidates, so m = 10001 is its worst case. Words take one Python step
     per slot, and one `choice` call per row-week costs about two, so they
     are used where each step covers enough row-weeks. RANDOM_A's picks do
-    not depend on the population, so they are drawn a chunk of weeks
+    not depend on the population, so they are drawn two chunks of weeks
     ahead, where a chunk holds at least as many row-weeks as slots.
     THRESHOLD_C draws each week, only for its rows over capacity (some
     weeks few), where the capacity is at most half the rows. Every other
@@ -455,8 +455,8 @@ def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
     """
     rows = len(words.rngs)
     if strategy is Strategy.RANDOM_A and (n <= 10000 or c <= n // 50):
-        chunk = max(1, min(weeks, _DRAW_BYTES // (rows * n)))
-        if c <= chunk * rows:
+        chunk = max(1, min(weeks, 2 * _DRAW_BYTES // (rows * n)))
+        if c <= max(1, min(weeks, _DRAW_BYTES // (rows * n))) * rows:
             every = np.arange(rows)
 
             def weekly():  # each week's (rows, c) flat positions, in turn
@@ -612,8 +612,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     shares = 1 if _worker or work < _FORK_AGENT_DAYS else min(_cpus(), cfg.replicates)
     cuts = [cfg.replicates * i // shares for i in range(shares + 1)]
     parts = sum(_forked(blocks, list(zip(cuts, cuts[1:]))), [])
-    frac_by_rep = np.concatenate([fracs for fracs, _ in parts])
-    cum_by_rep = np.concatenate([cums for _, cums in parts])
+    frac_by_rep, cum_by_rep = map(np.concatenate, zip(*parts))
     mean_frac = frac_by_rep.mean(axis=0)
     mean_cum = cum_by_rep.mean(axis=0)
 
@@ -636,14 +635,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     )
 
 
-def _sweep_cell(cfg: SimConfig) -> SweepRow:
+def _summary(cfg: SimConfig) -> tuple[float, float]:  # a sweep row's figures
     result = run_simulation(cfg)
-    return SweepRow(
-        repaint_fraction_weekly=cfg.repaint_fraction_weekly,
-        strategy=cfg.strategy,
-        frac_needing_repaint_at_horizon=float(result.mean_frac[-1]),
-        total_repaints_at_horizon=float(result.mean_cum_repaints[-1]),
-    )
+    return float(result.mean_frac[-1]), float(result.mean_cum_repaints[-1])
 
 
 def _cpus() -> int:
@@ -653,9 +647,7 @@ def _cpus() -> int:
 
 
 def _end_with_parent(parent: int) -> None:
-    # a sweep worker waits on its task queue while any process holds the
-    # queue's write end open, itself included, and a row worker steps its
-    # rows to the end, so a parent killed outright would leave them running
+    # a worker steps its tasks to the end: it must not outlive its parent
     global _worker
     import ctypes
     import signal
@@ -666,24 +658,38 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _forked(task, args: list) -> list:
-    """`[task(*a) for a in args]`, args[0] here and each other in a forked
-    child, which pickles its result, or its exception, into a pipe. A child's
-    exception is raised here, and a child that ends without a result raises
+def _forked(task, args: list, here: bool = True) -> list:
+    """`[task(*a) for a in args]` on a forked child per usable CPU (_cpus),
+    at most one per task, less one if `here`, which runs args[0] here (all
+    of them with one CPU or task). The children, all forked first, pull the
+    other indices from one pipe until it ends, then each pickles its (index,
+    result) pairs, or its first exception, into its own pipe. A child's
+    exception is raised here; one that sends no whole result raises
     RuntimeError. Every child is killed, if still running, and reaped."""
+    import contextlib
     import signal
 
-    import numpy.random  # noqa: F401  once here, not in each process after forking
+    if here:  # this process draws too: import once, before forking
+        import numpy.random  # noqa: F401
 
+    workers = min(len(args), _cpus())
+    if workers <= 1:
+        return [task(*a) for a in args]
     parent, children = os.getpid(), []  # (pid, pipe) of each child
+    queue, feed = (open(fd, rw + "b", buffering=0) for fd, rw in zip(os.pipe(), "rw"))
     try:
-        for a in args[1:]:
+        for _ in range(workers - here):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
+                    feed.close()  # or no child would see the queue end
                     _end_with_parent(parent)
+                    done = []
                     try:
-                        sent = pickle.dumps(task(*a))
+                        while index := queue.read(4):
+                            i = int.from_bytes(index, "little")
+                            done.append((i, task(*args[i])))
+                        sent = pickle.dumps(done)
                     except BaseException as exc:
                         sent = pickle.dumps(exc)
                     with open(write, "wb") as pipe:
@@ -692,16 +698,26 @@ def _forked(task, args: list) -> list:
                     os._exit(0)  # the pipe stays empty if nothing was sent
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = [task(*args[0])]
+        queue.close()  # a write with every child ended then fails
+        # writes of at most 512 bytes (POSIX's least PIPE_BUF) are atomic,
+        # so each 4-byte read takes one whole index
+        indices = b"".join(i.to_bytes(4, "little") for i in range(here, len(args)))
+        with feed, contextlib.suppress(BrokenPipeError):  # each child's pipe says why
+            for at in range(0, len(indices), 512):
+                feed.write(indices[at : at + 512])
+        results = {0: task(*args[0])} if here else {}
         for _, pipe in children:
-            sent = pipe.read()
-            if not sent:
-                raise RuntimeError("a replicate worker ended without its rows")
-            results.append(pickle.loads(sent))
-            if isinstance(results[-1], BaseException):
-                raise results[-1]
-        return results
+            try:
+                sent = pickle.loads(pipe.read())
+            except (pickle.UnpicklingError, EOFError):  # nothing, or cut short
+                sent = RuntimeError("a replicate worker ended without its rows")
+            if isinstance(sent, BaseException):
+                raise sent
+            results.update(sent)
+        return [results[i] for i in range(len(args))]
     finally:
+        queue.close()
+        feed.close()
         for pid, pipe in children:  # each has sent all it will, or is not waited for
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -716,11 +732,12 @@ def sweep_fractions(
     own `horizon_days` when it is None. Every cell's config is built, and
     so checked, before the first cell runs.
 
-    The cells are independent runs, so they run on one forked worker per
-    CPU this process may use (os.sched_getaffinity, Linux only), in cell
-    order; with one such CPU, or without that call, they run in this
-    process. The rows are the same either way. Fork, not spawn: a worker
-    starts with numpy already imported, and a test's patches carry over.
+    Each distinct run is made once (a cell of weekly capacity 0 is the
+    baseline run, whatever its strategy), and each row names its own
+    fraction and strategy. `_forked` makes the runs on one forked worker
+    per CPU this process may use, each pulling the next run as it ends
+    one, while this process waits; with one such CPU (or no
+    os.sched_getaffinity) they run here. The rows are the same either way.
     """
     if horizon_days is not None:
         cfg_base = replace(cfg_base, horizon_days=horizon_days)
@@ -729,16 +746,14 @@ def sweep_fractions(
         for f in fractions
         for s in (Strategy.RANDOM_A, Strategy.GREEDY_B, Strategy.THRESHOLD_C)
     ]
-    workers = min(len(cells), _cpus())
-    if workers <= 1:
-        return [_sweep_cell(cfg) for cfg in cells]
-    # imported here: a run that never sweeps does not pay for them at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, fork, _end_with_parent, (os.getpid(),)) as pool:
-        return list(pool.map(_sweep_cell, cells))
+    idle = replace(cfg_base, strategy=Strategy.BASELINE, repaint_fraction_weekly=0.0)
+    runs = [cfg if weekly_capacity(cfg) else idle for cfg in cells]
+    distinct = list(dict.fromkeys(runs))
+    done = dict(zip(distinct, _forked(_summary, [(r,) for r in distinct], here=False)))
+    return [
+        SweepRow(cfg.repaint_fraction_weekly, cfg.strategy, *done[run])
+        for cfg, run in zip(cells, runs)
+    ]
 
 
 def paint1_config() -> SimConfig:

@@ -3,14 +3,12 @@ import errno
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 from pathlib import Path
 
@@ -661,7 +659,8 @@ class TestSweepCommand:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         argv = ["sweep", "--preset", "paint1-5pct", "--horizon", "14", "--fractions", "0.1,0.5"]
         assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left, not even a zombie
 
         parent = os.getpid()
 
@@ -673,10 +672,11 @@ class TestSweepCommand:
         monkeypatch.setattr(simulate, "run_simulation", die)
         out = tmp_path / "out"
         out.mkdir()
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
             main(argv + ["--out", str(out)])
         assert list(out.iterdir()) == []
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_workers_end_with_a_killed_sweep(self):
         # SIGKILL leaves the sweep's process no time to stop its workers;
@@ -949,15 +949,42 @@ def test_cli_import_does_not_load_hashlib():
     assert out.stdout.strip() == "False"
 
 
+def test_every_fork_has_one_thread(tmp_path):
+    # a forked child holds only the thread that forked it, so each fork of
+    # a parallel sweep and of a simulate's row split has no other thread
+    argvs = [
+        ["sweep", "--preset", "paint1-5pct", "--horizon", "30", "--fractions", "0.1"],
+        ["simulate", "--preset", "paint1-baseline"],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / argv[0])] for argv in argvs]
+    code = (
+        "import os, threading\n"
+        "from heartfade.cli import main\n"
+        "import heartfade.simulate as simulate\n"
+        "threads, fork = [], os.fork\n"
+        "os.fork = lambda: threads.append(threading.active_count()) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "simulate._FORK_AGENT_DAYS = 0\n"
+        f"assert [main(argv) for argv in {argvs!r}] == [0, 0]\n"
+        "print(threads)"
+    )
+    src = str(Path(heartfade.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[1, 1, 1]"  # two sweep workers, one row worker
+
+
 def test_runs_do_not_load_numpy_ma(tmp_path):
     # np.percentile and np.unique import numpy.ma on first use (about 1.3
     # MiB); a Monte Carlo simulate, a sweep and acceptability call neither,
-    # unless numpy already loads it on import (numpy 1.x does). Only a
-    # sweep's worker pool loads concurrent.futures and multiprocessing
-    # (17-27 ms), so the simulate and acceptability before it load neither,
-    # nor does a simulate that forks workers for its rows.
-    # The sweep sees one usable CPU, so all three strategies run in this
-    # process, where a numpy.ma import would show in sys.modules
+    # unless numpy already loads it on import (numpy 1.x does). No run
+    # loads concurrent.futures or multiprocessing (17-27 ms): neither a
+    # simulate that forks workers for its rows nor a sweep that forks
+    # workers for its cells.
+    # The last sweep sees one usable CPU, so all three strategies run in
+    # this process, where a numpy.ma import would show in sys.modules
     cfg = tmp_path / "config.json"
     config = dict(
         k_mean=0.05,
@@ -988,6 +1015,8 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
         "simulate._FORK_AGENT_DAYS = 0\n"
         f"assert main({argvs[0][:-1] + [str(tmp_path / 'forked')]!r}) == 0\n"
         "assert forks == [1], forks\n"
+        f"assert main({argvs[2][:-1] + [str(tmp_path / 'parallel')]!r}) == 0\n"
+        "assert forks == [1, 1, 1], forks\n"
         "pool = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
         "assert not pool, pool\n"
         "os.sched_getaffinity = lambda pid: {0}\n"

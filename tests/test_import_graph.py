@@ -52,3 +52,10 @@ def test_simulate_and_rates_read_json_without_ingest():
 def test_reader_resolves_relative_imports():
     assert {"heartfade._text", "heartfade.color"} <= imports("ingest")
     assert {"heartfade.__version__", "heartfade.simulate"} <= imports("cli")
+
+
+def test_no_process_pool():
+    # the package forks its workers itself (simulate._forked)
+    for path in PACKAGE.glob("*.py"):
+        found = {n.partition(".")[0] for n in imports(path.stem)}
+        assert not {"multiprocessing", "concurrent"} & found, path.name

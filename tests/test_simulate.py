@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import pickle
+import signal
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from heartfade.simulate import (
     Population,
     SimConfig,
     Strategy,
+    SweepRow,
     _Words,
     _bands,
     _draws,
@@ -360,11 +363,12 @@ def assert_consumed_alike(words, row, direct):
 
 @pytest.mark.parametrize("n,c", REPLAY_CASES)
 def test_choice_replay_draws_what_choice_draws(monkeypatch, n, c):
-    """Over several weeks, in 2-week chunks, RANDOM_A's plan gives each row
+    """Over several weeks, in 4-week chunks, RANDOM_A's plan gives each row
     the set one Generator.choice(n, c, replace=False) per week picks, and
     consumes exactly the 32-bit words those calls consume."""
-    rows, weeks = max(3, -(-c // 2)), 5  # enough rows for c slots a chunk
-    monkeypatch.setattr(simulate, "_DRAW_BYTES", 2 * rows * n)  # 2 + 2 + 1 weeks
+    rows, weeks = max(3, -(-c // 2)), 5  # enough rows for c slots in 2 weeks
+    # the words gate sees 2-week chunks; the draws take twice as many weeks
+    monkeypatch.setattr(simulate, "_DRAW_BYTES", 2 * rows * n)  # 4 + 1 weeks
     replayed = [_stream(9, i) for i in range(rows)]
     direct = [_stream(9, i) for i in range(rows)]
     for rng in replayed + direct:
@@ -431,18 +435,20 @@ def test_bounded_keeps_the_columns_it_is_given(monkeypatch):
 
 RANDOM_A, THRESHOLD_C = Strategy.RANDOM_A, Strategy.THRESHOLD_C
 TENTH = dict(repaint_fraction_weekly=0.1)
-TEN_WEEKS = 10 * 4 * 100  # _DRAW_BYTES for 10-week chunks of 4 rows of 100
+TEN_WEEKS = 10 * 4 * 100  # _DRAW_BYTES for 10-week chunks of 4 rows of 100,
+# which RANDOM_A draws 20 weeks at a time
 BYTES = simulate._DRAW_BYTES  # the default
 
 # (strategy, rows, agents, capacity, repaint weeks, _DRAW_BYTES, the weeks
 # each _floyd call draws, or None where the block calls choice per row-week)
 DRAW_PLANS = [
-    # RANDOM_A: where a chunk holds at least as many row-weeks as slots
-    (RANDOM_A, 4, 100, 40, 52, TEN_WEEKS, [10] * 5 + [2]),
+    # RANDOM_A: where a chunk holds at least as many row-weeks as slots,
+    # drawing two chunks' weeks at once
+    (RANDOM_A, 4, 100, 40, 52, TEN_WEEKS, [20, 20, 12]),
     (RANDOM_A, 4, 100, 41, 52, TEN_WEEKS, None),
     (RANDOM_A, 4, 100, 8, 2, TEN_WEEKS, [2]),  # capped at the weeks there are
     (RANDOM_A, 4, 100, 9, 2, TEN_WEEKS, None),
-    (RANDOM_A, 40, 100, 40, 52, TEN_WEEKS, [1] * 52),  # one week per chunk
+    (RANDOM_A, 40, 100, 40, 52, TEN_WEEKS, [2] * 26),  # a week per chunk, 2 a draw
     (RANDOM_A, 40, 100, 41, 52, TEN_WEEKS, None),
     # past 10000 agents, numpy shuffles the tail above capacity agents // 50
     (RANDOM_A, 1, 10001, 200, 201, 201 * 10001, [201]),  # 201-week chunks
@@ -810,6 +816,33 @@ class TestSweep:
         assert len(serial) == 3 * len(fractions)
         assert sweep_on({0, 1}) == serial
 
+    def test_each_distinct_run_is_made_once(self, monkeypatch):
+        # capacity 0 (fraction 0, and 0.0004 of 1000 agents) is the baseline
+        # run whatever the strategy; a repeated fraction repeats its cells
+        # threshold 4: THRESHOLD_C draws and repaints within 100 days
+        base = small_cfg(n_agents=1000, replicates=3, horizon_days=100, perception_threshold=4.0)
+        fractions, active = [0.0, 0.0004, 0.05, 0.05], [RANDOM_A, Strategy.GREEDY_B, THRESHOLD_C]
+        original, runs = simulate.run_simulation, []
+
+        def counted(cfg):
+            runs.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(simulate, "run_simulation", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        rows = sweep_fractions(base, fractions)
+        want = []
+        for f in fractions:
+            for s in active:
+                res = original(replace(base, strategy=s, repaint_fraction_weekly=f))
+                summary = float(res.mean_frac[-1]), float(res.mean_cum_repaints[-1])
+                want.append(SweepRow(f, s, *summary))
+        assert rows == want
+        assert {r.total_repaints_at_horizon for r in rows[6:]} != {0.0}
+        idle = replace(base, strategy=Strategy.BASELINE, repaint_fraction_weekly=0.0)
+        active_runs = [replace(base, strategy=s, repaint_fraction_weekly=0.05) for s in active]
+        assert runs == [idle, *active_runs]
+
     def test_a_cell_steps_its_rows_in_its_worker(self, monkeypatch):
         # a cell above the fork floor, in a sweep worker, forks no worker of
         # its own: every block runs in a child of this process
@@ -824,6 +857,50 @@ class TestSweep:
 
         monkeypatch.setattr(simulate, "_simulate_block", located)
         assert len(sweep_fractions(small_cfg(), [0.1])) == 3
+
+
+class TestForked:
+    def test_more_indices_than_a_pipe_holds(self, monkeypatch):
+        # 20,000 4-byte indices overfill a 64 KiB pipe: written before the
+        # children were forked, they would block this process for good
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def late(signum, frame):
+            raise TimeoutError("_forked blocked")
+
+        previous = signal.signal(signal.SIGALRM, late)
+        signal.alarm(60)
+        try:
+            args = [(i,) for i in range(20_000)]
+            results = simulate._forked(lambda i: (i, os.getpid()), args, here=False)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [i for i, _ in results] == list(range(20_000))
+        assert os.getpid() not in {pid for _, pid in results}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left, not even a zombie
+
+    @pytest.mark.parametrize("size", [1, 10**5])  # within one pipe buffer, or not
+    def test_a_child_cut_short_raises_runtime_error(self, monkeypatch, size):
+        # a child that ends partway through writing its results: the
+        # parent reads half a pickle
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent = os.getpid()
+
+        class Cut:  # simulate's pickle, with a child's results cut in half
+            UnpicklingError, loads = pickle.UnpicklingError, pickle.loads
+
+            @staticmethod
+            def dumps(obj):
+                sent = pickle.dumps(obj)
+                return sent if os.getpid() == parent else sent[: len(sent) // 2]
+
+        monkeypatch.setattr(simulate, "pickle", Cut)
+        with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
+            simulate._forked(lambda i: np.full(size, i), [(0,), (1,), (2,)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSeedDerivation:
