@@ -20,10 +20,10 @@ the stream contract (0.2.0) is unchanged. A run that cannot repaint stops
 stepping once every agent is above the threshold (rates are positive, so
 none can fall back below it); the outputs are the same as stepping on to
 the horizon. Nor do THRESHOLD_C skipping its candidate pass while no agent
-can be above the threshold, or a large run stepping its replicates on every
-usable CPU, change an output. The step functions (`init_population`,
-`advance_day`, `repaint_event`) are internal; they stay module-level, one
-call per row, interval or repaint week, so a tracer can wrap them by name.
+can be above the threshold, or a large run stepping its replicates in
+forked children, one per usable CPU, change an output. The step functions
+(`init_population`, `advance_day`, `repaint_event`) are internal but stay
+module-level, one call per row, interval or repaint week, for a tracer.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ _MAX_AGENT_DAYS = 1 << 40
 # a run forks per CPU from this much work (replicates x agents x days): a fork
 # and reap cost 2-3 ms, ~6 ms of THRESHOLD_C at 6e9 agent-days/s (2 vCPUs)
 _FORK_AGENT_DAYS = 1 << 25
-_worker = False  # set in a forked worker (_end_with_parent): it never forks
+_worker = False  # set in a forked worker (_forked): it never forks
 
 # one row per numeric field, checked in this order: (name, integer or else
 # a finite real, low bound or None, low bound excluded, high bound or None);
@@ -599,8 +599,8 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     repaints for the remaining days, exactly what stepping on would give.
     A run of _FORK_AGENT_DAYS or more, outside a forked worker, steps one
     contiguous range of replicates per usable CPU (_cpus, at most one per
-    replicate), the first here and each other in a forked child (_forked),
-    each block by block; the bits are those of one process.
+    replicate), each in a forked child (_forked) that inherits numpy.random,
+    block by block; the bits are those of one process.
     """
     per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
 
@@ -610,11 +610,11 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
     work = cfg.replicates * cfg.n_agents * cfg.horizon_days
     shares = 1 if _worker or work < _FORK_AGENT_DAYS else min(_cpus(), cfg.replicates)
+    if shares > 1:  # the children draw: import once, before forking
+        import numpy.random  # noqa: F401
     cuts = [cfg.replicates * i // shares for i in range(shares + 1)]
     parts = sum(_forked(blocks, list(zip(cuts, cuts[1:]))), [])
     frac_by_rep, cum_by_rep = map(np.concatenate, zip(*parts))
-    mean_frac = frac_by_rep.mean(axis=0)
-    mean_cum = cum_by_rep.mean(axis=0)
 
     if cfg.uncertainty_mode == "montecarlo":
         lo, hi = _bands(frac_by_rep)
@@ -628,10 +628,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
         days=_recorded_days(cfg.horizon_days),
         frac_by_rep=frac_by_rep,
         cum_repaints_by_rep=cum_by_rep,
-        mean_frac=mean_frac,
+        mean_frac=frac_by_rep.mean(axis=0),
         lo_frac=lo,
         hi_frac=hi,
-        mean_cum_repaints=mean_cum,
+        mean_cum_repaints=cum_by_rep.mean(axis=0),
     )
 
 
@@ -646,44 +646,36 @@ def _cpus() -> int:
     return len(cpus(0)) if cpus else 1
 
 
-def _end_with_parent(parent: int) -> None:
-    # a worker steps its tasks to the end: it must not outlive its parent
-    global _worker
-    import ctypes
-    import signal
-
-    _worker = True
-    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:  # the parent died before the call
-        os._exit(1)
-
-
-def _forked(task, args: list, here: bool = True) -> list:
+def _forked(task, args: list) -> list:
     """`[task(*a) for a in args]` on a forked child per usable CPU (_cpus),
-    at most one per task, less one if `here`, which runs args[0] here (all
-    of them with one CPU or task). The children, all forked first, pull the
-    other indices from one pipe until it ends, then each pickles its (index,
-    result) pairs, or its first exception, into its own pipe. A child's
-    exception is raised here; one that sends no whole result raises
-    RuntimeError. Every child is killed, if still running, and reaped."""
+    at most one per task, while this process waits (with one CPU or task,
+    they run here). The children, all forked first, pull the indices from
+    one pipe until it ends, then each pickles its (index, result) pairs, or
+    its first exception, into its own pipe. Those are read as each child
+    sends: the first exception sent is raised here, and a child that sends
+    no whole result raises RuntimeError. Every child is killed and reaped."""
+    global _worker
     import contextlib
+    import ctypes
+    import select
     import signal
-
-    if here:  # this process draws too: import once, before forking
-        import numpy.random  # noqa: F401
 
     workers = min(len(args), _cpus())
     if workers <= 1:
         return [task(*a) for a in args]
-    parent, children = os.getpid(), []  # (pid, pipe) of each child
+    parent, children = os.getpid(), {}  # each child's pid, by its pipe
+    ready = select.poll()  # select.select fails on descriptors >= 1024
     queue, feed = (open(fd, rw + "b", buffering=0) for fd, rw in zip(os.pipe(), "rw"))
     try:
-        for _ in range(workers - here):
+        for _ in range(workers):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
                     feed.close()  # or no child would see the queue end
-                    _end_with_parent(parent)
+                    _worker = True  # forks none, and must not outlive its parent
+                    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+                    if os.getppid() != parent:  # the parent died before the call
+                        os._exit(1)
                     done = []
                     try:
                         while index := queue.read(4):
@@ -697,18 +689,20 @@ def _forked(task, args: list, here: bool = True) -> list:
                 finally:
                     os._exit(0)  # the pipe stays empty if nothing was sent
             os.close(write)
-            children.append((pid, open(read, "rb")))
+            children[read] = pid
+            ready.register(read, select.POLLIN)
         queue.close()  # a write with every child ended then fails
         # writes of at most 512 bytes (POSIX's least PIPE_BUF) are atomic,
         # so each 4-byte read takes one whole index
-        indices = b"".join(i.to_bytes(4, "little") for i in range(here, len(args)))
+        indices = b"".join(i.to_bytes(4, "little") for i in range(len(args)))
         with feed, contextlib.suppress(BrokenPipeError):  # each child's pipe says why
-            for at in range(0, len(indices), 512):
-                feed.write(indices[at : at + 512])
-        results = {0: task(*args[0])} if here else {}
-        for _, pipe in children:
+            feed.writelines(indices[i : i + 512] for i in range(0, len(indices), 512))
+        results = {}
+        for _ in children:  # a child sends only once its tasks are done
+            pipe = ready.poll()[0][0]
+            ready.unregister(pipe)
             try:
-                sent = pickle.loads(pipe.read())
+                sent = pickle.loads(open(pipe, "rb", closefd=False).read())
             except (pickle.UnpicklingError, EOFError):  # nothing, or cut short
                 sent = RuntimeError("a replicate worker ended without its rows")
             if isinstance(sent, BaseException):
@@ -718,8 +712,8 @@ def _forked(task, args: list, here: bool = True) -> list:
     finally:
         queue.close()
         feed.close()
-        for pid, pipe in children:  # each has sent all it will, or is not waited for
-            pipe.close()
+        for pipe, pid in children.items():  # sent all it will, or is not waited for
+            os.close(pipe)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -736,8 +730,8 @@ def sweep_fractions(
     baseline run, whatever its strategy), and each row names its own
     fraction and strategy. `_forked` makes the runs on one forked worker
     per CPU this process may use, each pulling the next run as it ends
-    one, while this process waits; with one such CPU (or no
-    os.sched_getaffinity) they run here. The rows are the same either way.
+    one, while this process waits and loads no numpy.random; with one such
+    CPU (or no os.sched_getaffinity) they run here: the same rows either way.
     """
     if horizon_days is not None:
         cfg_base = replace(cfg_base, horizon_days=horizon_days)
@@ -749,7 +743,7 @@ def sweep_fractions(
     idle = replace(cfg_base, strategy=Strategy.BASELINE, repaint_fraction_weekly=0.0)
     runs = [cfg if weekly_capacity(cfg) else idle for cfg in cells]
     distinct = list(dict.fromkeys(runs))
-    done = dict(zip(distinct, _forked(_summary, [(r,) for r in distinct], here=False)))
+    done = dict(zip(distinct, _forked(_summary, [(r,) for r in distinct])))
     return [
         SweepRow(cfg.repaint_fraction_weekly, cfg.strategy, *done[run])
         for cfg, run in zip(cells, runs)

@@ -508,16 +508,16 @@ class TestSimulateCommand:
         assert exc.value.code == 2
 
     def test_a_dead_row_worker_fails_the_run(self, tmp_path, monkeypatch):
-        # a worker that dies without its rows is not bad input: the error
-        # reaches the caller, no file is written and the worker is reaped
+        # workers that die without their rows are not bad input: the error
+        # reaches the caller, no file is written and every worker is reaped
         monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         forked = _recording_forks(monkeypatch)
-        parent, original = os.getpid(), simulate._simulate_block
+        parent = os.getpid()
 
         def die(cfg, streams, k_override=None):
             if os.getpid() == parent:  # exiting here would end the test session
-                return original(cfg, streams, k_override)
+                raise AssertionError(f"rows {streams} ran in the caller")
             os._exit(3)
 
         monkeypatch.setattr(simulate, "_simulate_block", die)
@@ -528,13 +528,14 @@ class TestSimulateCommand:
         with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
             main(["simulate", str(cfg), "--out", str(out)])
         assert list(out.iterdir()) == []
-        assert len(forked) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(forked[0], os.WNOHANG)  # reaped already
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # reaped already
 
     def test_an_error_in_the_run_ends_its_row_workers(self, monkeypatch):
-        # the run's own rows fail while a worker still steps its rows: the
-        # error reaches the caller at once, and the worker is killed and reaped
+        # one worker's rows fail while the other still steps its rows: the
+        # error reaches the caller at once, and both are killed and reaped
         monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         forked = _recording_forks(monkeypatch)
@@ -542,21 +543,24 @@ class TestSimulateCommand:
 
         def stall(cfg, streams, k_override=None):
             if os.getpid() == parent:
-                raise KeyError("the run's own rows")
+                raise AssertionError(f"rows {streams} ran in the caller")
+            if streams[0] == 1:
+                raise KeyError("the second range's rows")
             time.sleep(60)
 
         monkeypatch.setattr(simulate, "_simulate_block", stall)
         start = time.monotonic()
-        with pytest.raises(KeyError, match="the run's own rows"):
+        with pytest.raises(KeyError, match="the second range's rows"):
             simulate.run_simulation(simulate.SimConfig(k_mean=0.041, replicates=2))
         assert time.monotonic() - start < 10
-        assert len(forked) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(forked[0], os.WNOHANG)
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_row_workers_end_with_a_killed_simulate(self, tmp_path):
-        # the simulate process steps its own rows, a worker the others; both
-        # name themselves, then the worker must end with the killed process
+        # the simulate process only waits while two workers step its rows;
+        # both name themselves, then each must end with the killed process
         code = (
             "import os, sys, time\n"
             "import heartfade.simulate as simulate\n"
@@ -569,7 +573,7 @@ class TestSimulateCommand:
             "main(['simulate', '--preset', 'paint2-1pct', '--out', sys.argv[1]])\n"
         )
         pid, named = _kill_stalled(code, 2, str(tmp_path))
-        assert pid in named and len(set(named)) == 2
+        assert pid not in named and len(set(named)) == 2
         assert _left_running(named) == []
 
 
@@ -973,7 +977,7 @@ def test_every_fork_has_one_thread(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[1, 1, 1]"  # two sweep workers, one row worker
+    assert out.stdout.strip() == "[1, 1, 1, 1]"  # two sweep workers, two row workers
 
 
 def test_runs_do_not_load_numpy_ma(tmp_path):
@@ -1014,9 +1018,9 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "simulate._FORK_AGENT_DAYS = 0\n"
         f"assert main({argvs[0][:-1] + [str(tmp_path / 'forked')]!r}) == 0\n"
-        "assert forks == [1], forks\n"
+        "assert forks == [1, 1], forks\n"
         f"assert main({argvs[2][:-1] + [str(tmp_path / 'parallel')]!r}) == 0\n"
-        "assert forks == [1, 1, 1], forks\n"
+        "assert forks == [1, 1, 1, 1], forks\n"
         "pool = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
         "assert not pool, pool\n"
         "os.sched_getaffinity = lambda pid: {0}\n"
@@ -1030,6 +1034,35 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
     )
     _, on_import, loaded = out.stdout.splitlines()[-1].split()
     assert on_import == "True" or loaded == "False"
+
+
+def test_only_a_row_split_loads_numpy_random_before_forking():
+    # numpy.random (about 5 MiB) is imported by run_simulation just before
+    # its row split forks, so its children share it, and not by _forked: a
+    # parallel sweep's own process, which only waits, never loads it. Each
+    # fork records whether it is loaded at that moment
+    code = (
+        "import os, sys\n"
+        "import heartfade.simulate as simulate\n"
+        "loaded, fork = [], os.fork\n"
+        "os.fork = lambda: loaded.append('numpy.random' in sys.modules) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "simulate._FORK_AGENT_DAYS = 0\n"
+        "cfg = simulate.SimConfig(k_mean=0.041, n_agents=50, replicates=4, horizon_days=60)\n"
+        "assert len(simulate.sweep_fractions(cfg, [0.1])) == 3\n"
+        "print(loaded, 'numpy.random' in sys.modules)\n"
+        "simulate.run_simulation(cfg)\n"
+        "print(loaded, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(heartfade.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines() == [
+        "[False, False] False",
+        "[False, False, True, True] True",
+    ]
 
 
 def test_fnv1a64_known_vectors():

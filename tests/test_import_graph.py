@@ -59,3 +59,33 @@ def test_no_process_pool():
     for path in PACKAGE.glob("*.py"):
         found = {n.partition(".")[0] for n in imports(path.stem)}
         assert not {"multiprocessing", "concurrent"} & found, path.name
+
+
+def sites(name):
+    """(module, top-level definition) of each use of `name` under heartfade,
+    as an attribute (`os.fork`), a bare name or an imported alias."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                used = (
+                    getattr(node, "attr", None) == name
+                    or getattr(node, "id", None) == name
+                    or isinstance(node, ast.alias) and name in (node.name, node.asname)
+                )
+                if used:
+                    found.append((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_one_fork_helper():
+    # every parallel run forks, and ends with its parent, in simulate._forked
+    for name in ("fork", "prctl"):
+        assert sites(name) == [("simulate", "_forked")], name
+
+
+def test_sites_sees_each_form():
+    assert ("simulate", "_forked") in sites("getppid")  # os.getppid()
+    assert ("simulate", None) in sites("numpy")  # import numpy as np
+    assert ("simulate", "run_simulation") in sites("_forked")  # a bare name

@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import signal
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -644,13 +645,13 @@ class TestRunSimulation:
         original, parent = simulate._simulate_block, os.getpid()
 
         def run_on(cpus):
-            # each block checks where it runs: one within the first
-            # replicates' range, or the envelope rows, here, any other in a
-            # child; one replicate, or one CPU, never forks
+            # each block checks where it runs: the envelope rows here, every
+            # replicate's block in a child; one replicate, or one CPU, never
+            # forks
             forks = len(cpus) > 1 and cfg.replicates > 1
 
             def located(cfg, streams, k_override=None):
-                here = not forks or streams[-1] < cfg.replicates // 2 or k_override
+                here = not forks or k_override
                 if (os.getpid() == parent) != bool(here):
                     raise AssertionError(f"rows {streams} ran in the wrong process")
                 return original(cfg, streams, k_override)
@@ -672,13 +673,36 @@ class TestRunSimulation:
         original, parent = simulate._simulate_block, os.getpid()
 
         def failing(cfg, streams, k_override=None):
-            if os.getpid() != parent:
+            # only the second range, rows 2 to 4, fails: one message can arrive
+            if os.getpid() != parent and streams[0] == 2:
                 raise ZeroDivisionError(f"rows {streams[0]} to {streams[-1]}")
             return original(cfg, streams, k_override)
 
         monkeypatch.setattr(simulate, "_simulate_block", failing)
         with pytest.raises(ZeroDivisionError, match="^rows 2 to 4$"):
             run_simulation(small_cfg())
+
+    def test_a_dead_range_ends_the_run_at_once(self, monkeypatch):
+        # the second range's child dies while the first range's stalls: the
+        # error reaches the caller without waiting, and no child is left
+        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent = os.getpid()
+
+        def dying(cfg, streams, k_override=None):
+            if os.getpid() == parent:  # exiting here would end the test session
+                raise AssertionError(f"rows {streams} ran in the caller")
+            if streams[0] == 0:
+                time.sleep(60)
+            os._exit(3)
+
+        monkeypatch.setattr(simulate, "_simulate_block", dying)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
+            run_simulation(small_cfg())
+        assert time.monotonic() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left, not even a zombie
 
     def test_recorded_days_include_horizon(self):
         res = run_simulation(small_cfg(horizon_days=100))
@@ -858,6 +882,32 @@ class TestSweep:
         monkeypatch.setattr(simulate, "_simulate_block", located)
         assert len(sweep_fractions(small_cfg(), [0.1])) == 3
 
+    @pytest.mark.parametrize("fail", ["raises", "dies"])
+    def test_a_failed_run_ends_the_sweep_at_once(self, monkeypatch, fail):
+        # greedy_b's run fails in one worker while random_a's stalls in the
+        # other: the error reaches the caller without waiting for the stalled
+        # worker, and no child is left, not even a zombie
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent = os.getpid()
+
+        def failing(cfg):
+            if os.getpid() == parent:  # exiting here would end the test session
+                raise AssertionError("a run was made in the sweep's own process")
+            if cfg.strategy is not Strategy.GREEDY_B:
+                time.sleep(60)
+            if fail == "dies":
+                os._exit(3)
+            raise KeyError("greedy_b's run")
+
+        monkeypatch.setattr(simulate, "run_simulation", failing)
+        error = KeyError if fail == "raises" else RuntimeError
+        start = time.monotonic()
+        with pytest.raises(error):
+            sweep_fractions(small_cfg(), [0.1])
+        assert time.monotonic() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestForked:
     def test_more_indices_than_a_pipe_holds(self, monkeypatch):
@@ -872,7 +922,7 @@ class TestForked:
         signal.alarm(60)
         try:
             args = [(i,) for i in range(20_000)]
-            results = simulate._forked(lambda i: (i, os.getpid()), args, here=False)
+            results = simulate._forked(lambda i: (i, os.getpid()), args)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
