@@ -3,8 +3,8 @@
 Decodes PPM photographs (P3/P6, maxval 255), samples region-mean colours,
 parses the observation table into columns in one checked pass (the first
 bad row raises as it is read), and builds every heart's delta-E series
-against a fresh-paint baseline. Every CSV table is read through one front,
-`csv_rows`.
+against a fresh-paint baseline. Every CSV table but a plain observation
+table, which `str.split` splits, is read through one front, `csv_rows`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ _READ = ("heart_id", "date", "L", "a", "b")
 # a PPM token: a comment runs from # to the end of its line, anything else
 # to the next whitespace
 _PPM_TOKEN = re.compile(rb"#[^\n]*|\S+")
+_P3_SLICE = 1 << 16  # raster bytes decoded per numpy pass
+_SPLIT_LINES = 4096  # table lines split into fields at a time
 
 
 class PpmError(ValueError):
@@ -159,21 +161,32 @@ def parse_ppm(data: bytes) -> PixelGrid:
 
 
 def _p3_samples(data: bytes, pos: int, n: int) -> np.ndarray:
-    """The n ASCII samples from `pos` on, split in one pass.
+    """The n ASCII samples from `pos` on, decoded by numpy _P3_SLICE bytes
+    at a time while the first n tokens are each 1-3 ASCII digits <= 255
+    (bytes after them unread); any other raster is walked by _p3_walk."""
+    view = np.frombuffer(data, np.uint8, offset=pos)
+    parts, got, start = [], 0, 0
+    while got < n and start < len(view):
+        seg = view[start : start + _P3_SLICE]
+        space = (seg == 32) | (seg - 9 < 5)  # space and \t\n\v\f\r
+        if start + len(seg) < len(view):  # end at the last whitespace byte
+            seg = seg[: len(seg) - 1 - space[::-1].argmax()]
+        runs = np.flatnonzero(np.diff(space[: len(seg)], prepend=True, append=True))
+        first, last = runs.reshape(-1, 2)[: n - got].T
+        start += len(seg) or len(view)  # empty: a token longer than a slice
+        size, digit = last - first, (seg - 48).astype(np.int16)  # digits: 0..9
+        value = digit[last - 1] + digit[last - 2] * (size > 1) * 10
+        value += digit[last - 3] * (size > 2) * 100
+        ok = np.count_nonzero(digit[: last.max(initial=0)] < 10) == size.sum()
+        if not ok or size.max(initial=0) > 3 or value.max(initial=0) > 255:
+            break
+        parts.append(value.astype(np.uint8))
+        got += len(value)
+    return np.concatenate(parts) if got == n else _p3_walk(data, pos, n)
 
-    Any raster this cannot decode (too few tokens, a token int() rejects,
-    such as a comment, or a value outside 0..255) is walked token by token
-    instead, which skips comments and reports the first bad token with its
-    offset.
-    """
-    try:
-        pieces = data[pos:].split(maxsplit=n)[:n]
-        if len(pieces) == n:
-            values = np.fromiter(map(int, pieces), dtype=np.int64, count=n)
-            if values.min() >= 0 and values.max() <= 255:
-                return values.astype(np.uint8)
-    except (ValueError, OverflowError):
-        pass
+
+def _p3_walk(data: bytes, pos: int, n: int) -> np.ndarray:
+    """_p3_samples token by token; the first bad token raises at its offset."""
     # values grow with the tokens found, so a header claiming more samples
     # than the file holds allocates nothing up front
     values = []
@@ -262,23 +275,18 @@ def load_observations(csv_bytes: bytes | str) -> ObservationColumns:
     The first bad row raises its row-numbered ObservationError as it is
     read, its date checked before its values, as does a row too short for
     a column that is read; text csv cannot split raises it unnumbered.
+    A plain table is split by _split_columns, any other read by csv_rows.
     """
+    if (cols := _split_columns(utf8_text(csv_bytes, ObservationError))) is not None:
+        return cols
     rows = csv_rows(csv_bytes, _READ, ObservationError, required=("source",))
-    codes: dict[str, int] = {}
-    days: dict[str, int] = {}  # date text -> days since 1970-01-01
-    epoch = _EPOCH.toordinal()
-    heart, day, lab = [], [], []
+    codes, days, heart, day, lab = {}, {}, [], [], []  # days: by date text
     for i, (h, d, l_, a_, b_) in enumerate(rows, start=2):
         if d not in days:
-            raw = d.strip()
-            if not _ISO_DATE.match(raw):
-                raise ObservationError(
-                    f"row {i}: date {raw!r} is not a full YYYY-MM-DD date"
-                )
             try:
-                days[d] = datetime.date.fromisoformat(raw).toordinal() - epoch
-            except ValueError:
-                raise ObservationError(f"row {i}: invalid date {raw!r}") from None
+                days[d] = _day(d)
+            except ValueError as exc:
+                raise ObservationError(f"row {i}: {exc}") from None
         try:
             x, y, z = float(l_), float(a_), float(b_)
             if not (isfinite(x) and isfinite(y) and isfinite(z)):
@@ -290,12 +298,53 @@ def load_observations(csv_bytes: bytes | str) -> ObservationColumns:
         heart.append(codes.setdefault(h, len(codes)))
         day.append(days[d])
         lab += x, y, z
-    return ObservationColumns(
-        list(codes),
-        np.array(heart, np.int64),
-        np.array(day, np.int64),
-        np.array(lab, np.float64).reshape(-1, 3),
-    )
+    lab = np.array(lab, np.float64).reshape(-1, 3)
+    return ObservationColumns(list(codes), *np.array([heart, day], np.int64), lab)
+
+
+def _split_columns(text: str) -> ObservationColumns | None:
+    """The table in `text` split by str.split, _SPLIT_LINES lines at a time,
+    with float()'s LAB values; None where csv might split it otherwise or a
+    row would raise: a quote, a carriage return, a missing column, a line
+    not of the header's width or over csv's field limit, a bad date or value."""
+    lines = text.split("\n")
+    names = lines[0].split(",")
+    at = {name: j for j, name in enumerate(names)}
+    long = max(map(len, lines)) > csv.field_size_limit()
+    if long or '"' in text or "\r" in text or not at.keys() >= {*_READ, "source"}:
+        return None
+    codes, days, heart, day, lab = {}, {}, [], [], [np.empty((0, 3))]
+    lines = list(filter(None, lines[1:]))
+    for i in range(0, len(lines), _SPLIT_LINES):
+        rows = lines[i : i + _SPLIT_LINES]
+        if set(map(operator.methodcaller("count", ","), rows)) != {len(names) - 1}:
+            return None
+        fields = ",".join(rows).split(",")
+        hs, ds, *lab_text = (fields[at[c] :: len(names)] for c in _READ)
+        try:
+            days.update((d, _day(d)) for d in set(ds) - days.keys())
+            lab.append(np.array(lab_text, np.float64).T)
+        except ValueError:
+            return None
+        for h in dict.fromkeys(hs):
+            codes.setdefault(h, len(codes))
+        heart += map(codes.__getitem__, hs)
+        day += map(days.__getitem__, ds)
+    lab = np.concatenate(lab)
+    if not np.isfinite(lab).all():
+        return None
+    return ObservationColumns(list(codes), *np.array([heart, day], np.int64), lab)
+
+
+def _day(text: str) -> int:
+    """Days since 1970-01-01 of a full YYYY-MM-DD date text, stripped."""
+    raw = text.strip()
+    if not _ISO_DATE.match(raw):
+        raise ValueError(f"date {raw!r} is not a full YYYY-MM-DD date")
+    try:
+        return datetime.date.fromisoformat(raw).toordinal() - _EPOCH.toordinal()
+    except ValueError:
+        raise ValueError(f"invalid date {raw!r}") from None
 
 
 def build_series(

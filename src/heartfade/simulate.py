@@ -35,6 +35,7 @@ import pickle
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -640,10 +641,20 @@ def _summary(cfg: SimConfig) -> tuple[float, float]:  # a sweep row's figures
     return float(result.mean_frac[-1]), float(result.mean_cum_repaints[-1])
 
 
-def _cpus() -> int:
-    """CPUs this process may use (os.sched_getaffinity, Linux only), or 1."""
+def _cpus(root: str = "/") -> int:
+    """CPUs this process may use (os.sched_getaffinity, else 1), capped by the
+    quota of the cgroup at `root`/sys/fs/cgroup, rounded up: v2 cpu.max or v1
+    cpu.cfs_quota_us ÷ cpu.cfs_period_us; "max", -1 or a bad file: no cap."""
     cpus = getattr(os, "sched_getaffinity", None)
-    return len(cpus(0)) if cpus else 1
+    count = len(cpus(0)) if cpus else 1
+    for files in ["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]:
+        try:
+            words = [Path(root, "sys/fs/cgroup", f).read_text().split() for f in files]
+            quota, period = map(int, sum(words, []))
+            count = min(count, -(-quota // period) if quota > 0 < period else count)
+        except (OSError, ValueError):
+            pass
+    return count
 
 
 def _forked(task, args: list) -> list:

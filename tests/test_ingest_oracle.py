@@ -11,13 +11,16 @@ are compared with `load_observations`' columns in the columns' layout.
 import csv
 import datetime
 import io
+import tracemalloc
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import heartfade.ingest as ingest
 from heartfade.color import LabColor
 from heartfade.ingest import (
     _ISO_DATE,
@@ -266,8 +269,37 @@ ODD_SAMPLES = [
 ODD_DIMENSIONS = [b"0", b"-1", b"+2", b"02", b"x", b"1_0", b"100000", b"10" * 12]
 
 
+SPACE = st.text(" \t\n\r\x0b\x0c", min_size=1, max_size=3).map(str.encode)
+
+
+@st.composite
+def plain_p3(draw):
+    """A P3 raster of 1-3 digit samples with only whitespace between them,
+    the one-pass decode's input; now and then one sample it hands to the
+    token walk (4 digits, over 255, a sign, a comment), or too few."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    n = width * height * 3
+    tokens = [
+        str(v).zfill(draw(st.integers(1, 3))).encode()
+        for v in draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+    ]
+    if draw(st.sampled_from([False] * 3 + [True])):
+        odd = [b"0255", b"1000", b"1255", b"256", b"999", b"+7", b"#7", b"1_0", b"x"]
+        odd = st.sampled_from(odd)
+        tokens[draw(st.integers(0, n - 1))] = draw(odd)
+    if draw(st.sampled_from([False] * 5 + [True])):
+        tokens = tokens[: draw(st.integers(0, n - 1))]
+    out = f"P3{draw(SPACE).decode()}{width} {height}\n255".encode()
+    for tok in tokens:
+        out += draw(SPACE) + tok
+    tail = [b"", b"\n", b" junk", b"# tail", b" 999 -1", b"7", b"\x00\x01"]
+    return out + draw(st.sampled_from(tail))
+
+
 @st.composite
 def ppm_bytes(draw):
+    if draw(st.integers(0, 2)) == 1:  # hypothesis draws 0 more often than 1 in 3
+        return draw(plain_p3())
     magic = draw(st.sampled_from([b"P3"] * 8 + [b"P6", b"P5", b"p3", b"P3x"]))
     dims = [
         draw(
@@ -298,10 +330,29 @@ def ppm_bytes(draw):
     return out + draw(st.sampled_from([b"", b"\n", b" junk", b"# tail", b"\x00\x01"]))
 
 
+def p3_path_event(data):
+    """Records which P3 decode `data` takes, for hypothesis' statistics."""
+    with mock.patch.object(
+        ingest, "_p3_walk", wraps=ingest._p3_walk
+    ) as walk, mock.patch.object(ingest, "_p3_samples", wraps=ingest._p3_samples) as p3:
+        ppm_outcome(parse_ppm, data)
+    event("no P3 raster" if not p3.called else "token walk" if walk.called else "one pass")
+
+
 @FUZZ
 @given(ppm_bytes())
 def test_parse_ppm_matches_oracle_fuzzed(data):
     assert_ppm_matches(data)
+    p3_path_event(data)
+
+
+@FUZZ
+@given(ppm_bytes(), st.integers(1, 12))
+def test_parse_ppm_matches_oracle_in_small_slices(data, size):
+    # slices of a few bytes put a cut between most pairs of tokens, and
+    # make some tokens longer than a slice
+    with mock.patch.object(ingest, "_P3_SLICE", size):
+        assert_ppm_matches(data)
 
 
 @FUZZ
@@ -393,10 +444,11 @@ def observation_csv(draw):
             row[draw(st.integers(0, len(row) - 1))] = draw(JUNK)
         rows.append(row)
     out = io.StringIO()
+    # mostly unquoted with \n line ends, the tables the split path takes
     writer = csv.writer(
         out,
-        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
-        lineterminator=draw(st.sampled_from(["\r\n", "\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL])),
+        lineterminator=draw(st.sampled_from(["\r\n"] + ["\n"] * 3)),
     )
     writer.writerows(rows)
     return out.getvalue()
@@ -407,6 +459,14 @@ def observation_csv(draw):
 def test_load_observations_matches_oracle_fuzzed(text):
     assert_observations_match(text)
     assert_observations_match(text.encode("utf-8"))
+    event("csv walk" if ingest._split_columns(text) is None else "split path")
+
+
+@FUZZ
+@given(observation_csv(), st.integers(1, 3))
+def test_load_observations_matches_oracle_in_small_chunks(text, lines):
+    with mock.patch.object(ingest, "_SPLIT_LINES", lines):
+        assert_observations_match(text)
 
 
 @FUZZ
@@ -414,6 +474,18 @@ def test_load_observations_matches_oracle_fuzzed(text):
 def test_load_observations_matches_oracle_on_raw_text(text):
     assert_observations_match("heart_id,date,L,a,b,source\n" + text)
     assert_observations_match(text)
+
+
+def observation_table(rows: int, distinct_dates: bool) -> str:
+    """A table shaped like the bench's: 1,000 hearts and LAB values written
+    in full; every row on a date of its own, or each heart once a day."""
+    rng = np.random.default_rng(27)
+    first = datetime.date(1950, 1, 1)
+    lines = ["heart_id,date,L,a,b,source"]
+    for i, (x, y, z) in enumerate(rng.uniform(-100, 100, (rows, 3)).tolist()):
+        date = first + datetime.timedelta(days=i if distinct_dates else i // 1000)
+        lines.append(f"heart_{i % 1000:04d},{date},{x!r},{y!r},{z!r},photo")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -438,7 +510,64 @@ def test_load_observations_matches_oracle_on_raw_text(text):
         "h1,0000-01-01,1,2,3,x\n",
         "heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3,x\nh2,2021-09-02,1,x,3,x\n",
         "heart_id,date,L,a,b,source\nh1, 2021-09-02 ,1,2,3,x\nh2,2021-09-02,4,5,6,x\n",
+        # a field at csv's limit, and one over it, in a row or the header
+        pytest.param(
+            "heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3," + "x" * 131072 + "\n",
+            id="field-at-limit",
+        ),
+        pytest.param(
+            "heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3," + "x" * 131073 + "\n",
+            id="field-over-limit",
+        ),
+        pytest.param(
+            "heart_id,date,L,a,b,source," + "x" * 131073 + "\n", id="header-over-limit"
+        ),
+        pytest.param(
+            "heart_id,date,L,a,b,source,x\nh1,2021-09-02,1,2,3,x," + "7" * 131073 + "\n",
+            id="unread-field-over-limit",
+        ),
+        "heart_id,date,L,a,b,source\nh1,2021-09-02,1e500,2,3,x\n\n\n",
+        # csv reads these otherwise than str.split would
+        'heart_id,date,L,a,b,source\n"h1",2021-09-02,1,2,3,x\n',
+        "heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3,x\ry\n",
+        "heart_id,date,L,a,b,source\nh1,2021-09-02,1,2,3,x\x00y\nh2,2021-09-02,1,2,3\n",
+        pytest.param(observation_table(30_001, distinct_dates=True), id="distinct-dates"),
     ],
 )
 def test_load_observations_matches_oracle_named(text):
     assert_observations_match(text)
+
+
+def test_one_pass_paths_are_taken(monkeypatch):
+    # with the token walk and csv.reader refusing, a bench-shaped raster
+    # and an unquoted table with \n line ends must still decode: a silent
+    # fallback would pass every equality test above
+    pixels = np.random.default_rng(5).integers(0, 256, (240, 250, 3), dtype=np.uint8)
+    rows = (" ".join(map(str, row.reshape(-1).tolist())) for row in pixels)
+    raster = b"P3\n250 240\n255\n" + "\n".join(rows).encode() + b"\n"
+    table = observation_table(10_001, distinct_dates=False)
+    want = ppm_outcome(oracle_parse_ppm, raster), oracle_outcome(table)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the slow path was taken")
+
+    monkeypatch.setattr(ingest, "_p3_walk", refuse)
+    monkeypatch.setattr(csv, "reader", refuse)
+    assert (ppm_outcome(parse_ppm, raster), columns_outcome(table)) == want
+    assert want[0][0] == want[1][0] == "ok"
+
+
+def test_split_path_peaks_no_higher_than_the_csv_walk(monkeypatch):
+    table = observation_table(30_001, distinct_dates=False).encode()
+
+    def peak():
+        tracemalloc.start()
+        try:
+            load_observations(table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    split = peak()
+    monkeypatch.setattr(ingest, "_split_columns", lambda text: None)
+    assert split <= peak()

@@ -952,6 +952,47 @@ class TestForked:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize(
+        "files, cpus",
+        [
+            ({}, 8),  # no cgroup files at all
+            ({"cpu.max": "max 100000\n"}, 8),
+            ({"cpu.max": "150000 100000\n"}, 2),
+            ({"cpu.max": "50000 100000\n"}, 1),
+            ({"cpu.max": "1600000 100000\n"}, 8),  # a quota above the affinity
+            ({"cpu.max": "150000\n"}, 8),  # no period: unparsable
+            ({"cpu.max": "lots 100000\n"}, 8),
+            ({"cpu.max": "150000 0\n"}, 8),
+            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+            ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+            ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+            ({"cpu/cpu.cfs_quota_us": "200000\n"}, 8),  # the period is missing
+            ({"cpu/cpu.cfs_quota_us": "2e5\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+            # a hybrid host: no cpu.max at the root, the quota in v1
+            (
+                {
+                    "unified/cpu.max": "100000 100000\n",
+                    "cpu/cpu.cfs_quota_us": "300000\n",
+                    "cpu/cpu.cfs_period_us": "100000\n",
+                },
+                3,
+            ),
+        ],
+    )
+    def test_cpus_takes_the_cgroup_quota(self, monkeypatch, tmp_path, files, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        for name, text in files.items():
+            path = tmp_path / "sys/fs/cgroup" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        assert simulate._cpus(str(tmp_path)) == cpus
+
+    def test_cpus_without_affinity_is_one(self, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        (tmp_path / "sys/fs/cgroup").mkdir(parents=True)
+        (tmp_path / "sys/fs/cgroup/cpu.max").write_text("400000 100000\n")
+        assert simulate._cpus(str(tmp_path)) == 1
+
 
 class TestSeedDerivation:
     def test_distinct_streams(self):
