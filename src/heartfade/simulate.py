@@ -19,11 +19,12 @@ give the same numbers in the same order and consume the same words, so
 the stream contract (0.2.0) is unchanged. A run that cannot repaint stops
 stepping once every agent is above the threshold (rates are positive, so
 none can fall back below it); the outputs are the same as stepping on to
-the horizon. Nor do THRESHOLD_C skipping its candidate pass while no agent
-can be above the threshold, or a large run stepping its replicates in
-forked children, one per usable CPU, change an output. The step functions
-(`init_population`, `advance_day`, `repaint_event`) are internal but stay
-module-level, one call per row, interval or repaint week, for a tracer.
+the horizon. Nor does THRESHOLD_C skipping its candidate pass while no
+agent can be above the threshold change an output. A run steps every block
+in its calling process; only a sweep forks, one worker per usable CPU. The
+step functions (`init_population`, `advance_day`, `repaint_event`) are
+internal but stay module-level, one call per row, interval or repaint
+week, for a tracer.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ _MAX_OUTPUT_CELLS = 1 << 24
 # replicates x agents x days, the work of a run: about 35 minutes at the
 # slowest throughput measured (5.3e8 agent-days/s, GREEDY_B at 5%, 2 vCPUs)
 _MAX_AGENT_DAYS = 1 << 40
-# a run forks per CPU from this much work (replicates x agents x days): a fork
-# and reap cost 2-3 ms, ~6 ms of THRESHOLD_C at 6e9 agent-days/s (2 vCPUs)
-_FORK_AGENT_DAYS = 1 << 25
-_worker = False  # set in a forked worker (_forked): it never forks
 
 # one row per numeric field, checked in this order: (name, integer or else
 # a finite real, low bound or None, low bound excluded, high bound or None);
@@ -598,23 +595,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     repaint (BASELINE, or weekly capacity 0) stops stepping once every
     agent in it is above the threshold and records fraction 1.0 and no
     repaints for the remaining days, exactly what stepping on would give.
-    A run of _FORK_AGENT_DAYS or more, outside a forked worker, steps one
-    contiguous range of replicates per usable CPU (_cpus, at most one per
-    replicate), each in a forked child (_forked) that inherits numpy.random,
-    block by block; the bits are those of one process.
+    Every block steps in the calling process, one after the other.
     """
     per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
-
-    def blocks(lo, hi):  # replicates [lo, hi), one block at a time
-        starts = range(lo, hi, per_block)
-        return [_simulate_block(cfg, range(s, min(s + per_block, hi))) for s in starts]
-
-    work = cfg.replicates * cfg.n_agents * cfg.horizon_days
-    shares = 1 if _worker or work < _FORK_AGENT_DAYS else min(_cpus(), cfg.replicates)
-    if shares > 1:  # the children draw: import once, before forking
-        import numpy.random  # noqa: F401
-    cuts = [cfg.replicates * i // shares for i in range(shares + 1)]
-    parts = sum(_forked(blocks, list(zip(cuts, cuts[1:]))), [])
+    starts = range(0, cfg.replicates, per_block)
+    parts = [
+        _simulate_block(cfg, range(s, min(s + per_block, cfg.replicates))) for s in starts
+    ]
     frac_by_rep, cum_by_rep = map(np.concatenate, zip(*parts))
 
     if cfg.uncertainty_mode == "montecarlo":
@@ -660,12 +647,12 @@ def _cpus(root: str = "/") -> int:
 def _forked(task, args: list) -> list:
     """`[task(*a) for a in args]` on a forked child per usable CPU (_cpus),
     at most one per task, while this process waits (with one CPU or task,
-    they run here). The children, all forked first, pull the indices from
-    one pipe until it ends, then each pickles its (index, result) pairs, or
-    its first exception, into its own pipe. Those are read as each child
-    sends: the first exception sent is raised here, and a child that sends
-    no whole result raises RuntimeError. Every child is killed and reaped."""
-    global _worker
+    they run here); sweep_fractions is its one caller. The children, all
+    forked first, pull the indices from one pipe until it ends, then each
+    pickles its (index, result) pairs, or its first exception, into its own
+    pipe. Those are read as each child sends: the first exception sent is
+    raised here, and a child that sends no whole result raises RuntimeError.
+    Every child is killed and reaped."""
     import contextlib
     import ctypes
     import select
@@ -683,8 +670,8 @@ def _forked(task, args: list) -> list:
             if (pid := os.fork()) == 0:
                 try:
                     feed.close()  # or no child would see the queue end
-                    _worker = True  # forks none, and must not outlive its parent
-                    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+                    # PR_SET_PDEATHSIG: a child must not outlive its parent
+                    ctypes.CDLL(None).prctl(1, signal.SIGKILL)
                     if os.getppid() != parent:  # the parent died before the call
                         os._exit(1)
                     done = []
@@ -715,7 +702,7 @@ def _forked(task, args: list) -> list:
             try:
                 sent = pickle.loads(open(pipe, "rb", closefd=False).read())
             except (pickle.UnpicklingError, EOFError):  # nothing, or cut short
-                sent = RuntimeError("a replicate worker ended without its rows")
+                sent = RuntimeError("a sweep worker ended without its results")
             if isinstance(sent, BaseException):
                 raise sent
             results.update(sent)

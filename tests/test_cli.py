@@ -507,60 +507,29 @@ class TestSimulateCommand:
             main(["simulate", "--preset", "paint9"])
         assert exc.value.code == 2
 
-    def test_a_dead_row_worker_fails_the_run(self, tmp_path, monkeypatch):
-        # workers that die without their rows are not bad input: the error
-        # reaches the caller, no file is written and every worker is reaped
-        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+    def test_a_failed_run_writes_no_file(self, tmp_path, monkeypatch):
+        # a block that fails is not bad input: its error reaches the caller
+        # as raised, no file is written, and the run forked nothing
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        forked = _recording_forks(monkeypatch)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("simulate forked"))
         parent = os.getpid()
 
-        def die(cfg, streams, k_override=None):
-            if os.getpid() == parent:  # exiting here would end the test session
-                raise AssertionError(f"rows {streams} ran in the caller")
-            os._exit(3)
+        def fail(cfg, streams, k_override=None):
+            assert os.getpid() == parent
+            raise KeyError("the first block's rows")
 
-        monkeypatch.setattr(simulate, "_simulate_block", die)
+        monkeypatch.setattr(simulate, "_simulate_block", fail)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(self.CONFIG))
         out = tmp_path / "out"
         out.mkdir()
-        with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
+        with pytest.raises(KeyError, match="the first block's rows"):
             main(["simulate", str(cfg), "--out", str(out)])
         assert list(out.iterdir()) == []
-        assert len(forked) == 2
-        for pid in forked:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)  # reaped already
 
-    def test_an_error_in_the_run_ends_its_row_workers(self, monkeypatch):
-        # one worker's rows fail while the other still steps its rows: the
-        # error reaches the caller at once, and both are killed and reaped
-        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        forked = _recording_forks(monkeypatch)
-        parent = os.getpid()
-
-        def stall(cfg, streams, k_override=None):
-            if os.getpid() == parent:
-                raise AssertionError(f"rows {streams} ran in the caller")
-            if streams[0] == 1:
-                raise KeyError("the second range's rows")
-            time.sleep(60)
-
-        monkeypatch.setattr(simulate, "_simulate_block", stall)
-        start = time.monotonic()
-        with pytest.raises(KeyError, match="the second range's rows"):
-            simulate.run_simulation(simulate.SimConfig(k_mean=0.041, replicates=2))
-        assert time.monotonic() - start < 10
-        assert len(forked) == 2
-        for pid in forked:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
-    def test_row_workers_end_with_a_killed_simulate(self, tmp_path):
-        # the simulate process only waits while two workers step its rows;
-        # both name themselves, then each must end with the killed process
+    def test_a_killed_simulate_leaves_no_process(self, tmp_path):
+        # the simulate process steps its own rows, with two usable CPUs: the
+        # stalled block names the killed process itself, and nothing outlives it
         code = (
             "import os, sys, time\n"
             "import heartfade.simulate as simulate\n"
@@ -570,10 +539,10 @@ class TestSimulateCommand:
             "    time.sleep(60)\n"
             "simulate._simulate_block = stall\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "main(['simulate', '--preset', 'paint2-1pct', '--out', sys.argv[1]])\n"
+            f"main(['simulate', '--preset', 'paint2-1pct', '--out', {str(tmp_path)!r}])\n"
         )
-        pid, named = _kill_stalled(code, 2, str(tmp_path))
-        assert pid not in named and len(set(named)) == 2
+        pid, named = _kill_stalled(code, 1)
+        assert named == [pid]
         assert _left_running(named) == []
 
 
@@ -586,25 +555,12 @@ def _running(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def _recording_forks(monkeypatch):
-    """The pids of the children `os.fork` makes from now on in this test."""
-    fork, forked = os.fork, []
-
-    def recorded():
-        pid = fork()
-        forked.extend([pid] if pid else [])
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return forked
-
-
-def _kill_stalled(code, count, *args):
-    """Run `python -c code *args` until it has written `count` lines, each a
-    pid, then SIGKILL it; returns its pid and those lines' pids."""
+def _kill_stalled(code, count):
+    """Run `python -c code` until it has written `count` lines, each a pid,
+    then SIGKILL it; returns its pid and those lines' pids."""
     src = str(Path(heartfade.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    argv = [sys.executable, "-c", code, *args]
+    argv = [sys.executable, "-c", code]
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE)
     watchdog = threading.Timer(30, proc.kill)  # a process that never reports
     watchdog.start()
@@ -676,7 +632,7 @@ class TestSweepCommand:
         monkeypatch.setattr(simulate, "run_simulation", die)
         out = tmp_path / "out"
         out.mkdir()
-        with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
+        with pytest.raises(RuntimeError, match="^a sweep worker ended without its results$"):
             main(argv + ["--out", str(out)])
         assert list(out.iterdir()) == []
         with pytest.raises(ChildProcessError):
@@ -955,7 +911,7 @@ def test_cli_import_does_not_load_hashlib():
 
 def test_every_fork_has_one_thread(tmp_path):
     # a forked child holds only the thread that forked it, so each fork of
-    # a parallel sweep and of a simulate's row split has no other thread
+    # a parallel sweep has no other thread; a simulate forks nothing
     argvs = [
         ["sweep", "--preset", "paint1-5pct", "--horizon", "30", "--fractions", "0.1"],
         ["simulate", "--preset", "paint1-baseline"],
@@ -964,11 +920,9 @@ def test_every_fork_has_one_thread(tmp_path):
     code = (
         "import os, threading\n"
         "from heartfade.cli import main\n"
-        "import heartfade.simulate as simulate\n"
         "threads, fork = [], os.fork\n"
         "os.fork = lambda: threads.append(threading.active_count()) or fork()\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "simulate._FORK_AGENT_DAYS = 0\n"
         f"assert [main(argv) for argv in {argvs!r}] == [0, 0]\n"
         "print(threads)"
     )
@@ -977,7 +931,7 @@ def test_every_fork_has_one_thread(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[1, 1, 1, 1]"  # two sweep workers, two row workers
+    assert out.stdout.strip() == "[1, 1]"  # the two sweep workers
 
 
 def test_runs_do_not_load_numpy_ma(tmp_path):
@@ -985,8 +939,8 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
     # MiB); a Monte Carlo simulate, a sweep and acceptability call neither,
     # unless numpy already loads it on import (numpy 1.x does). No run
     # loads concurrent.futures or multiprocessing (17-27 ms): neither a
-    # simulate that forks workers for its rows nor a sweep that forks
-    # workers for its cells.
+    # simulate, which forks nothing, nor a sweep that forks workers for
+    # its cells.
     # The last sweep sees one usable CPU, so all three strategies run in
     # this process, where a numpy.ma import would show in sys.modules
     cfg = tmp_path / "config.json"
@@ -1012,15 +966,13 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
         "from heartfade.cli import main\n"
         f"assert [main(argv) for argv in {argvs[:2]!r}] == [0, 0]\n"
         "import os\n"
-        "import heartfade.simulate as simulate\n"
         "forks, fork = [], os.fork\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "simulate._FORK_AGENT_DAYS = 0\n"
-        f"assert main({argvs[0][:-1] + [str(tmp_path / 'forked')]!r}) == 0\n"
-        "assert forks == [1, 1], forks\n"
+        f"assert main({argvs[0][:-1] + [str(tmp_path / 'two-cpus')]!r}) == 0\n"
+        "assert forks == [], forks\n"
         f"assert main({argvs[2][:-1] + [str(tmp_path / 'parallel')]!r}) == 0\n"
-        "assert forks == [1, 1, 1, 1], forks\n"
+        "assert forks == [1, 1], forks\n"
         "pool = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
         "assert not pool, pool\n"
         "os.sched_getaffinity = lambda pid: {0}\n"
@@ -1036,18 +988,17 @@ def test_runs_do_not_load_numpy_ma(tmp_path):
     assert on_import == "True" or loaded == "False"
 
 
-def test_only_a_row_split_loads_numpy_random_before_forking():
-    # numpy.random (about 5 MiB) is imported by run_simulation just before
-    # its row split forks, so its children share it, and not by _forked: a
-    # parallel sweep's own process, which only waits, never loads it. Each
-    # fork records whether it is loaded at that moment
+def test_only_a_process_that_simulates_loads_numpy_random():
+    # numpy.random (about 5 MiB) is loaded by the process that steps a run,
+    # and not by _forked: a parallel sweep's own process, which only waits,
+    # never loads it, while run_simulation forks nothing and loads it here.
+    # Each fork records whether it is loaded at that moment
     code = (
         "import os, sys\n"
         "import heartfade.simulate as simulate\n"
         "loaded, fork = [], os.fork\n"
         "os.fork = lambda: loaded.append('numpy.random' in sys.modules) or fork()\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "simulate._FORK_AGENT_DAYS = 0\n"
         "cfg = simulate.SimConfig(k_mean=0.041, n_agents=50, replicates=4, horizon_days=60)\n"
         "assert len(simulate.sweep_fractions(cfg, [0.1])) == 3\n"
         "print(loaded, 'numpy.random' in sys.modules)\n"
@@ -1061,7 +1012,7 @@ def test_only_a_row_split_loads_numpy_random_before_forking():
     )
     assert out.stdout.splitlines() == [
         "[False, False] False",
-        "[False, False, True, True] True",
+        "[False, False] True",
     ]
 
 

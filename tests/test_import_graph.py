@@ -85,7 +85,12 @@ def test_one_fork_helper():
         assert sites(name) == [("simulate", "_forked")], name
 
 
+def test_only_the_sweep_forks():
+    # a simulation steps every replicate in its calling process
+    assert sites("_forked") == [("simulate", "sweep_fractions")]
+
+
 def test_sites_sees_each_form():
     assert ("simulate", "_forked") in sites("getppid")  # os.getppid()
     assert ("simulate", None) in sites("numpy")  # import numpy as np
-    assert ("simulate", "run_simulation") in sites("_forked")  # a bare name
+    assert ("simulate", "sweep_fractions") in sites("_forked")  # a bare name

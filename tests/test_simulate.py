@@ -638,71 +638,75 @@ class TestRunSimulation:
         ids=[f"{s.value}-{f}" for s in Strategy for f in (0.0, 1.0)]
         + ["envelope", "blocks", "one-replicate"],
     )
-    def test_forked_rows_equal_serial(self, monkeypatch, cfg, block_cells):
-        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+    def test_every_block_steps_in_the_calling_process(self, monkeypatch, cfg, block_cells):
+        # with two usable CPUs, a run still forks nothing: each block, the
+        # envelope's rows included, steps here, one after the other
         if block_cells is not None:
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
-        original, parent = simulate._simulate_block, os.getpid()
+        original, parent, forks = simulate._simulate_block, os.getpid(), []
 
-        def run_on(cpus):
-            # each block checks where it runs: the envelope rows here, every
-            # replicate's block in a child; one replicate, or one CPU, never
-            # forks
-            forks = len(cpus) > 1 and cfg.replicates > 1
+        def located(cfg, streams, k_override=None):
+            if os.getpid() != parent:
+                raise AssertionError(f"rows {streams} ran outside the caller")
+            return original(cfg, streams, k_override)
 
-            def located(cfg, streams, k_override=None):
-                here = not forks or k_override
-                if (os.getpid() == parent) != bool(here):
-                    raise AssertionError(f"rows {streams} ran in the wrong process")
-                return original(cfg, streams, k_override)
+        def fork():
+            forks.append(1)
+            raise AssertionError("run_simulation forked")
 
-            monkeypatch.setattr(simulate, "_simulate_block", located)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            return run_simulation(cfg)
-
-        serial, forked = run_on({0}), run_on({0, 1})
-        for name, value in vars(serial).items():
-            if isinstance(value, np.ndarray):
-                got = getattr(forked, name)
-                assert got.dtype == value.dtype, name
-                assert got.tobytes() == value.tobytes(), name
-
-    def test_a_forked_rows_exception_keeps_its_type(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+        monkeypatch.setattr(simulate, "_simulate_block", located)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        original, parent = simulate._simulate_block, os.getpid()
+        monkeypatch.setattr(os, "fork", fork)
+        run_simulation(cfg)
+        assert forks == []
+
+    def test_blocks_step_in_stream_order_then_the_envelope(self, monkeypatch):
+        # two agents' rows a block: 5 replicates as rows 0-1, 2-3 and 4, then
+        # the envelope's two bounding rows as one last block
+        cfg = small_cfg(**TENTH, uncertainty_mode="envelope")
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2 * cfg.n_agents)
+        original, steps = simulate._simulate_block, []
+
+        def recorded(cfg, streams, k_override=None):
+            steps.append((list(streams), k_override is not None))
+            return original(cfg, streams, k_override)
+
+        monkeypatch.setattr(simulate, "_simulate_block", recorded)
+        run_simulation(cfg)
+        envelope = [simulate._ENVELOPE_LO_STREAM, simulate._ENVELOPE_HI_STREAM]
+        assert steps == [([0, 1], False), ([2, 3], False), ([4], False), (envelope, True)]
+
+    def test_a_block_exception_keeps_its_type(self, monkeypatch):
+        # the second block, rows 2 and 3, fails: its exception reaches the
+        # caller as raised, not wrapped
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2 * 50)
+        original = simulate._simulate_block
 
         def failing(cfg, streams, k_override=None):
-            # only the second range, rows 2 to 4, fails: one message can arrive
-            if os.getpid() != parent and streams[0] == 2:
+            if streams[0] == 2:
                 raise ZeroDivisionError(f"rows {streams[0]} to {streams[-1]}")
             return original(cfg, streams, k_override)
 
         monkeypatch.setattr(simulate, "_simulate_block", failing)
-        with pytest.raises(ZeroDivisionError, match="^rows 2 to 4$"):
+        with pytest.raises(ZeroDivisionError, match="^rows 2 to 3$"):
             run_simulation(small_cfg())
 
-    def test_a_dead_range_ends_the_run_at_once(self, monkeypatch):
-        # the second range's child dies while the first range's stalls: the
-        # error reaches the caller without waiting, and no child is left
-        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        parent = os.getpid()
+    def test_a_failed_block_ends_the_run_at_once(self, monkeypatch):
+        # the first block fails: no later block steps, the envelope's
+        # neither, and no child process is left behind
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2 * 50)
+        steps = []
 
-        def dying(cfg, streams, k_override=None):
-            if os.getpid() == parent:  # exiting here would end the test session
-                raise AssertionError(f"rows {streams} ran in the caller")
-            if streams[0] == 0:
-                time.sleep(60)
-            os._exit(3)
+        def failing(cfg, streams, k_override=None):
+            steps.append(list(streams))
+            raise KeyError("the first block's rows")
 
-        monkeypatch.setattr(simulate, "_simulate_block", dying)
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
-            run_simulation(small_cfg())
-        assert time.monotonic() - start < 10
+        monkeypatch.setattr(simulate, "_simulate_block", failing)
+        with pytest.raises(KeyError, match="the first block's rows"):
+            run_simulation(small_cfg(uncertainty_mode="envelope"))
+        assert steps == [[0, 1]]
         with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # no child left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)  # no child, not even a zombie
 
     def test_recorded_days_include_horizon(self):
         res = run_simulation(small_cfg(horizon_days=100))
@@ -868,9 +872,8 @@ class TestSweep:
         assert runs == [idle, *active_runs]
 
     def test_a_cell_steps_its_rows_in_its_worker(self, monkeypatch):
-        # a cell above the fork floor, in a sweep worker, forks no worker of
-        # its own: every block runs in a child of this process
-        monkeypatch.setattr(simulate, "_FORK_AGENT_DAYS", 0)
+        # a cell, in a sweep worker, forks no worker of its own: every block
+        # runs in a child of this process
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         original, parent = simulate._simulate_block, os.getpid()
 
@@ -900,9 +903,13 @@ class TestSweep:
             raise KeyError("greedy_b's run")
 
         monkeypatch.setattr(simulate, "run_simulation", failing)
-        error = KeyError if fail == "raises" else RuntimeError
+        error, message = (
+            (KeyError, "greedy_b's run")
+            if fail == "raises"
+            else (RuntimeError, "^a sweep worker ended without its results$")
+        )
         start = time.monotonic()
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             sweep_fractions(small_cfg(), [0.1])
         assert time.monotonic() - start < 10
         with pytest.raises(ChildProcessError):
@@ -947,7 +954,7 @@ class TestForked:
                 return sent if os.getpid() == parent else sent[: len(sent) // 2]
 
         monkeypatch.setattr(simulate, "pickle", Cut)
-        with pytest.raises(RuntimeError, match="^a replicate worker ended without its rows$"):
+        with pytest.raises(RuntimeError, match="^a sweep worker ended without its results$"):
             simulate._forked(lambda i: np.full(size, i), [(0,), (1,), (2,)])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
