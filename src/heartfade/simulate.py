@@ -77,8 +77,8 @@ _MAX_AGENTS = _BLOCK_CELLS
 # replicates x recorded days: each (replicates, days) output array of
 # float64 stays within 128 MiB
 _MAX_OUTPUT_CELLS = 1 << 24
-# replicates x agents x days, the work of a run: about 35 minutes at the
-# slowest throughput measured (5.3e8 agent-days/s, GREEDY_B at 5%, 2 vCPUs)
+# replicates x agents x days, the work of a run: about 14 minutes at the
+# slowest throughput measured (1.4e9 agent-days/s, GREEDY_B at 5%, 2 vCPUs)
 _MAX_AGENT_DAYS = 1 << 40
 
 # one row per numeric field, checked in this order: (name, integer or else
@@ -300,22 +300,25 @@ def repaint_event(
     stream's `choice(m, capacity, replace=False)` picks in its ascending
     candidate list. `choose(rows, start, m)`, the block's chooser from
     `_draws`, gives those positions, offset by `start`, for each listed
-    row. Selected agents are reset to delta_e 0, in place whatever the
-    arrays' strides, and each row's count is added to its total in
-    `repaint_count`. THRESHOLD_C also sets `pop.above` to each row's count
-    above `threshold` after the repaint, from its own candidate pass: m
-    less the row's repaints, or m for a negative threshold, which a
-    repainted agent at 0 is still above.
+    row. Selected agents are reset to delta_e +0.0 in place, whatever the
+    strides: GREEDY_B's by multiplying delta_e (finite, >= 0) with the mask
+    of the agents it keeps (_kept), the others' by their flat positions.
+    Each row's count is added to its total in `repaint_count`. THRESHOLD_C
+    also sets `pop.above` to each row's count above `threshold` after the
+    repaint, from its own candidate pass: m less the row's repaints, or m
+    for a negative threshold, which a repainted agent at 0 is still above.
     """
     if strategy is Strategy.BASELINE or capacity == 0:
         return 0
     delta_e = pop.delta_e
     rows, n = delta_e.shape
-    # picked agents as row-major positions in the (rows, agents) view
     counts = min(capacity, n)  # each row's repaints
     if strategy is Strategy.GREEDY_B:
-        picked = np.flatnonzero(_most_faded(delta_e, counts))
-    elif strategy is Strategy.RANDOM_A:
+        np.multiply(delta_e, _kept(delta_e, counts), out=delta_e)
+        pop.repaint_count += counts
+        return rows * counts
+    # picked agents as row-major positions in the (rows, agents) view
+    if strategy is Strategy.RANDOM_A:
         if n <= capacity:
             picked = np.arange(rows * n)
         else:
@@ -480,20 +483,20 @@ def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
     return choice
 
 
-def _most_faded(delta_e: np.ndarray, take: int) -> np.ndarray:
-    """Mask of the `take` largest values in each row, ties to the lowest
-    index: the same set as the first `take` of a stable argsort of
-    -delta_e. `take` must be in [1, agents]."""
+def _kept(delta_e: np.ndarray, take: int) -> np.ndarray:
+    """Mask of the agents other than the `take` largest values in each row,
+    ties to the lowest index: the complement of the first `take` of a
+    stable argsort of -delta_e. `take` must be in [1, agents]."""
     n = delta_e.shape[1]
-    kth = np.partition(delta_e, n - take, axis=1)[:, n - take, None]
-    chosen = delta_e >= kth
-    # where more agents share the k-th value than slots are left for
-    # them, the highest-index ones among them are dropped
-    excess = np.count_nonzero(chosen, axis=1) - take
-    for i in np.flatnonzero(excess):
+    part = np.partition(delta_e, n - take, axis=1)
+    kth = part[:, n - take, None]
+    keep = delta_e < kth
+    # a row tied below its k-th place keeps its highest-index tied agents
+    tie = part[:, : n - take].max(axis=1) == kth[:, 0] if take < n else []
+    for i in np.flatnonzero(tie):
         tied = np.flatnonzero(delta_e[i] == kth[i])
-        chosen[i, tied[-excess[i] :]] = False
-    return chosen
+        keep[i, tied[take - n + np.count_nonzero(keep[i]) :]] = True
+    return keep
 
 
 def _recorded_day_count(horizon_days: int) -> int:
@@ -511,11 +514,13 @@ def _simulate_block(
     cfg: SimConfig,
     stream_indices: Sequence[int],
     k_override: Sequence[float] | None = None,
+    horizon_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectories of the given streams advanced together as one
     (rows, agents) population: fractions above threshold and cumulative
     repaints, each (rows, recorded days). k_override, one rate per row,
-    pins every agent's rate in that row (envelope bounding runs)."""
+    pins every agent's rate in that row (envelope bounding runs). `horizon_only`
+    (for _summary) fills only the horizon column of a run that can repaint."""
     rows, n = len(stream_indices), cfg.n_agents
     rngs = [_stream(cfg.master_seed, i) for i in stream_indices]
     pop = Population(np.empty((rows, n)), np.empty((rows, n)), np.zeros(rows, np.int64))
@@ -551,6 +556,8 @@ def _simulate_block(
                 pop.above = np.zeros(rows, np.int32)
             else:
                 repaint_event(pop, cfg.strategy, capacity, threshold, choose)
+        if horizon_only and not settles and day < cfg.horizon_days:
+            continue  # a run that settles needs every week's count
         if not (repaints and counted):
             pop.above = np.add.reduce(
                 (pop.delta_e > threshold).view(np.int8), axis=1, dtype=np.int32
@@ -577,6 +584,13 @@ def _bands(frac: np.ndarray) -> list[np.ndarray]:
     return bands
 
 
+def _blocks(cfg: SimConfig) -> list[range]:
+    """The replicates' streams in blocks of <= _BLOCK_CELLS cells and _BLOCK_ROWS rows."""
+    per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
+    starts = range(0, cfg.replicates, per_block)
+    return [range(s, min(s + per_block, cfg.replicates)) for s in starts]
+
+
 def run_simulation(cfg: SimConfig) -> SimResult:
     """Run all replicates and aggregate trajectories with uncertainty bands.
 
@@ -597,11 +611,7 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     repaints for the remaining days, exactly what stepping on would give.
     Every block steps in the calling process, one after the other.
     """
-    per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
-    starts = range(0, cfg.replicates, per_block)
-    parts = [
-        _simulate_block(cfg, range(s, min(s + per_block, cfg.replicates))) for s in starts
-    ]
+    parts = [_simulate_block(cfg, streams) for streams in _blocks(cfg)]
     frac_by_rep, cum_by_rep = map(np.concatenate, zip(*parts))
 
     if cfg.uncertainty_mode == "montecarlo":
@@ -623,9 +633,13 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     )
 
 
-def _summary(cfg: SimConfig) -> tuple[float, float]:  # a sweep row's figures
-    result = run_simulation(cfg)
-    return float(result.mean_frac[-1]), float(result.mean_cum_repaints[-1])
+def _summary(cfg: SimConfig) -> tuple[float, float]:
+    """A sweep row's figures, `run_simulation(cfg)`'s mean_frac[-1] and
+    mean_cum_repaints[-1] bit for bit (as means of whole arrays: a column's
+    own can differ), counted at the horizon only, without bands or envelope."""
+    parts = [_simulate_block(cfg, s, horizon_only=True) for s in _blocks(cfg)]
+    frac, cum = (np.concatenate(p).mean(axis=0)[-1] for p in zip(*parts))
+    return float(frac), float(cum)
 
 
 def _cpus(root: str = "/") -> int:
@@ -724,12 +738,12 @@ def sweep_fractions(
     own `horizon_days` when it is None. Every cell's config is built, and
     so checked, before the first cell runs.
 
-    Each distinct run is made once (a cell of weekly capacity 0 is the
-    baseline run, whatever its strategy), and each row names its own
-    fraction and strategy. `_forked` makes the runs on one forked worker
-    per CPU this process may use, each pulling the next run as it ends
-    one, while this process waits and loads no numpy.random; with one such
-    CPU (or no os.sched_getaffinity) they run here: the same rows either way.
+    Each distinct run is made once by _summary, counted only at the horizon
+    (a cell of weekly capacity 0 is the baseline run, whatever its strategy).
+    `_forked` makes the runs on one forked worker per CPU this process may
+    use, each pulling the next run as it ends one, while this process waits
+    and loads no numpy.random; with one such CPU (or no os.sched_getaffinity)
+    they run here: the same rows either way.
     """
     if horizon_days is not None:
         cfg_base = replace(cfg_base, horizon_days=horizon_days)

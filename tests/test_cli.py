@@ -629,7 +629,7 @@ class TestSweepCommand:
                 raise AssertionError("the cell ran in the sweep's own process")
             os._exit(3)
 
-        monkeypatch.setattr(simulate, "run_simulation", die)
+        monkeypatch.setattr(simulate, "_summary", die)
         out = tmp_path / "out"
         out.mkdir()
         with pytest.raises(RuntimeError, match="^a sweep worker ended without its results$"):
@@ -648,7 +648,7 @@ class TestSweepCommand:
             "def stall(cfg):\n"
             "    os.write(1, b'%d\\n' % os.getpid())\n"
             "    time.sleep(60)\n"
-            "simulate.run_simulation = stall\n"
+            "simulate._summary = stall\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "simulate.sweep_fractions(simulate.SimConfig(k_mean=0.041), [0.1])\n"
         )

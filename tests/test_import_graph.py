@@ -63,7 +63,8 @@ def test_no_process_pool():
 
 def sites(name):
     """(module, top-level definition) of each use of `name` under heartfade,
-    as an attribute (`os.fork`), a bare name or an imported alias."""
+    as an attribute (`os.fork`), a bare name, an imported alias, a
+    parameter or a keyword argument."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -73,6 +74,7 @@ def sites(name):
                     getattr(node, "attr", None) == name
                     or getattr(node, "id", None) == name
                     or isinstance(node, ast.alias) and name in (node.name, node.asname)
+                    or isinstance(node, (ast.arg, ast.keyword)) and node.arg == name
                 )
                 if used:
                     found.append((path.stem, getattr(top, "name", None)))
@@ -90,7 +92,16 @@ def test_only_the_sweep_forks():
     assert sites("_forked") == [("simulate", "sweep_fractions")]
 
 
+def test_only_a_sweep_row_counts_at_the_horizon_only():
+    # _simulate_block's parameter is passed by _summary alone: run_simulation
+    # and the CLI record every day's count
+    found = set(sites("horizon_only"))
+    assert found == {("simulate", "_simulate_block"), ("simulate", "_summary")}
+
+
 def test_sites_sees_each_form():
     assert ("simulate", "_forked") in sites("getppid")  # os.getppid()
     assert ("simulate", None) in sites("numpy")  # import numpy as np
     assert ("simulate", "sweep_fractions") in sites("_forked")  # a bare name
+    assert sites("root").count(("simulate", "_cpus")) == 2  # a parameter and its use
+    assert sites("closefd") == [("simulate", "_forked")]  # a keyword argument

@@ -532,6 +532,57 @@ def test_bands_equal_numpys_percentile(rows, cols, n, seed):
     assert hi.tobytes() == np.percentile(frac, 97.5, axis=0).tobytes()
 
 
+# finite values >= 0, as delta_e always is: 0.0, the least subnormal, the
+# greatest finite double, and values between
+GREEDY_VALUES = [0.0, 5e-324, 0.5, 3.0, 3.0000000000000004, 10.0, 1.7976931348623157e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 30),
+    st.integers(1, 4),  # distinct values a block draws from, so ties are common
+    st.integers(1, 33),  # capacity, above the agents too
+    st.sampled_from(["contiguous", "strided", "transposed"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(3, 8, 1, 3, "strided", 0)  # every row one tie
+@example(2, 5, 2, 5, "contiguous", 0)  # take == agents
+def test_greedy_keeps_all_but_a_stable_sorts_first(rows, n, distinct, capacity, layout, seed):
+    """GREEDY_B's keep mask is the complement of the first `take` agents of
+    a stable argsort of -delta_e; the repaint writes +0.0 there, in place
+    in any layout, and leaves every other bit of the buffer as it was."""
+    rng = np.random.default_rng(seed)
+    state = rng.choice(rng.choice(GREEDY_VALUES, distinct, replace=False), (rows, n))
+    take = min(capacity, n)
+    # the block is the whole buffer or a view of part of it; the rest is NaN
+    shape, where = {
+        "contiguous": ((rows, n), np.s_[:, :]),
+        "strided": ((2 * rows, 2 * n), np.s_[1::2, ::2]),
+        "transposed": ((2 * n, 2 * rows), np.s_[::2, 1::2]),  # read as .T
+    }[layout]
+    buffer = np.full(shape, np.nan)
+    delta_e = buffer[where].T if layout == "transposed" else buffer[where]
+    delta_e[...] = state
+    outside = np.ones(shape, dtype=bool)
+    outside[where] = False
+    rest = buffer.view(np.uint64)[outside]
+
+    picked = np.zeros((rows, n), dtype=bool)
+    first = np.argsort(-state, axis=1, kind="stable")[:, :take]
+    np.put_along_axis(picked, first, True, axis=1)
+    assert np.array_equal(simulate._kept(delta_e, take), ~picked)
+
+    pop = Population(delta_e, np.zeros((rows, n)), np.zeros(rows, np.int64))
+    count = repaint_event(pop, Strategy.GREEDY_B, capacity, 10.0, None)  # draws nothing
+    assert type(count) is int and count == rows * take
+    assert pop.repaint_count.tolist() == [take] * rows
+    bits = delta_e.view(np.uint64)
+    assert np.all(bits[picked] == 0)  # +0.0: every bit clear, the sign's too
+    assert np.array_equal(bits[~picked], state.view(np.uint64)[~picked])
+    assert np.array_equal(buffer.view(np.uint64)[outside], rest)
+
+
 class TestRunSimulation:
     def test_determinism(self):
         cfg = small_cfg(strategy=Strategy.RANDOM_A, repaint_fraction_weekly=0.1)
@@ -792,7 +843,7 @@ class TestSweep:
 
     def test_fraction_out_of_range(self, monkeypatch):
         runs = []
-        monkeypatch.setattr(simulate, "run_simulation", runs.append)
+        monkeypatch.setattr(simulate, "_summary", runs.append)
         for fractions in ([1.2], [0.1, 1.2]):
             with pytest.raises(ConfigError, match="^repaint_fraction_weekly must be"):
                 sweep_fractions(small_cfg(), fractions)
@@ -801,14 +852,14 @@ class TestSweep:
     def test_horizon_defaults_to_the_config(self, monkeypatch):
         # the check runs where the cell runs, which may be a forked worker,
         # so it raises there instead of appending to a list of this process
-        original = simulate.run_simulation
+        original = simulate._summary
 
         def checking(cfg):
             if cfg.horizon_days != 100:
                 raise AssertionError(f"cell ran to day {cfg.horizon_days}, not 100")
             return original(cfg)
 
-        monkeypatch.setattr(simulate, "run_simulation", checking)
+        monkeypatch.setattr(simulate, "_summary", checking)
         cfg = SimConfig(k_mean=0.041, n_agents=5, replicates=2, horizon_days=100)
         assert len(sweep_fractions(cfg, [0.1])) == 3
 
@@ -825,7 +876,7 @@ class TestSweep:
     def test_workers_give_the_serial_rows(self, monkeypatch, base, fractions, block_cells):
         if block_cells is not None:
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
-        budget, original, parent = simulate._BLOCK_CELLS, simulate.run_simulation, os.getpid()
+        budget, original, parent = simulate._BLOCK_CELLS, simulate._summary, os.getpid()
 
         def sweep_on(cpus):
             # each cell checks where it runs, and that it sees the patch
@@ -836,7 +887,7 @@ class TestSweep:
                     raise AssertionError("cell did not see the block budget")
                 return original(cfg)
 
-            monkeypatch.setattr(simulate, "run_simulation", located)
+            monkeypatch.setattr(simulate, "_summary", located)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             return sweep_fractions(base, fractions)
 
@@ -844,25 +895,71 @@ class TestSweep:
         assert len(serial) == 3 * len(fractions)
         assert sweep_on({0, 1}) == serial
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    @pytest.mark.parametrize(
+        "base, fractions, block_cells",
+        [
+            # 0.004 of 50 agents is capacity 0; 1.0 offers every agent
+            (small_cfg(horizon_days=300), [0.0, 0.004, 0.1, 1.0], None),
+            (small_cfg(uncertainty_mode="envelope", horizon_days=201), [0.05, 0.5], None),
+            (small_cfg(replicates=9), [0.0, 0.05, 0.2], 2 * 50),  # 5 blocks
+        ],
+        ids=["strategies", "envelope", "blocks"],
+    )
+    def test_each_row_is_its_runs_horizon(self, monkeypatch, cpus, base, fractions, block_cells):
+        # bit for bit, though a sweep run counts only at the horizon
+        if block_cells is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        for row in sweep_fractions(base, fractions):
+            f, s = row.repaint_fraction_weekly, row.strategy
+            res = run_simulation(replace(base, strategy=s, repaint_fraction_weekly=f))
+            got = row.frac_needing_repaint_at_horizon, row.total_repaints_at_horizon
+            want = float(res.mean_frac[-1]), float(res.mean_cum_repaints[-1])
+            assert [x.hex() for x in got] == [x.hex() for x in want], (f, s)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("horizon", [196, 201])  # on and off the weekly grid
+    def test_summary_is_the_runs_horizon(self, monkeypatch, strategy, horizon):
+        # every strategy, BASELINE with a capacity too, in blocks of 2 rows
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2 * 50)
+        cfg = small_cfg(**TENTH, strategy=strategy, horizon_days=horizon, replicates=9)
+        res = run_simulation(cfg)
+        want = float(res.mean_frac[-1]), float(res.mean_cum_repaints[-1])
+        assert [x.hex() for x in simulate._summary(cfg)] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1])  # BASELINE either way
+    def test_a_sweep_run_that_settles_stops_as_its_run_does(self, monkeypatch, fraction):
+        # it still counts every week, so it stops stepping once every agent
+        # is above the threshold, well before the horizon
+        steps, advance = [], simulate.advance_day
+        monkeypatch.setattr(simulate, "advance_day", lambda *a: steps.append(a) or advance(*a))
+        cfg = small_cfg(horizon_days=1000, repaint_fraction_weekly=fraction)
+        run_simulation(cfg)
+        whole = len(steps)
+        steps.clear()
+        simulate._summary(cfg)
+        assert len(steps) == whole < 1000 // 7
+
     def test_each_distinct_run_is_made_once(self, monkeypatch):
         # capacity 0 (fraction 0, and 0.0004 of 1000 agents) is the baseline
         # run whatever the strategy; a repeated fraction repeats its cells
         # threshold 4: THRESHOLD_C draws and repaints within 100 days
         base = small_cfg(n_agents=1000, replicates=3, horizon_days=100, perception_threshold=4.0)
         fractions, active = [0.0, 0.0004, 0.05, 0.05], [RANDOM_A, Strategy.GREEDY_B, THRESHOLD_C]
-        original, runs = simulate.run_simulation, []
+        original, runs = simulate._summary, []
 
         def counted(cfg):
             runs.append(cfg)
             return original(cfg)
 
-        monkeypatch.setattr(simulate, "run_simulation", counted)
+        monkeypatch.setattr(simulate, "_summary", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         rows = sweep_fractions(base, fractions)
         want = []
         for f in fractions:
             for s in active:
-                res = original(replace(base, strategy=s, repaint_fraction_weekly=f))
+                res = run_simulation(replace(base, strategy=s, repaint_fraction_weekly=f))
                 summary = float(res.mean_frac[-1]), float(res.mean_cum_repaints[-1])
                 want.append(SweepRow(f, s, *summary))
         assert rows == want
@@ -877,10 +974,10 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         original, parent = simulate._simulate_block, os.getpid()
 
-        def located(cfg, streams, k_override=None):
+        def located(cfg, streams, k_override=None, **horizon_only):
             if os.getpid() == parent or os.getppid() != parent:
                 raise AssertionError(f"rows {streams} ran outside a sweep worker")
-            return original(cfg, streams, k_override)
+            return original(cfg, streams, k_override, **horizon_only)
 
         monkeypatch.setattr(simulate, "_simulate_block", located)
         assert len(sweep_fractions(small_cfg(), [0.1])) == 3
@@ -902,7 +999,7 @@ class TestSweep:
                 os._exit(3)
             raise KeyError("greedy_b's run")
 
-        monkeypatch.setattr(simulate, "run_simulation", failing)
+        monkeypatch.setattr(simulate, "_summary", failing)
         error, message = (
             (KeyError, "greedy_b's run")
             if fail == "raises"
