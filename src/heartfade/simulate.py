@@ -63,7 +63,7 @@ _ENVELOPE_HI_STREAM = (1 << 32) + 1
 
 # replicates are simulated in blocks of at most this many agent cells
 # (replicates x agents), which bounds memory for large populations; the
-# presets fit in one block, and the envelope's two rows in one of up to 2x
+# presets fit in one block
 _BLOCK_CELLS = 1 << 20
 # and of at most this many replicates: each row also holds its own
 # Generator (~1.2 KiB), which the cell budget does not count
@@ -75,7 +75,7 @@ _DRAW_BYTES = 1 << 18
 # one replicate's row must fit in a block
 _MAX_AGENTS = _BLOCK_CELLS
 # replicates x recorded days: each (replicates, days) output array of
-# float64 stays within 128 MiB
+# float64 stays within 128 MiB; a run at the cap (1 agent) peaked at 424 MiB
 _MAX_OUTPUT_CELLS = 1 << 24
 # replicates x agents x days, the work of a run: about 14 minutes at the
 # slowest throughput measured (1.4e9 agent-days/s, GREEDY_B at 5%, 2 vCPUs)
@@ -345,29 +345,29 @@ def repaint_event(
 class _Words:
     """Each row's stream read ahead as the 32-bit words numpy's bounded
     draws take (PCG64: each 64-bit output's low half first), and those
-    draws computed from them. A refill makes one `random_raw` call per
-    row, into a buffer allocated on first use: _DRAW_BYTES, or one word
-    wider than a call needs. A stream read ahead must not draw again."""
+    draws computed from them, at most `size` words a call. A refill makes
+    one `random_raw` call per row, into _DRAW_BYTES or `size` + 1 words. A
+    stream must hold no cached 32-bit half when first read (`init_population`
+    draws whole words), and must not draw again once read ahead."""
 
-    def __init__(self, rngs: Sequence[np.random.Generator]):
-        self.rngs, self.fresh = rngs, np.ones(len(rngs), dtype=bool)
-        self.buf = np.empty((len(rngs), 0), dtype=np.uint32)
-        self.pos = np.zeros(len(rngs), dtype=np.intp)  # each row's next word
+    def __init__(self, rngs: Sequence[np.random.Generator], size: int):
+        width = max(size + 1, _DRAW_BYTES // (4 * len(rngs)))
+        self.rngs, self.buf = rngs, np.empty((len(rngs), width), dtype=np.uint32)
+        self.pos = np.full(len(rngs), width, dtype=np.intp)  # each row's next word
 
-    def bounded(self, rows: np.ndarray, bounds: np.ndarray, keep=None) -> np.ndarray:
+    def bounded(self, rows: np.ndarray, bounds: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """`Generator.integers(0, bounds)` from each of the distinct `rows`:
-        (len(rows), L) draws for bounds of shape (L,) or (len(rows), L),
-        each in [2, 2^32], or only the columns `keep` (ascending) of them,
-        though every word is still drawn and tested. Lemire's method, as
+        the columns `keep` (ascending) of the (len(rows), L) draws for
+        bounds of shape (L,) or (len(rows), L), each in [2, 2^32], though
+        every word is still drawn and tested. Lemire's method, as
         numpy's `random_bounded_uint64` runs it: the high half of word * b,
         unless the low half is below (2^32 - b) % b, about once in 10^7
         draws at the engine's bounds; the word is then skipped."""
         size = np.shape(bounds)[-1]
-        keep = np.arange(size) if keep is None else keep
         bounds = np.asarray(bounds, dtype=np.uint64)
         short = rows[self.buf.shape[1] - self.pos[rows] < size]
         if short.size:
-            self._refill(short, size)
+            self._refill(short)
         start = self.pos[rows]
         rows_read, width = self.buf.shape  # each row's runs of `size` 4-byte words
         runs = np.lib.stride_tricks.as_strided(
@@ -393,24 +393,15 @@ class _Words:
             draws[j, rest] = self.bounded(rows[j : j + 1], each[j, f:], keep[rest] - f)
         return draws
 
-    def _refill(self, rows, size: int) -> None:
-        """Fill `rows` up, to at least `size` unread words each."""
+    def _refill(self, rows) -> None:
+        """Fill `rows` up: their unread words, then their streams' next outputs."""
         width = self.buf.shape[1]
-        if width <= size:  # widened at the front
-            wide = max(size + 1, _DRAW_BYTES // (4 * len(self.rngs)))
-            self.buf = np.pad(self.buf, ((0, 0), (wide - width, 0)))
-            self.pos += wide - width
-            width = wide
         for i in rows:
-            bits = self.rngs[i].bit_generator
-            unread = self.buf[i, self.pos[i] :]
-            if self.fresh[i]:  # the half its stream has cached, if any
-                self.fresh[i], state = False, bits.state
-                unread = np.array([state["uinteger"]][: state["has_uint32"]], np.uint32)
-            raw = bits.random_raw((width - unread.size) // 2)
-            words = np.concatenate([unread, raw.astype("<u8", copy=False).view("<u4")])
-            self.pos[i] = width - words.size
-            self.buf[i, self.pos[i] :] = words
+            read, self.pos[i] = self.pos[i], self.pos[i] % 2  # unread: buf[i, read:]
+            fill = read - self.pos[i]  # even: whole 64-bit outputs
+            self.buf[i, self.pos[i] : width - fill] = self.buf[i, read:]
+            raw = self.rngs[i].bit_generator.random_raw(fill // 2)
+            self.buf[i, width - fill :] = raw.astype("<u8", copy=False).view("<u4")
 
 
 def _floyd(words: _Words, c: int, rows: np.ndarray, start, m) -> np.ndarray:
@@ -436,9 +427,9 @@ def _floyd(words: _Words, c: int, rows: np.ndarray, start, m) -> np.ndarray:
     return picks
 
 
-def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
+def _draws(strategy: Strategy, rngs: Sequence, n: int, c: int, weeks: int):
     """The chooser `repaint_event` takes its picks from, for a block of
-    `words`' rows of `n` agents at capacity `c` over `weeks` repaint weeks:
+    `rngs`' rows of `n` agents at capacity `c` over `weeks` repaint weeks:
     `choose(rows, start, m)` gives, for each of the listed rows, `start`
     plus the picks of `choice(m, c, replace=False)` from its stream.
 
@@ -451,14 +442,15 @@ def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
     not depend on the population, so they are drawn two chunks of weeks
     ahead, where a chunk holds at least as many row-weeks as slots.
     THRESHOLD_C draws each week, only for its rows over capacity (some
-    weeks few), where the capacity is at most half the rows. Every other
-    block calls one `Generator.choice` per row-week of `words.rngs`.
+    weeks few), where the capacity is at most half the rows. These two build
+    one reader a block, as wide as its first call (no later one is wider).
+    Every other block calls one `Generator.choice` per row-week of `rngs`.
     """
-    rows = len(words.rngs)
+    rows = len(rngs)
     if strategy is Strategy.RANDOM_A and (n <= 10000 or c <= n // 50):
         chunk = max(1, min(weeks, 2 * _DRAW_BYTES // (rows * n)))
         if c <= max(1, min(weeks, _DRAW_BYTES // (rows * n))) * rows:
-            every = np.arange(rows)
+            words, every = _Words(rngs, chunk * (2 * c - 1)), np.arange(rows)
 
             def weekly():  # each week's (rows, c) flat positions, in turn
                 for first in range(0, weeks, chunk):
@@ -474,11 +466,12 @@ def _draws(strategy: Strategy, words: _Words, n: int, c: int, weeks: int):
             return lambda *_: next(picked)
     elif strategy is Strategy.THRESHOLD_C and (n <= 10000 or c <= 200):
         if 2 * c <= rows:
+            words = _Words(rngs, 2 * c - 1)
             return lambda over, start, m: _floyd(words, c, over, start, m)
 
     def choice(over, start, m):  # one Generator.choice per row-week
         drawn = zip(over.tolist(), start.tolist(), m.tolist())
-        return np.stack([s + words.rngs[i].choice(k, c, False) for i, s, k in drawn])
+        return np.stack([s + rngs[i].choice(k, c, False) for i, s, k in drawn])
 
     return choice
 
@@ -513,14 +506,17 @@ def _recorded_days(horizon_days: int) -> np.ndarray:
 def _simulate_block(
     cfg: SimConfig,
     stream_indices: Sequence[int],
+    fracs: np.ndarray,
+    cums: np.ndarray,
     k_override: Sequence[float] | None = None,
     horizon_only: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> None:
     """Trajectories of the given streams advanced together as one
-    (rows, agents) population: fractions above threshold and cumulative
-    repaints, each (rows, recorded days). k_override, one rate per row,
-    pins every agent's rate in that row (envelope bounding runs). `horizon_only`
-    (for _summary) fills only the horizon column of a run that can repaint."""
+    (rows, agents) population, written into the caller's (rows, recorded
+    days) `fracs` above threshold and cumulative repaints `cums`. k_override,
+    one rate per row, pins every agent's rate in that row (envelope runs).
+    `horizon_only` (for _summary) fills only the horizon column of a run
+    that can repaint."""
     rows, n = len(stream_indices), cfg.n_agents
     rngs = [_stream(cfg.master_seed, i) for i in stream_indices]
     pop = Population(np.empty((rows, n)), np.empty((rows, n)), np.zeros(rows, np.int64))
@@ -530,14 +526,12 @@ def _simulate_block(
         pop.k[:] = np.maximum(k_override, cfg.k_mean / 100.0)[:, None]
     capacity = weekly_capacity(cfg)
     threshold = cfg.perception_threshold
-    choose = _draws(cfg.strategy, _Words(rngs), n, capacity, cfg.horizon_days // 7)
+    choose = _draws(cfg.strategy, rngs, n, capacity, cfg.horizon_days // 7)
     # a run that cannot repaint is settled once every agent is above the
     # threshold: rates are positive, so delta_e never falls again
     settles = cfg.strategy is Strategy.BASELINE or capacity == 0
     counted = cfg.strategy is Strategy.THRESHOLD_C and not settles  # see repaint_event
     days = _recorded_days(cfg.horizon_days)
-    fracs = np.ones((rows, len(days)))
-    cums = np.zeros((rows, len(days)))
     step = pop.k * 7  # one week's fading, reused every week
     quiet, top, rise = counted, float(pop.delta_e.max()), float(step.max())
     gaps = np.diff(days, prepend=0).tolist()  # days since the last recorded day
@@ -566,8 +560,7 @@ def _simulate_block(
         fracs[:, col] = pop.above / n
         cums[:, col] = pop.repaint_count
         if settles and pop.above.min() == n:
-            break  # the later columns keep fraction 1.0 and no repaints
-    return fracs, cums
+            break  # the later columns keep the caller's 1.0 and 0 repaints
 
 
 def _bands(frac: np.ndarray) -> list[np.ndarray]:
@@ -584,11 +577,19 @@ def _bands(frac: np.ndarray) -> list[np.ndarray]:
     return bands
 
 
-def _blocks(cfg: SimConfig) -> list[range]:
-    """The replicates' streams in blocks of <= _BLOCK_CELLS cells and _BLOCK_ROWS rows."""
+def _trajectories(cfg: SimConfig, streams, k_override=None, horizon_only=False) -> tuple:
+    """The (len(streams), recorded days) fractions above threshold and
+    cumulative repaints of `streams`, allocated once as ones and zeros and
+    filled in turn, here, by blocks of at most _BLOCK_CELLS agent cells and
+    _BLOCK_ROWS rows; `k_override`, one rate per stream, is sliced with them."""
+    days = _recorded_day_count(cfg.horizon_days)
+    fracs, cums = np.ones((len(streams), days)), np.zeros((len(streams), days))
     per_block = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // cfg.n_agents))
-    starts = range(0, cfg.replicates, per_block)
-    return [range(s, min(s + per_block, cfg.replicates)) for s in starts]
+    for start in range(0, len(streams), per_block):
+        rows = slice(start, start + per_block)
+        ks = None if k_override is None else k_override[rows]
+        _simulate_block(cfg, streams[rows], fracs[rows], cums[rows], ks, horizon_only)
+    return fracs, cums
 
 
 def run_simulation(cfg: SimConfig) -> SimResult:
@@ -604,21 +605,20 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     THRESHOLD_C's agents above the threshold; other days take one mask.
     Monte Carlo mode takes the 2.5th/97.5th percentile across replicates,
     bit for bit `np.percentile`'s linear method (_bands); envelope
-    mode takes two deterministic bounding runs as one two-row block, every
+    mode takes two deterministic bounding runs, blocked the same way, every
     k of a row fixed at k_mean -/+ 2 k_sd. A block of a run that cannot
     repaint (BASELINE, or weekly capacity 0) stops stepping once every
     agent in it is above the threshold and records fraction 1.0 and no
     repaints for the remaining days, exactly what stepping on would give.
-    Every block steps in the calling process, one after the other.
+    Blocks step in turn, in the calling process, each into its output rows.
     """
-    parts = [_simulate_block(cfg, streams) for streams in _blocks(cfg)]
-    frac_by_rep, cum_by_rep = map(np.concatenate, zip(*parts))
+    frac_by_rep, cum_by_rep = _trajectories(cfg, range(cfg.replicates))
 
     if cfg.uncertainty_mode == "montecarlo":
         lo, hi = _bands(frac_by_rep)
     else:
         ks = (cfg.k_mean - 2 * cfg.k_sd, cfg.k_mean + 2 * cfg.k_sd)  # one per row
-        runs, _ = _simulate_block(cfg, [_ENVELOPE_LO_STREAM, _ENVELOPE_HI_STREAM], ks)
+        runs, _ = _trajectories(cfg, [_ENVELOPE_LO_STREAM, _ENVELOPE_HI_STREAM], ks)
         lo, hi = runs.min(axis=0), runs.max(axis=0)
 
     return SimResult(
@@ -635,11 +635,10 @@ def run_simulation(cfg: SimConfig) -> SimResult:
 
 def _summary(cfg: SimConfig) -> tuple[float, float]:
     """A sweep row's figures, `run_simulation(cfg)`'s mean_frac[-1] and
-    mean_cum_repaints[-1] bit for bit (as means of whole arrays: a column's
-    own can differ), counted at the horizon only, without bands or envelope."""
-    parts = [_simulate_block(cfg, s, horizon_only=True) for s in _blocks(cfg)]
-    frac, cum = (np.concatenate(p).mean(axis=0)[-1] for p in zip(*parts))
-    return float(frac), float(cum)
+    mean_cum_repaints[-1] bit for bit (means of whole `_trajectories`, not
+    of a column), counted at the horizon only, with no bands or envelope."""
+    frac, cum = _trajectories(cfg, range(cfg.replicates), horizon_only=True)
+    return float(frac.mean(axis=0)[-1]), float(cum.mean(axis=0)[-1])
 
 
 def _cpus(root: str = "/") -> int:
@@ -667,14 +666,14 @@ def _forked(task, args: list) -> list:
     pipe. Those are read as each child sends: the first exception sent is
     raised here, and a child that sends no whole result raises RuntimeError.
     Every child is killed and reaped."""
+    workers = min(len(args), _cpus())
+    if workers <= 1:
+        return [task(*a) for a in args]  # with no import: a one-CPU sweep needs none
     import contextlib
     import ctypes
     import select
     import signal
 
-    workers = min(len(args), _cpus())
-    if workers <= 1:
-        return [task(*a) for a in args]
     parent, children = os.getpid(), {}  # each child's pid, by its pipe
     ready = select.poll()  # select.select fails on descriptors >= 1024
     queue, feed = (open(fd, rw + "b", buffering=0) for fd, rw in zip(os.pipe(), "rw"))

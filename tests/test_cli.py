@@ -514,7 +514,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("simulate forked"))
         parent = os.getpid()
 
-        def fail(cfg, streams, k_override=None):
+        def fail(cfg, streams, *rest):
             assert os.getpid() == parent
             raise KeyError("the first block's rows")
 
@@ -534,7 +534,7 @@ class TestSimulateCommand:
             "import os, sys, time\n"
             "import heartfade.simulate as simulate\n"
             "from heartfade.cli import main\n"
-            "def stall(cfg, streams, k_override=None):\n"
+            "def stall(cfg, streams, *rest):\n"
             "    os.write(1, b'%d\\n' % os.getpid())\n"
             "    time.sleep(60)\n"
             "simulate._simulate_block = stall\n"
@@ -1014,6 +1014,26 @@ def test_only_a_process_that_simulates_loads_numpy_random():
         "[False, False] False",
         "[False, False] True",
     ]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_a_one_cpu_sweep_imports_no_fork_machinery():
+    # a process held to one CPU runs its sweep's runs itself, so _forked
+    # returns before it imports select and signal
+    code = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import heartfade.simulate as simulate\n"
+        "cfg = simulate.SimConfig(k_mean=0.041, n_agents=5, replicates=2, horizon_days=30)\n"
+        "assert len(simulate.sweep_fractions(cfg, [0.1])) == 3\n"
+        "print(sorted({'select', 'signal'} & set(sys.modules)))\n"
+    )
+    src = str(Path(heartfade.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_fnv1a64_known_vectors():

@@ -93,10 +93,11 @@ def test_only_the_sweep_forks():
 
 
 def test_only_a_sweep_row_counts_at_the_horizon_only():
-    # _simulate_block's parameter is passed by _summary alone: run_simulation
-    # and the CLI record every day's count
+    # _simulate_block's parameter, forwarded by _trajectories, is passed by
+    # _summary alone: run_simulation and the CLI record every day's count
     found = set(sites("horizon_only"))
-    assert found == {("simulate", "_simulate_block"), ("simulate", "_summary")}
+    blocks = {("simulate", "_simulate_block"), ("simulate", "_trajectories")}
+    assert found == blocks | {("simulate", "_summary")}
 
 
 def test_sites_sees_each_form():

@@ -4,6 +4,7 @@ import os
 import pickle
 import signal
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -21,8 +22,8 @@ from heartfade.simulate import (
     _Words,
     _bands,
     _draws,
-    _simulate_block,
     _stream,
+    _trajectories,
     derive_stream_seed,
     advance_day,
     init_population,
@@ -260,8 +261,7 @@ class TestRepaintEvent:
 
     def repaint(self, delta_e, strategy, capacity):
         pop = one_row(delta_e, np.full(len(delta_e), 0.04))
-        words = _Words([_stream(42, 0)])
-        choose = _draws(strategy, words, len(delta_e), capacity, 1)
+        choose = _draws(strategy, [_stream(42, 0)], len(delta_e), capacity, 1)
         return pop, repaint_event(pop, strategy, capacity, 10.0, choose)
 
     def test_baseline_never_repaints(self):
@@ -300,8 +300,7 @@ class TestRepaintEvent:
         delta_e = np.array([[1.0, 12, 7, 12], [12, 1, 12, 12]])[:rows]
         k = np.full(delta_e.shape, 0.04)
         pop = Population(delta_e.copy(), k, np.zeros(rows, np.int64))
-        words = _Words([_stream(42, i) for i in range(rows)])
-        choose = _draws(Strategy.GREEDY_B, words, 4, 2, 2)
+        choose = _draws(Strategy.GREEDY_B, [_stream(42, i) for i in range(rows)], 4, 2, 2)
         assert repaint_event(pop, Strategy.GREEDY_B, 2, 10.0, choose) == 2 * rows
         assert pop.repaint_count.tolist() == [2] * rows
         # a second week adds to each row's total
@@ -316,8 +315,7 @@ class TestRepaintEvent:
     def test_threshold_leaves_each_rows_count_above(self, threshold, capacity):
         delta_e = np.array([[1.0, 12, 7, 12, 11, 0], [3, 4, 5, 6, 0, 0], [0.0] * 6])
         pop = Population(delta_e, np.full(delta_e.shape, 0.04), np.zeros(3, np.int64))
-        words = _Words([_stream(42, i) for i in range(3)])
-        choose = _draws(Strategy.THRESHOLD_C, words, 6, capacity, 1)
+        choose = _draws(Strategy.THRESHOLD_C, [_stream(42, i) for i in range(3)], 6, capacity, 1)
         repaint_event(pop, Strategy.THRESHOLD_C, capacity, threshold, choose)
         expected = np.count_nonzero(delta_e > threshold, axis=1)
         assert pop.above.tolist() == expected.tolist()
@@ -350,11 +348,24 @@ REPLAY_CASES = [
 ]
 
 
+def readers(monkeypatch):
+    """Each word reader `_draws` builds from here on, in order; each checks
+    its precondition as it is built: no stream holds a cached 32-bit half."""
+    built, init = [], simulate._Words.__init__
+
+    def recorded(self, rngs, size):
+        assert [r.bit_generator.state["has_uint32"] for r in rngs] == [0] * len(rngs)
+        built.append(self)
+        init(self, rngs, size)
+
+    monkeypatch.setattr(simulate._Words, "__init__", recorded)
+    return built
+
+
 def assert_consumed_alike(words, row, direct):
     """`words` has consumed from `row`'s stream exactly the 32-bit words
     `direct`, a twin stream, has: the row's unread words, then its stream's
     next raw outputs, are the next words `direct` hands out."""
-    assert not words.fresh[row]  # its stream's cached half is in the buffer
     held = words.buf[row, words.pos[row] :]
     raw = words.rngs[row].bit_generator.random_raw(4).view(np.uint32)
     count = held.size + 8
@@ -372,10 +383,9 @@ def test_choice_replay_draws_what_choice_draws(monkeypatch, n, c):
     monkeypatch.setattr(simulate, "_DRAW_BYTES", 2 * rows * n)  # 4 + 1 weeks
     replayed = [_stream(9, i) for i in range(rows)]
     direct = [_stream(9, i) for i in range(rows)]
-    for rng in replayed + direct:
-        rng.integers(0, 7)  # leaves half a 64-bit word for the next draw
-    words = _Words(replayed)
-    choose = _draws(Strategy.RANDOM_A, words, n, c, weeks)
+    built = readers(monkeypatch)
+    choose = _draws(Strategy.RANDOM_A, replayed, n, c, weeks)
+    (words,) = built
     for _ in range(weeks):
         week = choose()
         want = [r.choice(n, c, replace=False) + i * n for i, r in enumerate(direct)]
@@ -388,31 +398,26 @@ def test_choice_replay_draws_what_choice_draws(monkeypatch, n, c):
 
 # 2^31 + 1 rejects about half its words, so rows are drawn again word by word
 @pytest.mark.parametrize("bound", [2, 1000, 2**31 + 1, 2**32])
-@pytest.mark.parametrize("cached", [False, True])
 @pytest.mark.parametrize("narrow", [False, True])
-def test_bounded_draws_what_integers_draws(monkeypatch, bound, cached, narrow):
+def test_bounded_draws_what_integers_draws(monkeypatch, bound, narrow):
     """`_Words.bounded` gives Generator.integers(0, bounds) on each row's
-    stream, over calls on all rows and on some rows with bounds of their
-    own, from fresh streams and from streams holding a cached half; a
-    narrow buffer refills inside a call."""
+    fresh stream, over calls on all rows and on some rows with bounds of
+    their own; a narrow buffer refills inside a call."""
     if narrow:  # one word wider than a call needs
         monkeypatch.setattr(simulate, "_DRAW_BYTES", 0)
     rows = 3
     read = [_stream(4, i) for i in range(rows)]
     direct = [_stream(4, i) for i in range(rows)]
-    if cached:
-        for rng in read + direct:
-            rng.integers(0, 7)
-    words = _Words(read)
     every = np.arange(rows)
     bounds = np.array([bound, 2, 3, bound, 2**32, bound, 1000] * 3)
+    words, columns = _Words(read, bounds.size), np.arange(bounds.size)
     some = np.array([2, 0])  # rows 2 and 0, each with its own bounds
     own = np.stack([bounds[::-1], np.roll(bounds, 5)])
     for _ in range(3):
-        got = words.bounded(every, bounds)
+        got = words.bounded(every, bounds, columns)
         assert got.dtype == np.int64
         assert np.array_equal(got, [r.integers(0, bounds) for r in direct])
-        got = words.bounded(some, own)
+        got = words.bounded(some, own, columns)
         want = [direct[i].integers(0, b) for i, b in zip(some, own)]
         assert np.array_equal(got, want)
     for i, rng in enumerate(direct):
@@ -425,17 +430,18 @@ def test_bounded_keeps_the_columns_it_is_given(monkeypatch):
     monkeypatch.setattr(simulate, "_DRAW_BYTES", 0)  # refills inside calls
     every = np.arange(3)
     bounds = np.array([2**31 + 1, 7, 2**31 + 1, 1000, 2**32, 2**31 + 1] * 4)
-    keep = np.array([0, 2, 3, 9, 10, 17, 23])
-    whole, some = (_Words([_stream(9, i) for i in range(3)]) for _ in "ab")
+    keep, columns = np.array([0, 2, 3, 9, 10, 17, 23]), np.arange(bounds.size)
+    whole, some = (_Words([_stream(9, i) for i in range(3)], bounds.size) for _ in "ab")
     for own in (bounds, np.stack([bounds, bounds[::-1], np.roll(bounds, 1)])):
         for _ in range(40):
-            want = whole.bounded(every, own)[:, keep]
+            want = whole.bounded(every, own, columns)[:, keep]
             assert np.array_equal(some.bounded(every, own, keep), want)
             assert np.array_equal(some.pos, whole.pos)
 
 
 RANDOM_A, THRESHOLD_C = Strategy.RANDOM_A, Strategy.THRESHOLD_C
 TENTH = dict(repaint_fraction_weekly=0.1)
+ONE_PCT = dict(repaint_fraction_weekly=0.01)
 TEN_WEEKS = 10 * 4 * 100  # _DRAW_BYTES for 10-week chunks of 4 rows of 100,
 # which RANDOM_A draws 20 weeks at a time
 BYTES = simulate._DRAW_BYTES  # the default
@@ -494,7 +500,7 @@ def test_draws(monkeypatch, strategy, rows, n, c, weeks, draw_bytes, drawn):
     monkeypatch.setattr(simulate, "_floyd", counted)
     chosen = []
     streams = [Choosing(derive_stream_seed(3, i), i, chosen) for i in range(rows)]
-    choose = _draws(strategy, _Words(streams), n, c, weeks)
+    choose = _draws(strategy, streams, n, c, weeks)
     if strategy is RANDOM_A:  # every row, all n agents
         every = np.arange(rows)
         over, start, m = every, every * n, np.full(rows, n)
@@ -641,9 +647,9 @@ class TestRunSimulation:
         rows = []
         simulate_block = simulate._simulate_block
 
-        def counting(cfg, streams, k_override=None):
+        def counting(cfg, streams, *rest):
             rows.append(len(streams))
-            return simulate_block(cfg, streams, k_override)
+            simulate_block(cfg, streams, *rest)
 
         monkeypatch.setattr(simulate, "_simulate_block", counting)
         run_simulation(SimConfig(k_mean=0.04, n_agents=1, horizon_days=7, replicates=5000))
@@ -660,13 +666,13 @@ class TestRunSimulation:
         blocks, draws = [], []
         simulate_block, draws_for = simulate._simulate_block, simulate._draws
 
-        def block(cfg, streams, k_override=None):
+        def block(cfg, streams, *rest):
             blocks.append(len(streams))
-            return simulate_block(cfg, streams, k_override)
+            simulate_block(cfg, streams, *rest)
 
-        def chooser(strategy, words, n, c, weeks):
-            draws.append((strategy, len(words.rngs), n, c, weeks))
-            return draws_for(strategy, words, n, c, weeks)
+        def chooser(strategy, rngs, n, c, weeks):
+            draws.append((strategy, len(rngs), n, c, weeks))
+            return draws_for(strategy, rngs, n, c, weeks)
 
         monkeypatch.setattr(simulate, "_simulate_block", block)
         monkeypatch.setattr(simulate, "_draws", chooser)
@@ -696,10 +702,10 @@ class TestRunSimulation:
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
         original, parent, forks = simulate._simulate_block, os.getpid(), []
 
-        def located(cfg, streams, k_override=None):
+        def located(cfg, streams, *rest):
             if os.getpid() != parent:
                 raise AssertionError(f"rows {streams} ran outside the caller")
-            return original(cfg, streams, k_override)
+            original(cfg, streams, *rest)
 
         def fork():
             forks.append(1)
@@ -718,9 +724,9 @@ class TestRunSimulation:
         monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2 * cfg.n_agents)
         original, steps = simulate._simulate_block, []
 
-        def recorded(cfg, streams, k_override=None):
+        def recorded(cfg, streams, fracs, cums, k_override=None, horizon_only=False):
             steps.append((list(streams), k_override is not None))
-            return original(cfg, streams, k_override)
+            original(cfg, streams, fracs, cums, k_override, horizon_only)
 
         monkeypatch.setattr(simulate, "_simulate_block", recorded)
         run_simulation(cfg)
@@ -733,10 +739,10 @@ class TestRunSimulation:
         monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2 * 50)
         original = simulate._simulate_block
 
-        def failing(cfg, streams, k_override=None):
+        def failing(cfg, streams, *rest):
             if streams[0] == 2:
                 raise ZeroDivisionError(f"rows {streams[0]} to {streams[-1]}")
-            return original(cfg, streams, k_override)
+            original(cfg, streams, *rest)
 
         monkeypatch.setattr(simulate, "_simulate_block", failing)
         with pytest.raises(ZeroDivisionError, match="^rows 2 to 3$"):
@@ -748,7 +754,7 @@ class TestRunSimulation:
         monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2 * 50)
         steps = []
 
-        def failing(cfg, streams, k_override=None):
+        def failing(cfg, streams, *rest):
             steps.append(list(streams))
             raise KeyError("the first block's rows")
 
@@ -758,6 +764,73 @@ class TestRunSimulation:
         assert steps == [[0, 1]]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # no child, not even a zombie
+
+    @pytest.mark.parametrize(
+        "cfg, block_cells, built",
+        [
+            (small_cfg(**TENTH, strategy=RANDOM_A), None, [1]),
+            # 5 slots a week, more than 2 repaint weeks of one row hold
+            (small_cfg(**TENTH, strategy=RANDOM_A, replicates=1, horizon_days=14), None, [0]),
+            # 1%, 10 slots: words with 20 rows or more, choice with fewer
+            (small_cfg(**ONE_PCT, strategy=THRESHOLD_C, n_agents=1000, replicates=25), None, [1]),
+            (small_cfg(**ONE_PCT, strategy=THRESHOLD_C, n_agents=1000), None, [0]),
+            # 1 slot: words in the 5-row block and in the envelope's 2 rows
+            (
+                small_cfg(
+                    **ONE_PCT, strategy=THRESHOLD_C, n_agents=100, uncertainty_mode="envelope"
+                ),
+                None,
+                [1, 1],
+            ),
+            (small_cfg(**TENTH, strategy=RANDOM_A, replicates=7), 3 * 50, [1, 1, 1]),
+            (small_cfg(**TENTH), None, [0]),
+            (small_cfg(**TENTH, strategy=Strategy.GREEDY_B), None, [0]),
+        ],
+        ids=[
+            "random_a",
+            "random_a-choice",
+            "threshold_c",
+            "threshold_c-choice",
+            "envelope",
+            "blocks",
+            "baseline",
+            "greedy_b",
+        ],
+    )
+    def test_a_words_side_block_builds_one_reader(self, monkeypatch, cfg, block_cells, built):
+        # _draws builds the reader, once for each block that draws words,
+        # and each stream it is given holds no cached half (see readers)
+        if block_cells is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
+        made, per_block, original = readers(monkeypatch), [], simulate._simulate_block
+
+        def block(*args):
+            before = len(made)
+            original(*args)
+            per_block.append(len(made) - before)
+
+        monkeypatch.setattr(simulate, "_simulate_block", block)
+        run_simulation(cfg)
+        assert per_block == built
+
+    def test_a_run_holds_each_output_once(self, monkeypatch):
+        # 8 blocks of 512 rows write into the two outputs, allocated once;
+        # with _bands' sorted copy, the traced peak is about 3 outputs' bytes
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 512)
+        cfg = replace(
+            small_cfg(strategy=THRESHOLD_C, repaint_fraction_weekly=1.0),
+            n_agents=1,
+            replicates=4096,
+            horizon_days=700,
+        )
+        tracemalloc.start()
+        try:
+            run_simulation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = cfg.replicates * simulate._recorded_day_count(cfg.horizon_days) * 8
+        assert peak <= 3.5 * output
 
     def test_recorded_days_include_horizon(self):
         res = run_simulation(small_cfg(horizon_days=100))
@@ -974,10 +1047,10 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         original, parent = simulate._simulate_block, os.getpid()
 
-        def located(cfg, streams, k_override=None, **horizon_only):
+        def located(cfg, streams, *rest):
             if os.getpid() == parent or os.getppid() != parent:
                 raise AssertionError(f"rows {streams} ran outside a sweep worker")
-            return original(cfg, streams, k_override, **horizon_only)
+            original(cfg, streams, *rest)
 
         monkeypatch.setattr(simulate, "_simulate_block", located)
         assert len(sweep_fractions(small_cfg(), [0.1])) == 3
@@ -1108,8 +1181,8 @@ class TestSeedDerivation:
 
     def test_replicate_order_independence(self):
         cfg = small_cfg(strategy=Strategy.RANDOM_A, repaint_fraction_weekly=0.1)
-        forward = [_simulate_block(cfg, [i])[0] for i in range(cfg.replicates)]
-        backward = [_simulate_block(cfg, [i])[0] for i in reversed(range(cfg.replicates))]
+        forward = [_trajectories(cfg, [i])[0] for i in range(cfg.replicates)]
+        backward = [_trajectories(cfg, [i])[0] for i in reversed(range(cfg.replicates))]
         for f, b in zip(forward, reversed(backward)):
             assert np.array_equal(f, b)
 

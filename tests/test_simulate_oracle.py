@@ -19,8 +19,8 @@ from heartfade.simulate import (
     Strategy,
     _draws,
     _stream,
-    _Words,
     init_population,
+    paint1_config,
     repaint_event,
     run_simulation,
     weekly_capacity,
@@ -311,8 +311,8 @@ def test_batched_repaint_equals_row_by_row(strategy, capacity):
     delta_e = np.round(rng.uniform(1.0, 12.0, size=(6, 12)))
     delta_e[2] = 1.0  # a row with nothing above the threshold
     batched = Population(delta_e.copy(), np.zeros_like(delta_e), np.zeros(6, np.int64))
-    words = _Words([_stream(3, i) for i in range(len(delta_e))])
-    choose = _draws(strategy, words, delta_e.shape[1], capacity, 1)
+    streams = [_stream(3, i) for i in range(len(delta_e))]
+    choose = _draws(strategy, streams, delta_e.shape[1], capacity, 1)
     count = repaint_event(batched, strategy, capacity, 9.5, choose)
     assert type(count) is int
 
@@ -622,7 +622,7 @@ def test_repaint_event_writes_into_strided_views(strategy, rows):
     copy = Population(view.delta_e.copy(), view.k.copy(), view.repaint_count.copy())
 
     def chooser():
-        return _draws(strategy, _Words([_stream(5, i) for i in range(rows)]), 12, 3, 1)
+        return _draws(strategy, [_stream(5, i) for i in range(rows)], 12, 3, 1)
 
     got = repaint_event(view, strategy, 3, 9.5, chooser())
     want = repaint_event(copy, strategy, 3, 9.5, chooser())
@@ -634,3 +634,35 @@ def test_repaint_event_writes_into_strided_views(strategy, rows):
     untouched = np.ones(shape, dtype=bool)
     untouched[at] = False
     assert np.array_equal(delta_e[untouched], before[untouched])
+
+
+def horizon_fraction(result):
+    """The mean fraction above threshold at the horizon, and its standard
+    error over the replicates."""
+    fracs = result.frac_by_rep[:, -1]
+    return fracs.mean(), fracs.std(ddof=1) / np.sqrt(len(fracs))
+
+
+@pytest.mark.parametrize(
+    "strategy,fraction", [(Strategy.RANDOM_A, 0.05), (Strategy.THRESHOLD_C, 0.01)]
+)
+def test_the_proxy_gives_the_whole_walls_figures(strategy, fraction):
+    """The presets model the wall's 240,000 hearts as 1,000 agents of 240
+    hearts each (cli's wall_hearts_per_agent). Over a year, the proxy (200
+    replicates) and the whole wall at one agent per heart (4 replicates)
+    agree: their horizon fractions within 4 combined standard errors, and
+    their repaints, the proxy's times 240, within 0.5%. The repaints take a
+    relative margin because THRESHOLD_C's differ by a steady 0.15%, the
+    same 134 hearts after one year and after two: 2.8 standard errors, a
+    gap of scale that no margin in standard errors describes."""
+    year = replace(
+        paint1_config(), strategy=strategy, repaint_fraction_weekly=fraction, horizon_days=365
+    )
+    proxy = run_simulation(replace(year, n_agents=1000, replicates=200))
+    wall = run_simulation(replace(year, n_agents=240_000, replicates=4))
+    (p, p_se), (w, w_se) = horizon_fraction(proxy), horizon_fraction(wall)
+    assert 0 < w < 1
+    assert abs(p - w) <= 4 * np.hypot(p_se, w_se)
+    hearts = 240 * proxy.mean_cum_repaints[-1], wall.mean_cum_repaints[-1]
+    assert hearts[1] > 0
+    assert abs(hearts[0] - hearts[1]) <= 0.005 * hearts[1]
