@@ -20,11 +20,13 @@ the stream contract (0.2.0) is unchanged. A run that cannot repaint stops
 stepping once every agent is above the threshold (rates are positive, so
 none can fall back below it); the outputs are the same as stepping on to
 the horizon. Nor does THRESHOLD_C skipping its candidate pass while no
-agent can be above the threshold change an output. A run steps every block
-in its calling process; only a sweep forks, one worker per usable CPU. The
-step functions (`init_population`, `advance_day`, `repaint_event`) are
-internal but stay module-level, one call per row, interval or repaint
-week, for a tracer.
+agent can be above the threshold change an output, nor its repainting from
+each week's crossers, found once, where no agent can cross twice
+(_crossed_block). A run steps every block in its calling process; only a
+sweep forks, one worker per usable CPU. The step functions
+(`init_population`, `advance_day`, `repaint_event`) are internal but stay
+module-level, one call per row, stepped interval or repaint week with a
+candidate, for a tracer.
 """
 
 from __future__ import annotations
@@ -111,12 +113,14 @@ class Strategy(str, Enum):
 @dataclass
 class Population:
     """A block's agent state: (replicates, agents) arrays, and each row's
-    repaint total and last count above the threshold, (replicates,) each."""
+    repaint total and last count above the threshold, (replicates,) each;
+    `candidates`, if set, THRESHOLD_C's ones as ascending flat positions."""
 
     delta_e: np.ndarray
     k: np.ndarray
     repaint_count: np.ndarray
     above: np.ndarray | None = None
+    candidates: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -294,7 +298,8 @@ def repaint_event(
     random, GREEDY_B the most faded (ties to the lowest index, as a stable
     sort would order them), THRESHOLD_C uniformly among the agents above
     `threshold`. A row's candidates are all its agents for RANDOM_A and its
-    agents above `threshold` for THRESHOLD_C. A forced row, with m <=
+    agents above `threshold` for THRESHOLD_C, `pop.candidates` if set (the
+    flat positions delta_e > threshold would give). A forced row, with m <=
     `capacity` candidates, repaints all m and draws nothing. A row with
     m > `capacity` repaints the candidates at the positions that its
     stream's `choice(m, capacity, replace=False)` picks in its ascending
@@ -325,7 +330,8 @@ def repaint_event(
             every = np.arange(rows)
             picked = choose(every, every * n, np.full(rows, n)).ravel()
     else:  # THRESHOLD_C
-        picked = np.flatnonzero(delta_e > threshold)
+        picked = pop.candidates
+        picked = np.flatnonzero(delta_e > threshold) if picked is None else picked
         # row i's m[i] candidates are picked[edges[i] : edges[i + 1]]
         edges = np.searchsorted(picked, np.arange(0, rows * n + 1, n))
         start, m = edges[:-1], edges[1:] - edges[:-1]
@@ -503,6 +509,74 @@ def _recorded_days(horizon_days: int) -> np.ndarray:
     return days
 
 
+def _crossing(v, s, threshold: float, limit: int, g) -> np.ndarray:
+    """For each agent, the first j at which x_j > `threshold`, where x_0 = v,
+    x_j = x_{j-1} + s up to j = limit (s = k·7, the weekly step) and then
+    x_{limit+1} = x_limit + g (g = k times the days past the last week, or
+    0); limit + 2 if none is. Each add is rounded as a weekly step rounds it.
+    j is estimated from the exact sums and taken where rounding cannot move
+    it: j rounded adds of terms >= 0 are within (j + 1)·2^-53 of their exact
+    sum, relatively, and fl(x + s) >= x, so x_j above the threshold stays
+    above. Agents whose sums sit within that margin of it are replayed."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        j = np.floor((threshold - v) / s) + 1  # inf or nan where s underflows
+    j = np.fmax(np.fmin(j, limit + 1), 1).astype(np.int64)
+    x = v + j * s  # about x_j
+    err, past, y = (j + 4) * 2**-52 * (x + s + g), j > limit, x - s + g  # y: x_limit + g
+    ok = (past | (x - err > threshold)) & ((j == 1) | (x - s + err < threshold))
+    ok &= ~past | (y - err > threshold) | (y + err < threshold)
+    j += past & (y + err < threshold)
+    bad = np.flatnonzero(~ok)  # most often none
+    j[bad] = _replay(v[bad], s[bad], threshold, limit, g[bad])
+    return j
+
+
+def _replay(v, s, threshold: float, limit: int, g) -> np.ndarray:
+    """`_crossing`'s j by its adds made one at a time, as the weekly steps
+    make them, until every agent is above the threshold or none moves."""
+    x, j = v.copy(), np.full(v.shape, limit + 1)
+    for week in range(1, limit + 1):
+        x += s
+        j[(x > threshold) & (j > limit)] = week
+        if (x + s == x)[j > limit].all():  # every agent above, or the rest stuck
+            break  # x_limit is x for the rest
+    return j + ((j > limit) & ~(x + g > threshold))
+
+
+def _crossed_block(cfg: SimConfig, pop: Population, choose, fracs, cums) -> None:
+    """`_simulate_block`'s THRESHOLD_C run where no agent can cross the
+    threshold twice: each agent's crossing week (_crossing) is found once,
+    2^12 agents at a time. Each week then repaints from its crossers and
+    those left from the week before, through `repaint_event`: the same
+    candidates, picks and draws as stepping. A `live` mask of the agents
+    above the threshold stands in for delta_e; a repaint clears it."""
+    (rows, n), (weeks, gap) = pop.delta_e.shape, divmod(cfg.horizon_days, 7)
+    threshold, capacity = cfg.perception_threshold, weekly_capacity(cfg)
+    fracs[:, 0] = (pop.delta_e > threshold).sum(axis=1) / n
+    when = np.empty(rows * n, np.min_scalar_type(weeks + 2))  # 1 ... weeks + 2
+    for c in range(0, rows * n, 4096):  # copies: delta_e is freed before the sort
+        v, k = pop.delta_e.flat[c : c + 4096], pop.k.flat[c : c + 4096]
+        when[c : c + 4096] = _crossing(v, k * 7, threshold, weeks, k * gap)
+    pop.delta_e = live = np.zeros((rows, n), dtype=bool)
+    # each week's crossers, ascending: order[ends[w - 1] : ends[w]] for week w
+    order = np.argsort(when, kind="stable").astype(np.int32)
+    ends = np.bincount(when, minlength=weeks + 2).cumsum().tolist()
+    cells, above, left = live.reshape(-1), 0, False
+    for week in range(1, weeks + 1):
+        crossers = order[ends[week - 1] : ends[week]]
+        cells[crossers] = True  # candidates: these, and any `left` from last week
+        pop.candidates = np.flatnonzero(cells) if left else crossers
+        if pop.candidates.size:  # else no candidate: no call, nothing drawn
+            repainted = repaint_event(pop, Strategy.THRESHOLD_C, capacity, threshold, choose)
+            above, left = pop.above, repainted < pop.candidates.size
+        fracs[:, week] = above / n
+        cums[:, week] = pop.repaint_count
+    # the still live and those crossing on the horizon's last add (none on the grid)
+    late = order[ends[weeks] : ends[weeks + 1]] // n
+    fracs[:, -1] = (above + np.bincount(late, minlength=rows)) / n
+    cums[:, -1] = pop.repaint_count
+
+
 def _simulate_block(
     cfg: SimConfig,
     stream_indices: Sequence[int],
@@ -524,16 +598,20 @@ def _simulate_block(
         pop.delta_e[i], pop.k[i] = init_population(cfg, rng)
     if k_override is not None:
         pop.k[:] = np.maximum(k_override, cfg.k_mean / 100.0)[:, None]
-    capacity = weekly_capacity(cfg)
-    threshold = cfg.perception_threshold
+    capacity, threshold = weekly_capacity(cfg), cfg.perception_threshold
     choose = _draws(cfg.strategy, rngs, n, capacity, cfg.horizon_days // 7)
     # a run that cannot repaint is settled once every agent is above the
     # threshold: rates are positive, so delta_e never falls again
     settles = cfg.strategy is Strategy.BASELINE or capacity == 0
     counted = cfg.strategy is Strategy.THRESHOLD_C and not settles  # see repaint_event
+    top, kmax = float(pop.delta_e.max()), float(pop.k.max())
+    rise, (weeks, gap) = kmax * 7, divmod(cfg.horizon_days, 7)  # rise: max(k·7)
+    # no agent crosses twice: that fades threshold - top, then threshold from 0
+    most = (top + weeks * rise + gap * kmax) * (1 + (weeks + 3) * 2**-52)
+    if counted and most < 2 * threshold:
+        return _crossed_block(cfg, pop, choose, fracs, cums)
     days = _recorded_days(cfg.horizon_days)
-    step = pop.k * 7  # one week's fading, reused every week
-    quiet, top, rise = counted, float(pop.delta_e.max()), float(step.max())
+    quiet, step = counted, pop.k * 7  # step: one week's fading, reused every week
     gaps = np.diff(days, prepend=0).tolist()  # days since the last recorded day
     for col, (day, gap) in enumerate(zip(days.tolist(), gaps)):
         if gap:
@@ -610,7 +688,9 @@ def run_simulation(cfg: SimConfig) -> SimResult:
     repaint (BASELINE, or weekly capacity 0) stops stepping once every
     agent in it is above the threshold and records fraction 1.0 and no
     repaints for the remaining days, exactly what stepping on would give.
-    Blocks step in turn, in the calling process, each into its output rows.
+    Blocks where no THRESHOLD_C agent can cross the threshold twice repaint
+    from each week's crossers instead (_crossed_block). Blocks run in turn,
+    in the calling process, each into its output rows.
     """
     frac_by_rep, cum_by_rep = _trajectories(cfg, range(cfg.replicates))
 
@@ -643,13 +723,23 @@ def _summary(cfg: SimConfig) -> tuple[float, float]:
 
 def _cpus(root: str = "/") -> int:
     """CPUs this process may use (os.sched_getaffinity, else 1), capped by the
-    quota of the cgroup at `root`/sys/fs/cgroup, rounded up: v2 cpu.max or v1
-    cpu.cfs_quota_us ÷ cpu.cfs_period_us; "max", -1 or a bad file: no cap."""
+    smallest quota, rounded up, under `root`/sys/fs/cgroup: v2 cpu.max of the
+    process's own cgroup (proc/self/cgroup's `0::` line) and of each above it,
+    v1 cpu.cfs_quota_us ÷ cpu.cfs_period_us at the root; "max", -1 or a bad
+    file: no cap."""
     cpus = getattr(os, "sched_getaffinity", None)
     count = len(cpus(0)) if cpus else 1
-    for files in ["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]:
+    cgroups, own_file = (Path(root, path) for path in ("sys/fs/cgroup", "proc/self/cgroup"))
+    try:
+        lines = own_file.read_text().splitlines()
+        own = next(line[3:] for line in lines if line.startswith("0::")).split("/")
+        own = [] if ".." in own else [part for part in own if part]
+    except (OSError, ValueError, StopIteration):  # no v2 path: the root alone
+        own = []
+    v2 = [[Path(*own[:depth], "cpu.max")] for depth in range(len(own) + 1)]
+    for files in v2 + [["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]]:
         try:
-            words = [Path(root, "sys/fs/cgroup", f).read_text().split() for f in files]
+            words = [(cgroups / f).read_text().split() for f in files]
             quota, period = map(int, sum(words, []))
             count = min(count, -(-quota // period) if quota > 0 < period else count)
         except (OSError, ValueError):

@@ -104,3 +104,30 @@ def test_tracer_wraps_the_calibrate_writes(tmp_path):
     assert written == ["calibrated.csv", "manifest.json"]
     assert metrics["cli.OutputSet.write_text.calls"] == len(written)
     assert metrics["ingest.parse_ppm.p6.calls"] == 1
+
+
+def test_tracer_counts_the_repaints_of_a_run_by_crossing_weeks(tmp_path):
+    """A THRESHOLD_C run whose agents cannot cross the threshold twice
+    finds each agent's crossing week instead of stepping, and still
+    repaints through `repaint_event`: once per week with a candidate in
+    some replicate (the oracle's count), every repaint counted."""
+    from test_simulate_oracle import NAMED, oracle_replicate
+
+    cfg = NAMED["threshold_c-once-over"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "out"
+    metrics = traced(
+        ["simulate", str(config), "--seed", str(cfg.master_seed), "--out", str(out)]
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    repainted = round(summary["mean_cum_repaints_agents"] * cfg.replicates)
+    assert metrics["simulate.repaint_event.repainted"] == repainted > 0
+    counts = []  # each replicate's candidates, week by week
+    for i in range(cfg.replicates):
+        counts.append([])
+        oracle_replicate(cfg, i, candidate_counts=counts[-1])
+    weeks = sum(any(week) for week in zip(*counts))
+    assert 0 < weeks < cfg.horizon_days // 7
+    assert metrics["simulate.repaint_event.calls"] == weeks
+    assert "simulate.advance_day.calls" not in metrics  # no week is stepped

@@ -589,6 +589,96 @@ def test_greedy_keeps_all_but_a_stable_sorts_first(rows, n, distinct, capacity, 
     assert np.array_equal(buffer.view(np.uint64)[outside], rest)
 
 
+def first_above(v, s, threshold, limit, g):
+    """The first of `limit` adds of s to v, then one of g, after which the
+    running sum is above the threshold, one add at a time; one past the
+    last add if none is."""
+    x = v
+    for j in range(1, limit + 1):
+        x += s
+        if x > threshold:
+            return j
+    return limit + 1 if x + g > threshold else limit + 2
+
+
+def crossing(v, s, threshold, limit, g):
+    """`simulate._crossing` of one agent, or of lists of agents, as a list."""
+    v, s, g = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (v, s, g))
+    return simulate._crossing(v, s, threshold, limit, g).tolist()
+
+
+# values >= 0 of all scales, subnormals and 0 among them
+VALUES = st.floats(0.0, 100.0)
+STEPS = st.floats(0.0, 10.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(VALUES, STEPS, STEPS), min_size=1, max_size=6),
+    VALUES,
+    st.integers(0, 300),
+)
+@example([(0.0, 0.5, 0.0)], 4.0, 8)  # lands on the threshold in week 8
+@example([(0.0, 0.5, 0.25)], 4.25, 8)  # and on the horizon
+def test_crossing_is_the_first_add_above_the_threshold(agents, threshold, limit):
+    """Each agent's crossing is that of its sums made one add at a time:
+    the weekly s `limit` times, then one g."""
+    want = [first_above(v, s, threshold, limit, g) for v, s, g in agents]
+    v, s, g = zip(*agents)
+    assert crossing(v, s, threshold, limit, g) == want
+
+
+def replaying(monkeypatch):
+    """The number of agents each `_replay` call of `_crossing` takes."""
+    sizes, replay = [], simulate._replay
+    monkeypatch.setattr(simulate, "_replay", lambda v, *a: sizes.append(v.size) or replay(v, *a))
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "v,s,j", [(0.0, 0.1, 30), (1.3, 7 * 0.5 / 365.25, 600), (5.0, 1 / 3, 7), (0.0, 0.5, 8)]
+)
+@pytest.mark.parametrize("side", [-np.inf, 0.0, np.inf])
+@pytest.mark.parametrize("horizon", [False, True])
+def test_crossing_replays_sums_at_the_threshold(monkeypatch, v, s, j, side, horizon):
+    """A threshold equal to the sum after j adds, or one ulp either side of
+    it, is within the margin of the estimate: the agent is replayed, and
+    crosses where the adds made one at a time do. With `horizon`, the j-th
+    add is the last one, of g = 0.7·s; without, g is 0."""
+    limit, g = (j - 1, 0.7 * s) if horizon else (j + 5, 0.0)
+    x = v
+    for _ in range(j - 1):
+        x += s
+    x += g if horizon else s
+    threshold = x if side == 0 else float(np.nextafter(x, side))
+    sizes = replaying(monkeypatch)
+    assert crossing(v, s, threshold, limit, g) == [first_above(v, s, threshold, limit, g)]
+    assert sizes == [1]
+
+
+CAP = simulate._MAX_AGENT_DAYS // 7  # the weeks of the longest run the work cap admits
+
+
+@pytest.mark.parametrize(
+    "v,s,threshold,g,want",
+    [
+        (2.5, 7e-300, 10.0, 3e-300, CAP + 2),  # k_mean 1e-300: never
+        (1.0, 7e-300, 1.0, 3e-300, CAP + 2),  # replayed: 1.0 + s is 1.0
+        (0.0, 7e-300, 1e-299, 0.0, 2),
+        (0.0, 7.0, 1e300, 6.0, CAP + 2),  # threshold 1e300: never
+        (0.0, 7e-300, 1e300, 1e-300, CAP + 2),  # (1e300 - v) / s overflows
+        (0.0, 1.0, 100.5, 0.0, 101),
+        (11.0, 0.0, 10.0, 0.0, 1),  # above on day 0; k·7 underflowed to 0
+        (10.0, 0.0, 10.0, 0.0, CAP + 2),  # (10 - 10) / 0 is nan
+    ],
+)
+def test_crossing_at_the_extremes(v, s, threshold, g, want):
+    """Rates, thresholds and horizons at the config's limits give the
+    crossing warning-free (warnings are errors in this suite), over the
+    longest horizon, whose adds no loop could replay."""
+    assert crossing(v, s, threshold, CAP, g) == [want]
+
+
 class TestRunSimulation:
     def test_determinism(self):
         cfg = small_cfg(strategy=Strategy.RANDOM_A, repaint_fraction_weekly=0.1)
@@ -1158,6 +1248,41 @@ class TestForked:
     )
     def test_cpus_takes_the_cgroup_quota(self, monkeypatch, tmp_path, files, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        for name, text in files.items():
+            path = tmp_path / "sys/fs/cgroup" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        assert simulate._cpus(str(tmp_path)) == cpus
+
+    @pytest.mark.parametrize(
+        "own, files, cpus",
+        [
+            # a quota only on the process's own cgroup, as in a systemd slice
+            ("0::/a.slice/b.scope\n", {"a.slice/b.scope/cpu.max": "200000 100000\n"}, 2),
+            # a tighter quota on a parent, and a looser one at the root
+            (
+                "1:cpu,cpuacct:/x\n0::/a.slice/b.scope\n",
+                {
+                    "cpu.max": "600000 100000\n",
+                    "a.slice/cpu.max": "100000 100000\n",
+                    "a.slice/b.scope/cpu.max": "300000 100000\n",
+                },
+                1,
+            ),
+            # no proc/self/cgroup: the root alone, as before
+            (None, {"a.slice/b.scope/cpu.max": "200000 100000\n"}, 8),
+            (None, {"cpu.max": "300000 100000\n"}, 3),
+            ("0::/\n", {"cpu.max": "300000 100000\n"}, 3),  # a cgroup namespace's root
+            # a cgroup outside the namespace's view: the root alone
+            ("0::/../other\n", {"../other/cpu.max": "100000 100000\n"}, 8),
+            ("0::/a\n", {"a/cpu.max": "max 100000\n"}, 8),
+        ],
+    )
+    def test_cpus_takes_the_own_cgroups_quota(self, monkeypatch, tmp_path, own, files, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        if own is not None:
+            (tmp_path / "proc/self").mkdir(parents=True)
+            (tmp_path / "proc/self/cgroup").write_text(own)
         for name, text in files.items():
             path = tmp_path / "sys/fs/cgroup" / name
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -214,6 +214,70 @@ NAMED.update(
     }
 )
 
+# slow fading, where no agent can cross the threshold twice by the horizon,
+# so a block finds each agent's crossing week once (_crossed_block): weeks
+# where every row is forced, and weeks where rows go over capacity and
+# draw, carrying agents to the next week; horizons on and off the weekly
+# grid; agents above the threshold on day 0; and envelope runs
+ONCE = dict(
+    k_mean=0.01,
+    k_sd=0.0012,
+    n_agents=40,
+    strategy=Strategy.THRESHOLD_C,
+    replicates=4,
+)
+NAMED.update(
+    {
+        "threshold_c-once-forced": SimConfig(
+            **ONCE, horizon_days=952, repaint_fraction_weekly=0.1
+        ),
+        "threshold_c-once-over": SimConfig(
+            **{**ONCE, "k_sd": 0.0},
+            initial_spread_max=1.0,
+            horizon_days=1300,
+            repaint_fraction_weekly=0.03,
+        ),
+        "threshold_c-once-above-on-day-0": SimConfig(
+            **{**ONCE, "k_mean": 0.003, "k_sd": 0.0004},
+            initial_spread_max=12.0,
+            horizon_days=700,
+            repaint_fraction_weekly=0.05,
+        ),
+        "threshold_c-once-envelope": SimConfig(
+            **ONCE,
+            horizon_days=950,
+            repaint_fraction_weekly=0.05,
+            uncertainty_mode="envelope",
+        ),
+        # every agent lands on threshold 4.0 in week 8 and crosses in week
+        # 9, more than capacity: half drawn, the rest forced in week 10;
+        # from 0 they would land on it again in week 17, past the horizon
+        "threshold_c-once-lands-on-threshold": SimConfig(
+            k_mean=0.5 / 7,
+            k_sd=0.0,
+            initial_spread_max=0.0,
+            perception_threshold=4.0,
+            n_agents=6,
+            horizon_days=105,
+            strategy=Strategy.THRESHOLD_C,
+            repaint_fraction_weekly=0.5,
+            replicates=3,
+        ),
+    }
+)
+
+
+def crossed_blocks(monkeypatch):
+    """The (rows, agents) shape of each block the engine runs by its
+    agents' crossing weeks."""
+    shapes, block = [], simulate._crossed_block
+    monkeypatch.setattr(
+        simulate,
+        "_crossed_block",
+        lambda cfg, pop, *a: shapes.append(pop.delta_e.shape) or block(cfg, pop, *a),
+    )
+    return shapes
+
 
 def random_configs(count, seed=2025):
     rng = np.random.default_rng(seed)
@@ -277,8 +341,13 @@ def test_quiet_cases_have_quiet_weeks():
     assert 0.5 / 7 * 7 == 0.5  # so week 8's sum is exactly the threshold
 
 
-def test_named_cases_cover_the_grid():
+def test_named_cases_cover_the_grid(monkeypatch):
     cfgs = list(NAMED.values())
+    blocks = crossed_blocks(monkeypatch)
+    for cfg in cfgs:
+        if cfg.strategy is Strategy.THRESHOLD_C:
+            run_simulation(cfg)
+    assert blocks  # some case is run by crossing weeks
     assert {c.strategy for c in cfgs} == set(Strategy)
     assert any(c.uncertainty_mode == "envelope" for c in cfgs)
     assert any(c.horizon_days % 7 for c in cfgs)
@@ -287,6 +356,56 @@ def test_named_cases_cover_the_grid():
         c.strategy is Strategy.GREEDY_B and c.k_sd == 0 and c.initial_spread_max == 0
         for c in cfgs
     )
+
+
+def test_once_cases_take_the_crossing_path_as_named(monkeypatch):
+    blocks = crossed_blocks(monkeypatch)
+    capacity = weekly_capacity(NAMED["threshold_c-once-over"])
+    for name in [n for n in NAMED if "-once-" in n] + ["threshold_c-quiet-lands-on-threshold"]:
+        blocks.clear()
+        cfg = NAMED[name]
+        run_simulation(cfg)
+        envelope = cfg.uncertainty_mode == "envelope"
+        assert blocks == [(cfg.replicates, cfg.n_agents)] + [(2, cfg.n_agents)] * envelope
+        counts = []  # the candidates of each week of replicate 0
+        oracle_replicate(cfg, 0, candidate_counts=counts)
+        assert max(counts) > 0, name
+        if name == "threshold_c-once-forced":
+            assert 0 < max(counts) <= weekly_capacity(cfg)
+        if name == "threshold_c-once-over":
+            assert sum(m > capacity for m in counts) > 3
+    assert NAMED["threshold_c-once-forced"].horizon_days % 7 == 0
+    assert NAMED["threshold_c-once-over"].horizon_days % 7
+    day0 = NAMED["threshold_c-once-above-on-day-0"]
+    assert oracle_run(day0)["frac_by_rep"][:, 0].min() > 0
+    # repaints that would come back above the threshold take the weekly path
+    blocks.clear()
+    run_simulation(NAMED["threshold_c-forced-then-over"])
+    assert blocks == []
+
+
+def test_the_premium_preset_takes_the_crossing_path_and_the_sweep_does_not(monkeypatch):
+    """paint2-1pct fades by at most 12.6 of the 15 ΔE it would need to
+    cross twice, so its one block takes the crossing path; the paint1-5pct
+    sweep fades by about 69 in its 3 years, so none of its runs does."""
+    from heartfade.cli import SIMULATE_PRESETS, SWEEP_PRESET_FRACTIONS, SWEEP_PRESETS
+
+    blocks = crossed_blocks(monkeypatch)
+    run_simulation(SIMULATE_PRESETS["paint2-1pct"])
+    assert blocks == [(100, 1000)]
+    blocks.clear()
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)  # the runs in this process
+    fractions = SWEEP_PRESET_FRACTIONS["paint1-5pct"]
+    rows = simulate.sweep_fractions(SWEEP_PRESETS["paint1-5pct"], fractions, 1095)
+    assert len(rows) == 15 and blocks == []
+
+
+@pytest.mark.parametrize("name", sorted(n for n in NAMED if "-once-" in n))
+def test_horizon_only_run_matches_oracle_by_crossing_weeks(name):
+    cfg = NAMED[name]
+    expected = oracle_run(cfg)
+    want = (expected["mean_frac"][-1], expected["mean_cum_repaints"][-1])
+    assert simulate._summary(cfg) == tuple(map(float, want))
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
