@@ -19,14 +19,13 @@ give the same numbers in the same order and consume the same words, so
 the stream contract (0.2.0) is unchanged. A run that cannot repaint stops
 stepping once every agent is above the threshold (rates are positive, so
 none can fall back below it); the outputs are the same as stepping on to
-the horizon. Nor does THRESHOLD_C skipping its candidate pass while no
-agent can be above the threshold change an output, nor its repainting from
-each week's crossers, found once, where no agent can cross twice
-(_crossed_block). A run steps every block in its calling process; only a
-sweep forks, one worker per usable CPU. The step functions
-(`init_population`, `advance_day`, `repaint_event`) are internal but stay
-module-level, one call per row, stepped interval or repaint week with a
-candidate, for a tracer.
+the horizon. Nor does THRESHOLD_C's repainting from each week's crossers,
+found once, where no agent can cross twice (_crossed_block). A run steps
+every block in its calling process; only a sweep forks, one worker per
+usable CPU. The step functions (`init_population`, `advance_day`,
+`repaint_event`) are internal but stay module-level, for a tracer: one call
+per row, per stepped interval, and per repaint week of a stepped block or
+week with a candidate of a crossing one.
 """
 
 from __future__ import annotations
@@ -611,7 +610,7 @@ def _simulate_block(
     if counted and most < 2 * threshold:
         return _crossed_block(cfg, pop, choose, fracs, cums)
     days = _recorded_days(cfg.horizon_days)
-    quiet, step = counted, pop.k * 7  # step: one week's fading, reused every week
+    step = pop.k * 7  # one week's fading, reused every week
     gaps = np.diff(days, prepend=0).tolist()  # days since the last recorded day
     for col, (day, gap) in enumerate(zip(days.tolist(), gaps)):
         if gap:
@@ -620,14 +619,7 @@ def _simulate_block(
             advance_day(pop, gap, step)
         repaints = day > 0 and day % 7 == 0
         if repaints:
-            # while no agent can be above the threshold: w rounded adds of
-            # terms >= 0 exceed their exact sum by at most (1 + 2^-53)^w
-            w = day // 7
-            quiet = quiet and (top + w * rise) * (1 + (w + 2) * 2**-52) < threshold
-            if quiet:  # no candidate: nothing drawn or repainted
-                pop.above = np.zeros(rows, np.int32)
-            else:
-                repaint_event(pop, cfg.strategy, capacity, threshold, choose)
+            repaint_event(pop, cfg.strategy, capacity, threshold, choose)
         if horizon_only and not settles and day < cfg.horizon_days:
             continue  # a run that settles needs every week's count
         if not (repaints and counted):

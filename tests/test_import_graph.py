@@ -4,16 +4,19 @@
 and `rates` read their JSON documents through it and import nothing from
 `ingest`, so a simulation never needs the ingestion module. The imports are
 read with `ast`: at run time the package root star-imports every module, so
-`sys.modules` cannot tell who imports whom.
+`sys.modules` cannot tell who imports whom. The same source must parse
+at the lowest Python that pyproject.toml's requires-python admits.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import heartfade
 
 PACKAGE = Path(heartfade.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def imports(module):
@@ -106,3 +109,12 @@ def test_sites_sees_each_form():
     assert ("simulate", "sweep_fractions") in sites("_forked")  # a bare name
     assert sites("root").count(("simulate", "_cpus")) == 2  # a parameter and its use
     assert sites("closefd") == [("simulate", "_forked")]  # a keyword argument
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # requires-python read with a regex: tomllib is new in 3.11
+    text = PYPROJECT.read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        ast.parse(source, path.name, feature_version=tuple(map(int, floor)))

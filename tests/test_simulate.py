@@ -320,6 +320,23 @@ class TestRepaintEvent:
         expected = np.count_nonzero(delta_e > threshold, axis=1)
         assert pop.above.tolist() == expected.tolist()
 
+    # 2c <= rows takes the words chooser, 2c > rows one `choice` per row-week
+    @pytest.mark.parametrize("rows", [4, 3], ids=["words", "choice"])
+    def test_threshold_week_without_a_candidate_draws_nothing(self, rows):
+        # every agent at or below the threshold, the last one on it
+        delta_e = np.linspace(0.0, 10.0, rows * 6).reshape(rows, 6)
+        k = np.full(delta_e.shape, 0.04)
+        pop = Population(delta_e.copy(), k, np.full(rows, 7, np.int64))
+        rngs = [_stream(42, i) for i in range(rows)]
+        states = [rng.bit_generator.state for rng in rngs]
+        choose = _draws(Strategy.THRESHOLD_C, rngs, 6, 2, 1)
+        assert (choose.__name__ == "choice") == (rows == 3)
+        assert repaint_event(pop, Strategy.THRESHOLD_C, 2, 10.0, choose) == 0
+        assert pop.delta_e.tobytes() == delta_e.tobytes()
+        assert pop.repaint_count.tolist() == [7] * rows
+        assert pop.above.tolist() == [0] * rows
+        assert [rng.bit_generator.state for rng in rngs] == states
+
     def test_takes_five_positional_parameters(self):
         params = inspect.signature(repaint_event).parameters.values()
         assert [p.name for p in params] == [

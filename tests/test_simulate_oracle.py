@@ -181,11 +181,12 @@ NAMED.update(
     }
 )
 
-# THRESHOLD_C skips its candidate pass while no agent can be above the
-# threshold: a slow rate leaves a long prefix of such weeks, in Monte Carlo
-# and envelope mode, and a negative threshold leaves none. With k_sd 0,
-# spread 0 and k·7 = 0.5, every sum is exact: the agents reach threshold
-# 4.0 in week 8, equal and so not above it, and count from week 9
+# a slow rate leaves a long prefix of weeks in which no THRESHOLD_C agent
+# is above the threshold, in Monte Carlo and envelope mode, and a negative
+# threshold leaves none. At 1000 days no agent can cross threshold 10.0
+# twice, so its blocks take the crossing path; at 1500 they step. With
+# k_sd 0, spread 0 and k·7 = 0.5, every sum is exact: the agents reach
+# threshold 4.0 in week 8, equal and so not above it, and count from week 9
 SLOW = dict(
     k_mean=0.01,
     k_sd=0.002,
@@ -200,6 +201,10 @@ NAMED.update(
         "threshold_c-quiet-prefix": SimConfig(**SLOW),
         "threshold_c-quiet-envelope": SimConfig(**SLOW, uncertainty_mode="envelope"),
         "threshold_c-quiet-negative": SimConfig(**SLOW, perception_threshold=-0.5),
+        "threshold_c-quiet-stepped": SimConfig(**{**SLOW, "horizon_days": 1500}),
+        "threshold_c-quiet-stepped-envelope": SimConfig(
+            **{**SLOW, "horizon_days": 1500}, uncertainty_mode="envelope"
+        ),
         "threshold_c-quiet-lands-on-threshold": SimConfig(
             k_mean=0.5 / 7,
             k_sd=0.0,
@@ -339,6 +344,37 @@ def test_quiet_cases_have_quiet_weeks():
     landing = counts("threshold_c-quiet-lands-on-threshold")
     assert landing[:9] == [0] * 8 + [6]
     assert 0.5 / 7 * 7 == 0.5  # so week 8's sum is exactly the threshold
+
+
+STEPPED = ["threshold_c-quiet-stepped", "threshold_c-quiet-stepped-envelope"]
+
+
+def test_stepped_quiet_cases_step_through_their_quiet_weeks(monkeypatch):
+    blocks = crossed_blocks(monkeypatch)
+    for name in STEPPED:
+        run_simulation(NAMED[name])
+        counts = []  # the candidates of each week of replicate 0
+        oracle_replicate(NAMED[name], 0, candidate_counts=counts)
+        assert counts[:57] == [0] * 57 and counts[57] > 0, name
+    assert blocks == []  # no block of either takes the crossing path
+
+
+@pytest.mark.parametrize("name,calls", zip(STEPPED, [214, 428]))
+def test_a_stepped_block_repaints_every_repaint_week(monkeypatch, name, calls):
+    """A stepped block calls `repaint_event` in each repaint week, quiet
+    ones included, where it finds no candidate and draws nothing."""
+    shapes, event = [], simulate.repaint_event  # each call's (rows, agents)
+    monkeypatch.setattr(
+        simulate,
+        "repaint_event",
+        lambda pop, *a: shapes.append(pop.delta_e.shape) or event(pop, *a),
+    )
+    cfg = NAMED[name]
+    run_simulation(cfg)
+    weeks, envelope = cfg.horizon_days // 7, cfg.uncertainty_mode == "envelope"
+    assert len(shapes) == calls
+    runs = [(cfg.replicates, cfg.n_agents)] * weeks + [(2, cfg.n_agents)] * weeks * envelope
+    assert shapes == runs
 
 
 def test_named_cases_cover_the_grid(monkeypatch):
